@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from frameport.errors import ConfigError
 
@@ -207,8 +207,3 @@ def token_spans_overlapping(
         for k, (_, (s, e)) in enumerate(encoded)
         if s < hi and e > lo
     ]
-
-
-def iter_token_ids(vocab: BpeVocab, texts: Iterable[str]) -> Iterator[int]:
-    for text in texts:
-        yield from bpe_encode(vocab, text)

@@ -3,8 +3,11 @@
 Canonical form: every recognized call uses its framework's canonical
 callable name with keyword-only arguments listed in signature order, and
 import statements establish the canonical short alias of each module.
-The rendering is whatever ``ast.unparse`` produces, which makes a
-canonicalized unit a fixed point of :func:`canonicalize`.
+:func:`canonical_tree` is the one place that form is built: it parses a
+unit and rewrites the tree. :func:`canonicalize` renders that tree with
+``ast.unparse``, which makes a canonicalized unit a fixed point of it;
+corpus ingest cuts module classes out of the same tree, and eval scoring
+reads the canonical text and the calls off one tree per unit.
 """
 
 from __future__ import annotations
@@ -117,26 +120,6 @@ class KeywordOccurrence:
     @property
     def span_in_context(self) -> tuple[int, int]:
         return (self.span[0] - self.context_offset, self.span[1] - self.context_offset)
-
-
-class KeywordRegistry:
-    """Interns keywords and assigns dense ids in first-seen order."""
-
-    def __init__(self) -> None:
-        self._by_key: dict[ApiKeyword, ApiKeyword] = {}
-
-    def register(self, keyword: ApiKeyword) -> ApiKeyword:
-        known = self._by_key.get(keyword)
-        if known is None:
-            known = keyword.with_id(len(self._by_key))
-            self._by_key[keyword] = known
-        return known
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def keywords(self) -> list[ApiKeyword]:
-        return list(self._by_key.values())
 
 
 def _split_prefixes(path: str) -> list[str]:
@@ -541,10 +524,14 @@ def bind_arguments(call: ast.Call, sig: ApiSignature) -> ast.Call:
     return ast.Call(func=call.func, args=[], keywords=ordered)
 
 
-def canonicalize(
+def canonical_tree(
     unit: SourceUnit, db: SignatureDatabase, strict: bool = False
-) -> SourceUnit:
-    """Rewrite a unit into canonical form (idempotent)."""
+) -> ast.Module:
+    """Parse a unit and rewrite the tree into canonical form.
+
+    This is the one place the rewrite chain runs: every canonical text is
+    ``ast.unparse`` of the tree returned here.
+    """
     if db.framework != unit.framework:
         raise ConfigError(
             f"database is for {db.framework!r}, unit is {unit.framework!r}"
@@ -559,7 +546,14 @@ def canonicalize(
     tree = rewriter.visit(tree)
     _fix_empty_bodies(tree)
     ast.fix_missing_locations(tree)
-    return replace(unit, text=ast.unparse(tree))
+    return tree
+
+
+def canonicalize(
+    unit: SourceUnit, db: SignatureDatabase, strict: bool = False
+) -> SourceUnit:
+    """Rewrite a unit into canonical form (idempotent)."""
+    return replace(unit, text=ast.unparse(canonical_tree(unit, db, strict)))
 
 
 def extract_keywords(
@@ -631,25 +625,19 @@ def extract_module_classes(
     Alias unification runs before classes are cut out so each unit
     canonicalizes standalone.
     """
-    try:
-        ast.parse(file_text)
-    except (SyntaxError, ValueError) as exc:
-        log.warning("skipping unparseable file %s: %s", origin or "<text>", exc)
-        return []
     patterns_by_fw = base_classes or DEFAULT_BASE_CLASSES
     units: list[SourceUnit] = []
     for framework in sorted(dbs):
         patterns = set(patterns_by_fw.get(framework, ()))
         if not patterns:
             continue
-        db = dbs[framework]
-        tree = ast.parse(file_text)
-        bindings = _collect_bindings(tree, db)
-        rewriter = _Rewriter(db, bindings, strict=False)
-        rewriter.emitted_modules |= _preserved_modules(tree, db)
-        tree = rewriter.visit(tree)
-        _fix_empty_bodies(tree)
-        ast.fix_missing_locations(tree)
+        # the ParseError text is "<origin>: <SyntaxError>", as the warning wants
+        whole = SourceUnit(file_text, framework, origin or "<text>")
+        try:
+            tree = canonical_tree(whole, dbs[framework])
+        except ParseError as exc:
+            log.warning("skipping unparseable file %s", exc)
+            return []
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue

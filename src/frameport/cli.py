@@ -95,6 +95,19 @@ def _load_databases(frameworks: Sequence[str]) -> dict[str, SignatureDatabase]:
     return {fw: default_database(fw) for fw in frameworks}
 
 
+def _load_pair(args: argparse.Namespace):
+    """The corpus plus both sides' vocabularies and signature databases."""
+    corpus = load_corpus(args.corpus)
+    src, tgt = args.src_framework, args.tgt_framework
+    for fw in (src, tgt):
+        if fw not in corpus.manifest.frameworks:
+            raise ConfigError(f"corpus has no framework {fw!r}")
+    vocabs = tuple(
+        vocab_keywords(corpus.manifest.frameworks[fw].vocabulary) for fw in (src, tgt)
+    )
+    return corpus, vocabs, (default_database(src), default_database(tgt))
+
+
 # -- ingest ------------------------------------------------------------------
 
 
@@ -144,7 +157,7 @@ def _build_provider(args: argparse.Namespace, texts: Sequence[str]):
     if spec == "hash":
         return make_provider(DETERMINISTIC_HASH, dim=args.provider_dim)
     if spec == "context-window":
-        vocab = bpe_train(texts, num_merges=args.bpe_merges)
+        vocab = bpe_train(texts, merge_count=args.bpe_merges)
         return make_provider(
             CONTEXT_WINDOW,
             dim=args.provider_dim,
@@ -177,14 +190,8 @@ def _framework_arrays(occs, vocab, provider) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _train_inputs(args: argparse.Namespace):
-    corpus = load_corpus(args.corpus)
+    corpus, (vocab1, vocab2), (db1, db2) = _load_pair(args)
     src, tgt = args.src_framework, args.tgt_framework
-    for fw in (src, tgt):
-        if fw not in corpus.manifest.frameworks:
-            raise ConfigError(f"corpus has no framework {fw!r}")
-    db1, db2 = default_database(src), default_database(tgt)
-    vocab1 = vocab_keywords(corpus.manifest.frameworks[src].vocabulary)
-    vocab2 = vocab_keywords(corpus.manifest.frameworks[tgt].vocabulary)
     occs1 = extract_occurrences(corpus.units[src], db1, src)
     occs2 = extract_occurrences(corpus.units[tgt], db2, tgt)
     texts = [u.text for u in corpus.units[src]] + [u.text for u in corpus.units[tgt]]
@@ -390,14 +397,7 @@ def _measure_args(args: argparse.Namespace) -> tuple[str, int | None]:
 
 def cmd_dict(args: argparse.Namespace) -> int:
     state = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus)
-    src, tgt = args.src_framework, args.tgt_framework
-    for fw in (src, tgt):
-        if fw not in corpus.manifest.frameworks:
-            raise ConfigError(f"corpus has no framework {fw!r}")
-    vocab1 = vocab_keywords(corpus.manifest.frameworks[src].vocabulary)
-    vocab2 = vocab_keywords(corpus.manifest.frameworks[tgt].vocabulary)
-    db1, db2 = default_database(src), default_database(tgt)
+    _, (vocab1, vocab2), (db1, db2) = _load_pair(args)
     E1, E2 = state.model.output_embeddings
     measure, csls_k = _measure_args(args)
     dictionary = generate_dictionary(
@@ -413,8 +413,8 @@ def cmd_dict(args: argparse.Namespace) -> int:
         csls_k=csls_k,
     )
     dictionary = KeywordDictionary(
-        src_framework=src,
-        tgt_framework=tgt,
+        src_framework=args.src_framework,
+        tgt_framework=args.tgt_framework,
         tau=dictionary.tau,
         groups=dictionary.groups,
     )
@@ -598,13 +598,7 @@ def cmd_inspect_vocab(args: argparse.Namespace) -> int:
 
 def cmd_inspect_neighbors(args: argparse.Namespace) -> int:
     state = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus)
-    src, tgt = args.src_framework, args.tgt_framework
-    for fw in (src, tgt):
-        if fw not in corpus.manifest.frameworks:
-            raise ConfigError(f"corpus has no framework {fw!r}")
-    vocab1 = vocab_keywords(corpus.manifest.frameworks[src].vocabulary)
-    vocab2 = vocab_keywords(corpus.manifest.frameworks[tgt].vocabulary)
+    _, (vocab1, vocab2), _ = _load_pair(args)
     kw = _find_keyword(vocab1, args.kind, args.keyword, args.owner)
     E1, E2 = state.model.output_embeddings
     measure, csls_k = _measure_args(args)
@@ -871,10 +865,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except KOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (ConfigError, KOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BackendUnavailable, StopMarkerMissing) as exc:

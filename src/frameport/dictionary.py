@@ -93,29 +93,6 @@ def _values(s: ScoreMatrix | np.ndarray) -> np.ndarray:
     return s.values if isinstance(s, ScoreMatrix) else np.asarray(s)
 
 
-def greedy_match(
-    s: ScoreMatrix | np.ndarray,
-    rows: Sequence[int] | None = None,
-    cols: Sequence[int] | None = None,
-) -> list[tuple[int, int, float]]:
-    """Per-row argmax over the column subset; ties pick the lowest column.
-
-    Many-to-one matches are allowed: each row chooses independently.
-    """
-    values = _values(s)
-    row_ids = list(range(values.shape[0])) if rows is None else list(rows)
-    col_ids = list(range(values.shape[1])) if cols is None else list(cols)
-    if not col_ids:
-        return []
-    col_arr = np.asarray(col_ids)
-    out = []
-    for i in row_ids:
-        row = values[i, col_arr]
-        j = int(np.argmax(row))  # first occurrence wins ties
-        out.append((i, int(col_arr[j]), float(row[j])))
-    return out
-
-
 @dataclass(frozen=True)
 class KeywordGroup:
     """A callable keyword together with its parameter keywords."""

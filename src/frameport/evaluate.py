@@ -2,8 +2,11 @@
 and the multi-seed evaluation harness.
 
 Calls compare textually after canonicalization; there is no semantic
-equivalence (``2*2`` never matches ``4``). Ranking metrics restrict
-candidates to the keyword's own kind and charge ties at the worst rank.
+equivalence (``2*2`` never matches ``4``). The harness canonicalizes each
+prediction once and each gold at most once per suite, and takes both the call
+bag (F1) and the canonical text (EM) from that one canonical tree.
+Ranking metrics restrict candidates to the keyword's own kind and charge
+ties at the worst rank.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from frameport.canon import (
     ApiKeyword,
     SignatureDatabase,
     SourceUnit,
+    canonical_tree,
     canonicalize,
 )
-from frameport.dictionary import ScoreMatrix
+from frameport.dictionary import ScoreMatrix, _values
 from frameport.errors import ConfigError, FrameportError, ParseError
 
 import ast
@@ -73,15 +77,7 @@ def load_eval_set(path: str | Path) -> list[EvalExample]:
 Fingerprint = tuple[str, tuple[str, ...], tuple[tuple[str, str], ...]]
 
 
-def call_bag(unit: SourceUnit, db: SignatureDatabase) -> Counter:
-    """Multiset of call fingerprints after canonicalization.
-
-    A fingerprint is (callee text, positional value texts, sorted keyword
-    (name, value text) pairs), so pre-canonical argument order never
-    matters.
-    """
-    canon_unit = canonicalize(unit, db)
-    tree = ast.parse(canon_unit.text)
+def _tree_call_bag(tree: ast.AST) -> Counter:
     bag: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -99,6 +95,31 @@ def call_bag(unit: SourceUnit, db: SignatureDatabase) -> Counter:
     return bag
 
 
+def _text_and_bag(unit: SourceUnit, db: SignatureDatabase) -> tuple[str, Counter]:
+    """Canonical text and call bag of a unit, from one canonical tree."""
+    tree = canonical_tree(unit, db)
+    return ast.unparse(tree), _tree_call_bag(tree)
+
+
+def call_bag(unit: SourceUnit, db: SignatureDatabase) -> Counter:
+    """Multiset of call fingerprints after canonicalization.
+
+    A fingerprint is (callee text, positional value texts, sorted keyword
+    (name, value text) pairs), so pre-canonical argument order never
+    matters.
+    """
+    return _tree_call_bag(canonical_tree(unit, db))
+
+
+def _bag_f1(pred_bag: Counter, gold_bag: Counter) -> float:
+    n_pred = sum(pred_bag.values())
+    n_truth = sum(gold_bag.values())
+    if n_pred + n_truth == 0:
+        return 1.0
+    n_match = sum((pred_bag & gold_bag).values())
+    return 2.0 * n_match / (n_pred + n_truth)
+
+
 def f1(pred: SourceUnit, gold: SourceUnit, db: SignatureDatabase) -> float:
     """2*n_match / (n_pred + n_truth) over call bags; 1.0 if both empty.
 
@@ -109,12 +130,7 @@ def f1(pred: SourceUnit, gold: SourceUnit, db: SignatureDatabase) -> float:
         pred_bag = call_bag(pred, db)
     except ParseError:
         return 0.0
-    n_pred = sum(pred_bag.values())
-    n_truth = sum(gold_bag.values())
-    if n_pred + n_truth == 0:
-        return 1.0
-    n_match = sum((pred_bag & gold_bag).values())
-    return 2.0 * n_match / (n_pred + n_truth)
+    return _bag_f1(pred_bag, gold_bag)
 
 
 def exact_match(pred: SourceUnit, gold: SourceUnit, db: SignatureDatabase) -> bool:
@@ -130,46 +146,42 @@ def exact_match(pred: SourceUnit, gold: SourceUnit, db: SignatureDatabase) -> bo
 # -- dictionary ranking metrics ----------------------------------------------
 
 
-def _values(s: ScoreMatrix | np.ndarray) -> np.ndarray:
-    return s.values if isinstance(s, ScoreMatrix) else np.asarray(s)
-
-
 KeyTriple = tuple[str, str, str | None]
 
 
-def _rank(
-    values: np.ndarray,
-    src_id: int,
-    gold_id: int,
-    candidate_ids: Sequence[int],
-) -> float:
-    """Gold-pessimal rank of the gold candidate: ties count against it.
-
-    Infinite when the gold target is not a candidate at all.
-    """
-    if gold_id not in candidate_ids:
-        return float("inf")
-    gold_score = values[src_id, gold_id]
-    rank = 0
-    for c in candidate_ids:
-        if values[src_id, c] >= gold_score:
-            rank += 1
-    return rank
-
-
-def _resolve_pairs(
+def _gold_ranks(
+    scores: ScoreMatrix | np.ndarray,
     gold_pairs: Sequence[tuple[KeyTriple, KeyTriple]],
     vocab1: Sequence[ApiKeyword],
     vocab2: Sequence[ApiKeyword],
-) -> list[tuple[int, int, str]]:
+) -> list[float]:
+    """Gold-pessimal rank of each resolvable gold pair among same-kind
+    candidates: ties count against the gold target.
+
+    Pairs missing from either vocab are left out; a gold target of another
+    kind than its source ranks at infinity.
+    """
+    if not gold_pairs:
+        raise ConfigError("no gold pairs to score")
+    values = _values(scores)
     idx1 = {(kw.kind, kw.text, kw.owner): kw.id for kw in vocab1}
     idx2 = {(kw.kind, kw.text, kw.owner): kw.id for kw in vocab2}
-    resolved = []
+    kind_ids: dict[str, list[int]] = {}
+    for kw in vocab2:
+        kind_ids.setdefault(kw.kind, []).append(kw.id)
+    kind_cols = {kind: np.asarray(ids) for kind, ids in kind_ids.items()}
+    ranks: list[float] = []
     for src_key, tgt_key in gold_pairs:
         i = idx1.get(tuple(src_key))
         j = idx2.get(tuple(tgt_key))
-        resolved.append((-1 if i is None else i, -1 if j is None else j, src_key[0]))
-    return resolved
+        if i is None or j is None:
+            continue
+        cands = kind_cols.get(src_key[0])
+        if cands is None or j not in cands:
+            ranks.append(float("inf"))
+        else:
+            ranks.append(int((values[i, cands] >= values[i, j]).sum()))
+    return ranks
 
 
 def precision_at_k(
@@ -184,20 +196,8 @@ def precision_at_k(
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if not gold_pairs:
-        raise ConfigError("no gold pairs to score")
-    values = _values(scores)
-    kind_cols = {
-        kind: [kw.id for kw in vocab2 if kw.kind == kind]
-        for kind in {kw.kind for kw in vocab2}
-    }
-    hits = 0
-    for i, j, kind in _resolve_pairs(gold_pairs, vocab1, vocab2):
-        if i < 0 or j < 0:
-            continue
-        if _rank(values, i, j, kind_cols.get(kind, [])) <= k:
-            hits += 1
-    return hits / len(gold_pairs)
+    ranks = _gold_ranks(scores, gold_pairs, vocab1, vocab2)
+    return sum(1 for r in ranks if r <= k) / len(gold_pairs)
 
 
 def mrr(
@@ -207,19 +207,8 @@ def mrr(
     vocab2: Sequence[ApiKeyword],
 ) -> float:
     """Mean reciprocal gold-pessimal rank; missing pairs contribute 0."""
-    if not gold_pairs:
-        raise ConfigError("no gold pairs to score")
-    values = _values(scores)
-    kind_cols = {
-        kind: [kw.id for kw in vocab2 if kw.kind == kind]
-        for kind in {kw.kind for kw in vocab2}
-    }
-    total = 0.0
-    for i, j, kind in _resolve_pairs(gold_pairs, vocab1, vocab2):
-        if i < 0 or j < 0:
-            continue
-        total += 1.0 / _rank(values, i, j, kind_cols.get(kind, []))
-    return total / len(gold_pairs)
+    ranks = _gold_ranks(scores, gold_pairs, vocab1, vocab2)
+    return sum(1.0 / r for r in ranks) / len(gold_pairs)
 
 
 # -- evaluation harness ------------------------------------------------------
@@ -259,13 +248,14 @@ def run_suite(
         report.mean = {"f1": None, "em": None, "examples": 0}
         return report
     first_preds: dict[str, str] = {}
+    # canonical gold text and call bag per example index, made at the
+    # example's first successful prediction so an unparseable gold raises
+    # only where scoring needs it
+    golds: dict[int, tuple[str, Counter]] = {}
     for seed in seeds:
         rows = []
-        for ex in examples:
+        for n, ex in enumerate(examples):
             tgt_db = dbs[ex.tgt_framework]
-            gold_unit = SourceUnit(
-                text=ex.gold, framework=ex.tgt_framework, origin=f"{ex.id}:gold"
-            )
             error: str | None = None
             try:
                 pred_text = transpile_fn(ex, seed)
@@ -274,16 +264,23 @@ def run_suite(
                 error = f"{type(exc).__name__}: {exc}"
             if seed == seeds[0]:
                 first_preds[ex.id] = pred_text
-            pred_unit = SourceUnit(
-                text=pred_text, framework=ex.tgt_framework, origin=f"{ex.id}:pred"
-            )
+            row_f1, row_em = 0.0, False
             if error is None:
-                row_f1 = f1(pred_unit, gold_unit, tgt_db)
-                row_em = exact_match(pred_unit, gold_unit, tgt_db)
-            else:
-                row_f1, row_em = 0.0, False
+                if n not in golds:
+                    golds[n] = _text_and_bag(
+                        SourceUnit(ex.gold, ex.tgt_framework, f"{ex.id}:gold"), tgt_db
+                    )
+                gold_text, gold_bag = golds[n]
+                pred_unit = SourceUnit(pred_text, ex.tgt_framework, f"{ex.id}:pred")
+                try:
+                    pred_canon, pred_bag = _text_and_bag(pred_unit, tgt_db)
+                except ParseError:
+                    pass
+                else:
+                    row_f1 = _bag_f1(pred_bag, gold_bag)
+                    row_em = pred_canon == gold_text
             rows.append(
-                {"id": ex.id, "f1": row_f1, "em": bool(row_em), "error": error}
+                {"id": ex.id, "f1": row_f1, "em": row_em, "error": error}
             )
         report.seeds.append(
             {

@@ -296,10 +296,6 @@ class LrSchedule:
         return self.peak_lr * float(np.sqrt(w / step))
 
 
-def lr_at(schedule: LrSchedule, step: int) -> float:
-    return schedule.lr_at(step)
-
-
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0
 ) -> tuple[float, np.ndarray]:

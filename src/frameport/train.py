@@ -21,7 +21,7 @@ import copy
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -379,19 +379,6 @@ class BatchSampler:
     def set_state(self, state: dict) -> None:
         self._rng1.bit_generator.state = state["rng1"]
         self._rng2.bit_generator.state = state["rng2"]
-
-
-def sample_batches(
-    H1: np.ndarray,
-    y1: np.ndarray,
-    H2: np.ndarray,
-    y2: np.ndarray,
-    batch_size: int,
-    seed: int | np.random.SeedSequence = 0,
-) -> Iterator[TrainBatch]:
-    sampler = BatchSampler(H1, y1, H2, y2, batch_size, seed)
-    while True:
-        yield sampler.next_batch()
 
 
 def avg_cosine_similarity(

@@ -13,7 +13,6 @@ from frameport.canon import (
     PARAMETER,
     ApiKeyword,
     ApiSignature,
-    KeywordRegistry,
     SignatureDatabase,
     SourceUnit,
     bind_arguments,
@@ -211,18 +210,32 @@ def test_extract_module_classes_splits_by_framework():
         canonicalize(u, PT if u.framework == "pytorch" else KS)
 
 
-def test_extract_module_classes_tolerates_bad_files():
-    assert extract_module_classes("def broken(:\n", {"pytorch": PT}) == []
+def test_extract_module_classes_tolerates_bad_files(caplog):
+    with pytest.raises(SyntaxError) as err:
+        ast.parse("def broken(:\n")
+    with caplog.at_level("WARNING", logger="frameport.canon"):
+        assert extract_module_classes("def broken(:\n", {"pytorch": PT}, origin="m.py") == []
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping unparseable file m.py: {err.value}"
+    ]
 
 
-def test_registry_interns_and_numbers_in_first_seen_order():
-    reg = KeywordRegistry()
-    a = reg.register(ApiKeyword("pytorch", CALLABLE, "nn.ReLU"))
-    b = reg.register(ApiKeyword("pytorch", PARAMETER, "p", owner="nn.Dropout"))
-    a2 = reg.register(ApiKeyword("pytorch", CALLABLE, "nn.ReLU"))
-    assert (a.id, b.id) == (0, 1)
-    assert a2.id == 0 and len(reg) == 2
-    assert [k.id for k in reg.keywords()] == [0, 1]
+def test_extract_module_classes_parses_once_per_patterned_framework(monkeypatch):
+    text = "import torch.nn as nn\n\nclass A(nn.Module):\n    pass\n"
+    real_parse = ast.parse
+    calls = []
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args)
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    dbs = {"pytorch": PT, "keras": KS}
+    assert len(extract_module_classes(text, dbs)) == 1
+    assert len(calls) == 2
+    calls.clear()
+    extract_module_classes(text, dbs, base_classes={"pytorch": ("nn.Module",)})
+    assert len(calls) == 1
 
 
 def test_keyword_validation():

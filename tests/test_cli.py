@@ -251,6 +251,14 @@ def test_train_unknown_provider_is_a_config_error(corpus, tmp_path):
     assert main(argv) == 2
 
 
+def test_train_context_window_provider_runs(corpus, tmp_path):
+    argv = _train_argv(corpus, tmp_path, "--bpe-merges", "20", "--total-samples", "64")
+    argv[argv.index("hash")] = "context-window"
+    assert main(argv) == 0
+    assert (tmp_path / "checkpoint.json").is_file()
+    assert (tmp_path / "checkpoint_best.json").is_file()
+
+
 def test_train_framework_missing_from_corpus(corpus, tmp_path):
     argv = _train_argv(corpus, tmp_path, "--total-samples", "16")
     argv[argv.index("keras")] = "mxnet"

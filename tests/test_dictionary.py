@@ -28,7 +28,6 @@ from frameport.dictionary import (
     build_groups,
     csls_rescale,
     generate_dictionary,
-    greedy_match,
     group_similarity,
     lookup,
     score_matrix,
@@ -99,17 +98,6 @@ def test_csls_k_bounds():
         with pytest.raises(KOutOfRange):
             csls_rescale(s, bad)
     csls_rescale(s, 3)  # k == min(m1, m2) is allowed
-
-
-def test_greedy_match_per_row_argmax_with_low_column_ties():
-    values = np.array([
-        [1.0, 5.0, 5.0],
-        [0.0, -1.0, 3.0],
-    ])
-    assert greedy_match(values) == [(0, 1, 5.0), (1, 2, 3.0)]
-    # column subsets re-rank; ties keep the earliest listed column
-    assert greedy_match(values, rows=[0], cols=[2, 1]) == [(0, 2, 5.0)]
-    assert greedy_match(values, rows=[1], cols=[]) == []
 
 
 def test_build_groups_and_validation():

@@ -6,12 +6,14 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import frameport.evaluate
 from frameport.canon import CALLABLE, PARAMETER, ApiKeyword, SourceUnit
-from frameport.errors import ConfigError, PlaceholderMismatch
+from frameport.errors import ConfigError, ParseError, PlaceholderMismatch
 from frameport.evaluate import (
     EvalExample,
     call_bag,
@@ -147,6 +149,8 @@ def test_ranking_brute_force_on_random_matrices():
     vocab2 = [ApiKeyword("b", CALLABLE, f"d{j}").with_id(j) for j in range(m2)]
     for trial in range(20):
         scores = rng.standard_normal((m1, m2))
+        if trial % 2:
+            scores = np.round(scores)  # forced ties, charged to the gold pair
         gold = [
             ((CALLABLE, f"c{i}", None), (CALLABLE, f"d{int(rng.integers(m2))}", None))
             for i in range(m1)
@@ -269,3 +273,32 @@ def test_run_suite_scores_wrong_but_parseable_output():
     report = run_suite(wrong, examples, {"keras": KS}, seeds=(3,))
     row = report.seeds[0]["examples"][0]
     assert row["f1"] == 0.0 and row["em"] is False and row["error"] is None
+
+
+def test_run_suite_canonicalizes_each_prediction_once_and_each_gold_once(monkeypatch):
+    examples = _examples()
+    seeds = (1, 2, 3)
+    real = frameport.evaluate.canonical_tree
+    calls = []
+
+    def counting(unit, db, strict=False):
+        calls.append(unit.origin)
+        return real(unit, db, strict)
+
+    monkeypatch.setattr(frameport.evaluate, "canonical_tree", counting)
+    report = run_suite(lambda ex, seed: ex.gold, examples, {"keras": KS}, seeds=seeds)
+    assert report.mean["f1"] == 1.0 and report.mean["em"] == 1.0
+    assert len(calls) == len(seeds) * len(examples) + len(examples)
+    assert sorted(o for o in calls if o.endswith(":gold")) == ["dense:gold", "relu:gold"]
+
+
+def test_run_suite_unparseable_gold_raises_only_when_scored():
+    bad = [replace(_examples()[0], gold="def broken(:")]
+
+    def failing(ex, seed):
+        raise PlaceholderMismatch("placeholder check failed")
+
+    report = run_suite(failing, bad, {"keras": KS}, seeds=(1, 2))
+    assert report.mean["f1"] == 0.0
+    with pytest.raises(ParseError):
+        run_suite(lambda ex, seed: "x = 1\n", bad, {"keras": KS}, seeds=(1,))
