@@ -59,7 +59,7 @@ from .errors import (
     KOutOfRange,
     StopMarkerMissing,
 )
-from .evaluate import load_eval_set, run_suite
+from .evaluate import EvalExample, load_eval_set, run_suite
 from .llm import BackendConfig, load_template
 from .pipeline import (
     FRAMEWORKS,
@@ -516,7 +516,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             cache[(src, tgt)] = (dictionary, default_template(src, tgt))
         return cache[(src, tgt)]
 
-    def transpile_fn(ex, seed: int) -> str:
+    def transpile_once(ex) -> str:
         dictionary, template = _pair(ex.src_framework, ex.tgt_framework)
         unit = SourceUnit(text=ex.source, framework=ex.src_framework, origin=ex.id)
         result = transpile_unit(
@@ -528,6 +528,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
             backend_cfg,
         )
         return result.output.text
+
+    # The mock backend is deterministic, so every seed after the first
+    # replays its result (or error) instead of transpiling again. The key is
+    # the whole example: direction, source text, and the id that error
+    # messages name.
+    replay: dict[EvalExample, str | FrameportError] = {}
+
+    def transpile_fn(ex, seed: int) -> str:
+        if backend_cfg.kind != "mock-rules":
+            return transpile_once(ex)
+        if ex not in replay:
+            try:
+                replay[ex] = transpile_once(ex)
+            except FrameportError as exc:
+                replay[ex] = exc
+        if isinstance(replay[ex], FrameportError):
+            raise replay[ex]
+        return replay[ex]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from frameport.atomic import write_text_atomic
 from frameport.canon import (
     ApiKeyword,
     KeywordOccurrence,
@@ -261,8 +262,8 @@ def save_corpus(directory: str | Path, result: IngestResult) -> None:
                     json.dumps({"id": i, "origin": unit.origin, "text": unit.text})
                     + "\n"
                 )
-    (d / "manifest.json").write_text(
-        json.dumps(result.manifest.to_dict(), indent=2) + "\n"
+    write_text_atomic(
+        d / "manifest.json", json.dumps(result.manifest.to_dict(), indent=2) + "\n"
     )
     if result.skipped:
         with open(d / "skipped.jsonl", "w") as fh:

@@ -7,8 +7,21 @@ absorb are dropped, and a parameter scoring above the threshold tau
 against some target callable becomes a one-to-many expansion that emits a
 new zero-argument call.
 
-All ties break toward lower indices / lexicographically smaller names so
-generation is deterministic.
+Group matching runs on arrays, not per group pair. The callable block
+of the score matrix is gathered once; each target group's best score for
+every source parameter is one segment max (``np.maximum.reduceat``) over
+its parameter columns; and source parameter slot k is added to all rows at
+once, in parameter order, so every group score is the same float64 sum the
+scalar definition ``group_similarity`` accumulates. Expansion candidates
+come from one batched argmax over the parameter-by-target-callable block.
+Only the one-to-one parameter matching inside a matched group stays a
+small per-group loop.
+
+Ties break the same way everywhere, so generation is deterministic: a
+source group takes the target group with the smallest callable text among
+equal scores, an expansion takes the first target callable in vocabulary
+order, and in-group parameter pairs take lower indices first. NaN and -inf
+group scores never win; a source callable with no other score is an error.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from frameport.atomic import write_text_atomic
 from frameport.canon import (
     CALLABLE,
     PARAMETER,
@@ -32,6 +46,7 @@ from frameport.errors import (
     DimensionMismatch,
     EmptyVocabularyError,
     KOutOfRange,
+    NonFiniteScoreError,
     UnmappedKeyword,
     ZeroVectorError,
 )
@@ -247,11 +262,70 @@ class KeywordDictionary:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        write_text_atomic(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "KeywordDictionary":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _group_similarities(
+    values: np.ndarray,
+    groups1: Sequence[KeywordGroup],
+    groups2: Sequence[KeywordGroup],
+) -> np.ndarray:
+    """``group_similarity`` of every (source, target) group pair, as a matrix.
+
+    Source parameter slot k is added to every row at once, in parameter
+    order, so each entry is the same float64 sum ``group_similarity``
+    accumulates. Target groups without parameters receive ``-0.0``, the
+    addition that leaves every value, signed zeros included, unchanged.
+    """
+    sims = values[[g.callable_kw.id for g in groups1]][
+        :, [g.callable_kw.id for g in groups2]
+    ]
+    src_sizes = np.array([len(g.parameters) for g in groups1])
+    tgt_sizes = np.array([len(g.parameters) for g in groups2])
+    if not src_sizes.any() or not tgt_sizes.any():
+        return sims
+    src_param_ids = [p.id for g in groups1 for p in g.parameters]
+    tgt_param_ids = [q.id for g in groups2 for q in g.parameters]
+    has_params = tgt_sizes > 0
+    seg_starts = np.cumsum(tgt_sizes[has_params]) - tgt_sizes[has_params]
+    # best in-group score of each source parameter against each target group
+    param_best = np.full((len(src_param_ids), len(groups2)), -0.0)
+    param_best[:, has_params] = np.maximum.reduceat(
+        values[src_param_ids][:, tgt_param_ids], seg_starts, axis=1
+    )
+    src_offsets = np.cumsum(src_sizes) - src_sizes
+    for k in range(int(src_sizes.max())):
+        rows = np.flatnonzero(src_sizes > k)
+        sims[rows] += param_best[src_offsets[rows] + k]
+    return sims
+
+
+def _best_target_groups(
+    sims: np.ndarray,
+    groups1: Sequence[KeywordGroup],
+    groups2: Sequence[KeywordGroup],
+) -> tuple[list[int], np.ndarray]:
+    """Index into ``groups2`` of each source group's match, and its score.
+
+    The highest similarity wins; among equal ones, the target callable
+    with the smallest text. NaN and -inf never win.
+    """
+    by_text = sorted(range(len(groups2)), key=lambda j: groups2[j].callable_kw.text)
+    ranked = sims[:, by_text]
+    ranked[np.isnan(ranked)] = -np.inf
+    picks = np.argmax(ranked, axis=1)
+    best_sims = ranked[np.arange(len(groups1)), picks]
+    hopeless = np.flatnonzero(best_sims == -np.inf)
+    if hopeless.size:
+        raise NonFiniteScoreError(
+            f"source callable {groups1[hopeless[0]].callable_kw.text!r} scores "
+            "NaN or -inf against every target group"
+        )
+    return [by_text[j] for j in picks], best_sims
 
 
 def generate_dictionary(
@@ -283,36 +357,32 @@ def generate_dictionary(
     if csls_k is not None:
         s = csls_rescale(s, csls_k)
     values = s.values
+    best, best_sims = _best_target_groups(
+        _group_similarities(values, groups1, groups2), groups1, groups2
+    )
+    # each source parameter's best target callable, first id among equals
+    src_param_ids = [p.id for g in groups1 for p in g.parameters]
     tgt_callable_ids = [g.callable_kw.id for g in groups2]
-    tgt_callable_text = {g.callable_kw.id: g.callable_kw.text for g in groups2}
+    call_scores = values[src_param_ids][:, tgt_callable_ids]
+    expand_to = np.argmax(call_scores, axis=1)
 
     entries: list[GroupEntry] = []
-    for g1 in groups1:
-        best_g2 = None
-        best_sim = -math.inf
-        for g2 in groups2:
-            sim = group_similarity(g1, g2, s)
-            if sim > best_sim or (
-                sim == best_sim
-                and best_g2 is not None
-                and g2.callable_kw.text < best_g2.callable_kw.text
-            ):
-                best_sim = sim
-                best_g2 = g2
-        assert best_g2 is not None
-
+    row = 0
+    for g1, bi, best_sim in zip(groups1, best, best_sims):
+        best_g2 = groups2[bi]
         # expansions take precedence over in-group parameter matching
         expansions: list[Expansion] = []
         matchable: list[ApiKeyword] = []
         for p in g1.parameters:
-            call_scores = values[p.id, tgt_callable_ids]
-            j = int(np.argmax(call_scores))
-            if float(call_scores[j]) > tau:
+            j = int(expand_to[row])
+            score = float(call_scores[row, j])
+            row += 1
+            if score > tau:
                 expansions.append(
                     Expansion(
                         src_param=p.text,
-                        new_call=f"{tgt_callable_text[tgt_callable_ids[j]]}()",
-                        score=float(call_scores[j]),
+                        new_call=f"{groups2[j].callable_kw.text}()",
+                        score=score,
                     )
                 )
             else:
@@ -348,7 +418,7 @@ def generate_dictionary(
             GroupEntry(
                 src_callable=g1.callable_kw.text,
                 tgt_callable=best_g2.callable_kw.text,
-                score=best_sim,
+                score=float(best_sim),
                 params=params,
                 expansions=tuple(expansions),
             )

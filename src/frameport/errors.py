@@ -90,6 +90,10 @@ class EmptyVocabularyError(FrameportError):
     """Dictionary generation requires at least one keyword per framework."""
 
 
+class NonFiniteScoreError(FrameportError):
+    """A source callable scores NaN or -inf against every target group."""
+
+
 class EmptyDictionaryError(FrameportError):
     """The induced dictionary has no pairs to score."""
 

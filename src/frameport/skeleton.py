@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from keyword import iskeyword
 from typing import Mapping, Sequence
 
 from frameport.canon import ApiKeyword, KeywordOccurrence, SourceUnit
@@ -93,6 +94,15 @@ def validate_placeholders(src: CodeSkeleton, out_text: str) -> PlaceholderReport
 
 
 def _parse_fragment(index: int, fragment: str) -> ast.expr:
+    # a dotted ASCII name is built directly; the parser would give the same
+    # Name/Attribute chain (it NFKC-normalizes non-ASCII identifiers, so
+    # those still go through it)
+    parts = fragment.split(".")
+    if fragment.isascii() and all(p.isidentifier() and not iskeyword(p) for p in parts):
+        node: ast.expr = ast.Name(id=parts[0], ctx=ast.Load())
+        for attr in parts[1:]:
+            node = ast.Attribute(value=node, attr=attr, ctx=ast.Load())
+        return node
     try:
         return ast.parse(fragment, mode="eval").body
     except (SyntaxError, ValueError):

@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from frameport import nn
+from frameport.atomic import write_text_atomic
 from frameport.canon import ApiKeyword
 from frameport.dictionary import (
     KeywordDictionary,
@@ -603,7 +604,7 @@ def save_checkpoint(
         "sampler_state": sampler_state or {},
         "dropout_state": dropout_state or {},
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    write_text_atomic(path, json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> TrainState:

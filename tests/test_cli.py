@@ -6,10 +6,14 @@ import io
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import frameport.cli as cli
+from frameport import nn as fnn
 from frameport.cli import main
 from frameport.dictionary import KeywordDictionary
+from frameport.errors import BackendUnavailable
 from frameport.pipeline import fixture_path
 from frameport.train import load_checkpoint
 
@@ -288,6 +292,24 @@ def test_dict_induces_and_saves_a_dictionary(run_dir, corpus, tmp_path, capsys):
     assert srcs <= {"nn.Linear", "nn.ReLU", "nn.Flatten"}
 
 
+def test_dict_non_finite_embeddings_exit_3_with_one_line(run_dir, corpus, tmp_path, capsys):
+    doc = json.loads((run_dir / "checkpoint_best.json").read_text())
+    E1 = fnn.decode_array(doc["model"]["output_embeddings"][0])
+    doc["model"]["output_embeddings"][0] = fnn.encode_array(np.full_like(E1, np.nan))
+    checkpoint = tmp_path / "nan.json"
+    checkpoint.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main([
+        "dict", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+        "--src-framework", "pytorch", "--tgt-framework", "keras",
+        "--out", str(tmp_path / "d.json"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error: source callable 'nn.") and err.count("\n") == 1
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_dict_csls_measure_works(run_dir, corpus, tmp_path):
     rc = main([
         "dict", "--checkpoint", str(run_dir / "checkpoint.json"),
@@ -465,6 +487,60 @@ def test_eval_scores_a_suite_and_writes_artifacts(tmp_path, capsys):
     assert (out / "artifacts" / "fig" / "pred.py").read_text() == FIG_OUTPUT + "\n"
     gold_test = (out / "artifacts" / "fig" / "gold_test.py").read_text()
     assert gold_test.startswith("# reference output")
+
+
+def test_eval_transpiles_each_example_once_with_the_mock_backend(
+    tmp_path, capsys, monkeypatch
+):
+    eval_set = tmp_path / "examples.jsonl"
+    _write_eval_set(eval_set)
+    # a third example whose transpile fails: every seed reports its error
+    with eval_set.open("a") as fh:
+        fh.write(json.dumps({
+            "id": "broken", "src_framework": "pytorch", "tgt_framework": "keras",
+            "source": "x = (", "gold": "x = 1",
+        }) + "\n")
+    calls = []
+    real = cli.transpile_unit
+
+    def counting(unit, *args, **kwargs):
+        calls.append(unit.origin)
+        return real(unit, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "transpile_unit", counting)
+    capsys.readouterr()
+    rc = main([
+        "eval", "--eval-set", str(eval_set), "--out", str(tmp_path / "out"),
+        "--seeds", "10,20,30", "--format", "json",
+    ])
+    assert rc == 0
+    assert calls == ["fig", "conv", "broken"]
+    payload = json.loads(capsys.readouterr().out)
+    errors = [s["examples"][2]["error"] for s in payload["seeds"]]
+    assert errors[0].startswith("ParseError: broken:") and errors == errors[:1] * 3
+    assert [s["f1"] for s in payload["seeds"]] == [2 / 3] * 3
+
+
+def test_eval_calls_an_http_backend_once_per_seed(tmp_path, monkeypatch):
+    eval_set = tmp_path / "examples.jsonl"
+    _write_eval_set(eval_set)
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps(
+        {"kind": "http-completion", "endpoint": "http://127.0.0.1:9/v1"}
+    ))
+    calls = []
+
+    def unavailable(unit, *args, **kwargs):
+        calls.append(unit.origin)
+        raise BackendUnavailable("no backend in tests")
+
+    monkeypatch.setattr(cli, "transpile_unit", unavailable)
+    rc = main([
+        "eval", "--eval-set", str(eval_set), "--out", str(tmp_path / "out"),
+        "--seeds", "10,20", "--backend", str(backend),
+    ])
+    assert rc == 0
+    assert calls == ["fig", "conv", "fig", "conv"]
 
 
 def test_eval_empty_set_reports_no_examples(tmp_path, capsys):

@@ -3,6 +3,7 @@ greedy matching, expansions, and lookup."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -37,6 +38,7 @@ from frameport.errors import (
     DimensionMismatch,
     EmptyVocabularyError,
     KOutOfRange,
+    NonFiniteScoreError,
     UnmappedKeyword,
     ZeroVectorError,
 )
@@ -321,3 +323,150 @@ def test_lookup_unmapped_paths():
     with pytest.raises(UnmappedKeyword):
         # empty owner override leaves no group to search
         lookup(d, ApiKeyword("a", PARAMETER, "keep", owner="f"), owner="")
+
+
+def _reference_generate_dictionary(
+    E1, E2, vocab1, vocab2, db1, db2, measure=COSINE, tau=5.0,
+    drop_floor=-math.inf, csls_k=None,
+):
+    """The per-group-pair loop generate_dictionary replaced, kept as its oracle."""
+    groups1 = build_groups(db1, vocab1)
+    groups2 = build_groups(db2, vocab2)
+    s = score_matrix(E1, E2, measure)
+    if csls_k is not None:
+        s = csls_rescale(s, csls_k)
+    values = s.values
+    tgt_callable_ids = [g.callable_kw.id for g in groups2]
+    tgt_callable_text = {g.callable_kw.id: g.callable_kw.text for g in groups2}
+    entries = []
+    for g1 in groups1:
+        best_g2 = None
+        best_sim = -math.inf
+        for g2 in groups2:
+            sim = group_similarity(g1, g2, s)
+            if sim > best_sim or (
+                sim == best_sim
+                and best_g2 is not None
+                and g2.callable_kw.text < best_g2.callable_kw.text
+            ):
+                best_sim = sim
+                best_g2 = g2
+        if best_g2 is None:
+            return None  # no finite group score for g1
+        expansions = []
+        matchable = []
+        for p in g1.parameters:
+            call_scores = values[p.id, tgt_callable_ids]
+            j = int(np.argmax(call_scores))
+            if float(call_scores[j]) > tau:
+                expansions.append(
+                    Expansion(
+                        src_param=p.text,
+                        new_call=f"{tgt_callable_text[tgt_callable_ids[j]]}()",
+                        score=float(call_scores[j]),
+                    )
+                )
+            else:
+                matchable.append(p)
+        candidates = sorted(
+            (-float(values[p.id, q.id]), pi, qi)
+            for pi, p in enumerate(matchable)
+            for qi, q in enumerate(best_g2.parameters)
+        )
+        assigned = {}
+        used_tgt = set()
+        for neg_score, pi, qi in candidates:
+            if pi in assigned or qi in used_tgt:
+                continue
+            score = -neg_score
+            if score <= drop_floor:
+                continue
+            assigned[pi] = (best_g2.parameters[qi].text, score)
+            used_tgt.add(qi)
+        params = tuple(
+            ParamEntry(
+                src=p.text,
+                tgt=assigned[pi][0] if pi in assigned else None,
+                score=assigned[pi][1] if pi in assigned else 0.0,
+            )
+            for pi, p in enumerate(matchable)
+        )
+        entries.append(
+            GroupEntry(
+                src_callable=g1.callable_kw.text,
+                tgt_callable=best_g2.callable_kw.text,
+                score=best_sim,
+                params=params,
+                expansions=tuple(expansions),
+            )
+        )
+    return KeywordDictionary(
+        src_framework=db1.framework,
+        tgt_framework=db2.framework,
+        tau=tau,
+        groups=tuple(entries),
+    )
+
+
+def _random_vocab(rng, framework, n_groups, max_params):
+    """Callables with 0..max_params parameters each, texts out of id order."""
+    names = [f"{framework}{i}" for i in rng.permutation(n_groups)]
+    vocab = []
+    for name in names:
+        vocab.append(_kw(framework, CALLABLE, name, id=len(vocab)))
+        for k in range(int(rng.integers(0, max_params + 1))):
+            vocab.append(_kw(framework, PARAMETER, f"p{k}", owner=name, id=len(vocab)))
+    return vocab
+
+
+def test_generate_dictionary_matches_per_pair_loop_on_random_matrices():
+    rng = np.random.default_rng(7)
+    db1, db2 = _dbs()
+    for case in range(400):
+        vocab1 = _random_vocab(rng, "a", int(rng.integers(1, 7)), int(rng.integers(0, 5)))
+        vocab2 = _random_vocab(rng, "b", int(rng.integers(1, 7)), int(rng.integers(0, 5)))
+        d = int(rng.integers(1, 5))
+        E1 = rng.standard_normal((d, len(vocab1)))
+        E2 = rng.standard_normal((d, len(vocab2)))
+        if case % 2:  # integer embeddings force equal scores
+            E1, E2 = np.round(E1), np.round(E2)
+        if case % 7 == 3:  # a non-finite target column other groups outscore
+            E2[:, int(rng.integers(0, len(vocab2)))] = rng.choice([np.nan, -np.inf])
+        measure = DOT if case % 3 else COSINE
+        kwargs = dict(
+            measure=measure,
+            tau=float(rng.choice([0.0, 0.5, 1.0, 5.0, math.inf])),
+            drop_floor=float(rng.choice([-math.inf, -0.5, 0.0, 0.5])),
+        )
+        if case % 5 == 0:
+            kwargs["csls_k"] = int(rng.integers(1, min(len(vocab1), len(vocab2)) + 1))
+        with np.errstate(invalid="ignore"):
+            try:
+                expected = _reference_generate_dictionary(
+                    E1, E2, vocab1, vocab2, db1, db2, **kwargs
+                )
+            except ZeroVectorError:
+                with pytest.raises(ZeroVectorError):
+                    generate_dictionary(E1, E2, vocab1, vocab2, db1, db2, **kwargs)
+                continue
+            if expected is None:
+                with pytest.raises(NonFiniteScoreError):
+                    generate_dictionary(E1, E2, vocab1, vocab2, db1, db2, **kwargs)
+                continue
+            got = generate_dictionary(E1, E2, vocab1, vocab2, db1, db2, **kwargs)
+        assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict()), case
+
+
+def test_generate_dictionary_skips_non_finite_groups_and_names_a_hopeless_callable():
+    vocab1, vocab2, E1, E2 = _scenario()
+    db1, db2 = _dbs()
+    # F2's column turns NaN: f1 falls back to G2, the only finite group
+    E2 = E2.copy()
+    E2[:, 0] = np.nan
+    d = generate_dictionary(E1, E2, vocab1, vocab2, db1, db2, measure=DOT)
+    assert [g.tgt_callable for g in d.groups] == ["G2", "G2"]
+    # a NaN embedding for g1 scores NaN against every target group
+    E1 = E1.copy()
+    E1[:, 3] = np.nan
+    with pytest.raises(NonFiniteScoreError, match="'g1'"):
+        generate_dictionary(E1, E2, vocab1, vocab2, db1, db2, measure=DOT)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from dataclasses import replace
 
 import pytest
@@ -22,6 +23,7 @@ from frameport.errors import (
 )
 from frameport.pipeline import default_database
 from frameport.skeleton import (
+    _parse_fragment,
     identity_translations,
     reinsert,
     to_skeleton,
@@ -161,6 +163,29 @@ def test_bad_fragments_are_rejected():
     _, _, skel2 = _skeleton("import torch.nn as nn\nx = nn.Linear(in_features=1)\n")
     with pytest.raises(SkeletonError):
         reinsert(skel2.text, {1: ["nn.Linear"], 2: ["not-an-identifier"]})
+
+
+def test_fragments_build_the_trees_the_parser_builds(monkeypatch):
+    names = ["nn", "nn.ReLU", "tf.keras.layers.Dense", "match", "_x.y2"]
+    others = ["nn.ReLU()", "layers.Dense(units=3)", "None", "a . b", "\ufb01", "1.5"]
+    expected = {f: ast.dump(ast.parse(f, mode="eval").body) for f in names + others}
+    parses = []
+    real_parse = ast.parse
+
+    def counting_parse(source, *args, **kwargs):
+        parses.append(source)
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    for fragment in names + others:
+        assert ast.dump(_parse_fragment(1, fragment)) == expected[fragment], fragment
+    assert parses == others  # plain dotted names never reach the parser
+    for bad in ("a..b", "class.x", "nn.", "not a name ("):
+        with pytest.raises(SkeletonError) as info:
+            _parse_fragment(7, bad)
+        assert str(info.value) == (
+            f"translation for PLACEHOLDER_7 is not an expression: {bad!r}"
+        )
 
 
 def test_unparseable_skeleton_raises_parse_error():
