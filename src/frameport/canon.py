@@ -3,11 +3,11 @@
 Canonical form: every recognized call uses its framework's canonical
 callable name with keyword-only arguments listed in signature order, and
 import statements establish the canonical short alias of each module.
-:func:`canonical_tree` is the one place that form is built: it parses a
-unit and rewrites the tree. :func:`canonicalize` renders that tree with
-``ast.unparse``, which makes a canonicalized unit a fixed point of it;
-corpus ingest cuts module classes out of the same tree, and eval scoring
-reads the canonical text and the calls off one tree per unit.
+:func:`rewrite_tree` is the one place that form is built, in one import
+walk and one rewrite traversal. :func:`canonicalize` renders the tree of
+:func:`canonical_tree` with ``ast.unparse``, which makes a canonicalized
+unit a fixed point of it; ingest cuts classes out of the same tree, eval
+scoring reads text and calls off it, and reinsertion rewrites its own tree.
 """
 
 from __future__ import annotations
@@ -300,47 +300,59 @@ def _node_span(node: ast.AST, starts: list[int]) -> tuple[int, int]:
     )
 
 
-def _fix_empty_bodies(tree: ast.AST) -> None:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Module):
-            continue  # an empty module is legal and unparses to ""
-        body = getattr(node, "body", None)
-        if isinstance(body, list) and not body:
-            body.append(ast.Pass())
+def _import_names(node: ast.Import | ast.ImportFrom) -> list[tuple[ast.alias, str, str]] | None:
+    """``(alias, spelled path, bound name)`` for each name of an import, or
+    None for a relative import, whose paths are unknown."""
+    if isinstance(node, ast.Import):
+        return [(a, a.name, a.asname or a.name.split(".", 1)[0]) for a in node.names]
+    if node.level or node.module is None:
+        return None
+    return [(a, f"{node.module}.{a.name}", a.asname or a.name) for a in node.names]
 
 
-def _collect_bindings(tree: ast.AST, db: SignatureDatabase) -> dict[str, str]:
-    """Map locally bound names to normalized module/callable paths."""
+def _scan_imports(
+    tree: ast.AST, db: SignatureDatabase
+) -> tuple[dict[str, str], set[str]]:
+    """One walk over the imports: the normalized path each bound name stands
+    for, and the modules whose canonical import the tree already spells."""
     bindings: dict[str, str] = {}
+    preserved: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    bindings[alias.asname] = db.normalize_path(alias.name)
-                else:
-                    root = alias.name.split(".", 1)[0]
-                    bindings[root] = db.normalize_path(root)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level or node.module is None:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias, path, bound in _import_names(node) or ():
+            if alias.name == "*":
                 continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                path = db.normalize_path(f"{node.module}.{alias.name}")
-                bindings[alias.asname or alias.name] = path
+            normal = db.normalize_path(path)
+            if db.import_aliases.get(path) == bound and normal == path:
+                preserved.add(path)
+            # a plain ``import a.b`` binds ``a`` alone
+            plain = isinstance(node, ast.Import) and not alias.asname
+            bindings[bound] = db.normalize_path(bound) if plain else normal
     for module_path, short in db.import_aliases.items():
         bindings.setdefault(short, module_path)
-    return bindings
+    return bindings, preserved
 
 
 class _Rewriter(ast.NodeTransformer):
     """Single canonicalization pass: imports, name uses, argument binding."""
 
-    def __init__(self, db: SignatureDatabase, bindings: dict[str, str], strict: bool):
+    def __init__(self, db: SignatureDatabase, tree: ast.AST, strict: bool):
         self.db = db
-        self.bindings = bindings
         self.strict = strict
-        self.emitted_modules: set[str] = set()
+        # a canonical import the tree already spells counts as emitted
+        self.bindings, self.emitted_modules = _scan_imports(tree, db)
+
+    def generic_visit(self, node: ast.AST) -> ast.AST:
+        super().generic_visit(node)
+        # a block whose imports were all rewritten away keeps a ``pass``, as
+        # does a handler-less ``finally`` (unparse would drop the clause)
+        body = getattr(node, "body", None)
+        if isinstance(body, list) and not body and not isinstance(node, ast.Module):
+            body.append(ast.Pass())
+        if isinstance(node, ast.Try) and not node.handlers and not node.finalbody:
+            node.finalbody.append(ast.Pass())
+        return node
 
     # -- name resolution -------------------------------------------------
 
@@ -423,75 +435,26 @@ class _Rewriter(ast.NodeTransformer):
             self.emitted_modules.add(module_path)
             out.append(self._canonical_import(module_path))
 
-    def visit_Import(self, node: ast.Import) -> list[ast.stmt]:
-        kept: list[ast.alias] = []
-        synthesized: list[ast.stmt] = []
-        for alias in node.names:
-            path = self.db.normalize_path(alias.name)
-            bound = alias.asname or alias.name.split(".", 1)[0]
-            target = self._import_decision(path, bound, alias.name)
-            if target is None:
-                kept.append(alias)
-                if path in self.db.import_aliases:
-                    self.emitted_modules.add(path)
-            else:
-                self._emit(target, synthesized)
-        out: list[ast.stmt] = []
-        if kept:
-            out.append(ast.Import(names=kept))
-        out.extend(synthesized)
-        return out
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> list[ast.stmt]:
-        if node.level or node.module is None:
+    def visit_Import(self, node: ast.Import | ast.ImportFrom) -> list[ast.stmt]:
+        names = _import_names(node)
+        if names is None:
             return [node]
         kept: list[ast.alias] = []
         synthesized: list[ast.stmt] = []
-        for alias in node.names:
-            if alias.name == "*":
-                kept.append(alias)
-                continue
-            spelled = f"{node.module}.{alias.name}"
+        for alias, spelled, bound in names:
             path = self.db.normalize_path(spelled)
-            bound = alias.asname or alias.name
-            target = self._import_decision(path, bound, spelled)
-            if target is None:
-                kept.append(alias)
-                if path in self.db.import_aliases:
-                    self.emitted_modules.add(path)
-            else:
-                self._emit(target, synthesized)
-        out: list[ast.stmt] = []
-        if kept:
-            out.append(ast.ImportFrom(module=node.module, names=kept, level=0))
-        out.extend(synthesized)
-        return out
-
-
-def _preserved_modules(tree: ast.AST, db: SignatureDatabase) -> set[str]:
-    """Module paths whose canonical import already appears in the tree."""
-    preserved: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                short = db.import_aliases.get(alias.name)
-                bound = alias.asname or alias.name.split(".", 1)[0]
-                if short is not None and bound == short:
-                    if db.normalize_path(alias.name) == alias.name:
-                        preserved.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level or node.module is None:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
+            if alias.name != "*":
+                target = self._import_decision(path, bound, spelled)
+                if target is not None:
+                    self._emit(target, synthesized)
                     continue
-                path = f"{node.module}.{alias.name}"
-                short = db.import_aliases.get(path)
-                bound = alias.asname or alias.name
-                if short is not None and bound == short:
-                    if db.normalize_path(path) == path:
-                        preserved.add(path)
-    return preserved
+            kept.append(alias)
+            if path in self.db.import_aliases:
+                self.emitted_modules.add(path)
+        node.names = kept
+        return [node] + synthesized if kept else synthesized
+
+    visit_ImportFrom = visit_Import
 
 
 # -- public operations -----------------------------------------------------
@@ -524,29 +487,31 @@ def bind_arguments(call: ast.Call, sig: ApiSignature) -> ast.Call:
     return ast.Call(func=call.func, args=[], keywords=ordered)
 
 
+def parse_source(text: str, label: str) -> ast.Module:
+    """``ast.parse``, with a syntax error raised as ``ParseError("<label>: ...")``."""
+    try:
+        return ast.parse(text)
+    except (SyntaxError, ValueError) as exc:
+        raise ParseError(f"{label}: {exc}") from None
+
+
+def rewrite_tree(
+    tree: ast.Module, db: SignatureDatabase, strict: bool = False
+) -> ast.Module:
+    """Rewrite a parsed tree into canonical form, in place. The nodes it
+    makes carry no source locations, which no consumer reads."""
+    return _Rewriter(db, tree, strict).visit(tree)
+
+
 def canonical_tree(
     unit: SourceUnit, db: SignatureDatabase, strict: bool = False
 ) -> ast.Module:
-    """Parse a unit and rewrite the tree into canonical form.
-
-    This is the one place the rewrite chain runs: every canonical text is
-    ``ast.unparse`` of the tree returned here.
-    """
+    """Parse a unit and rewrite the tree into canonical form."""
     if db.framework != unit.framework:
         raise ConfigError(
             f"database is for {db.framework!r}, unit is {unit.framework!r}"
         )
-    try:
-        tree = ast.parse(unit.text)
-    except (SyntaxError, ValueError) as exc:
-        raise ParseError(f"{unit.origin or '<unit>'}: {exc}") from None
-    bindings = _collect_bindings(tree, db)
-    rewriter = _Rewriter(db, bindings, strict)
-    rewriter.emitted_modules |= _preserved_modules(tree, db)
-    tree = rewriter.visit(tree)
-    _fix_empty_bodies(tree)
-    ast.fix_missing_locations(tree)
-    return tree
+    return rewrite_tree(parse_source(unit.text, unit.origin or "<unit>"), db, strict)
 
 
 def canonicalize(
@@ -560,10 +525,7 @@ def extract_keywords(
     unit: SourceUnit, db: SignatureDatabase
 ) -> list[KeywordOccurrence]:
     """List keyword occurrences of a canonicalized unit in source order."""
-    try:
-        tree = ast.parse(unit.text)
-    except (SyntaxError, ValueError) as exc:
-        raise ParseError(f"{unit.origin or '<unit>'}: {exc}") from None
+    tree = parse_source(unit.text, unit.origin or "<unit>")
     data = unit.text.encode("utf-8")
     starts = _line_starts(data)
     whole = (0, len(data))

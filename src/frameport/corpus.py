@@ -252,23 +252,23 @@ def extract_occurrences(
 # -- persistence -------------------------------------------------------------
 
 
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    write_text_atomic(path, "".join(json.dumps(r) + "\n" for r in records))
+
+
 def save_corpus(directory: str | Path, result: IngestResult) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     for fw, fw_units in result.units.items():
-        with open(d / f"units_{fw}.jsonl", "w") as fh:
-            for i, unit in enumerate(fw_units):
-                fh.write(
-                    json.dumps({"id": i, "origin": unit.origin, "text": unit.text})
-                    + "\n"
-                )
+        _write_jsonl(
+            d / f"units_{fw}.jsonl",
+            ({"id": i, "origin": u.origin, "text": u.text} for i, u in enumerate(fw_units)),
+        )
     write_text_atomic(
         d / "manifest.json", json.dumps(result.manifest.to_dict(), indent=2) + "\n"
     )
     if result.skipped:
-        with open(d / "skipped.jsonl", "w") as fh:
-            for path, reason in result.skipped:
-                fh.write(json.dumps({"path": path, "reason": reason}) + "\n")
+        _write_jsonl(d / "skipped.jsonl", ({"path": p, "reason": r} for p, r in result.skipped))
 
 
 def load_corpus(directory: str | Path) -> IngestResult:

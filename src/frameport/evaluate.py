@@ -3,8 +3,8 @@ and the multi-seed evaluation harness.
 
 Calls compare textually after canonicalization; there is no semantic
 equivalence (``2*2`` never matches ``4``). The harness canonicalizes each
-prediction once and each gold at most once per suite, and takes both the call
-bag (F1) and the canonical text (EM) from that one canonical tree.
+distinct prediction once and each gold at most once per suite, and takes both
+the call bag (F1) and the canonical text (EM) from that one canonical tree.
 Ranking metrics restrict candidates to the keyword's own kind and charge
 ties at the worst rank.
 """
@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from frameport.atomic import write_text_atomic
 from frameport.canon import (
     ApiKeyword,
     SignatureDatabase,
@@ -223,9 +224,7 @@ class EvalReport:
         return {"version": 1, "seeds": self.seeds, "mean": self.mean}
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_text_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def run_suite(
@@ -252,6 +251,8 @@ def run_suite(
     # example's first successful prediction so an unparseable gold raises
     # only where scoring needs it
     golds: dict[int, tuple[str, Counter]] = {}
+    # (F1, EM) per example index and distinct prediction text
+    scores: dict[tuple[int, str], tuple[float, bool]] = {}
     for seed in seeds:
         rows = []
         for n, ex in enumerate(examples):
@@ -265,7 +266,9 @@ def run_suite(
             if seed == seeds[0]:
                 first_preds[ex.id] = pred_text
             row_f1, row_em = 0.0, False
-            if error is None:
+            if error is None and (n, pred_text) in scores:
+                row_f1, row_em = scores[n, pred_text]
+            elif error is None:
                 if n not in golds:
                     golds[n] = _text_and_bag(
                         SourceUnit(ex.gold, ex.tgt_framework, f"{ex.id}:gold"), tgt_db
@@ -279,6 +282,7 @@ def run_suite(
                 else:
                     row_f1 = _bag_f1(pred_bag, gold_bag)
                     row_em = pred_canon == gold_text
+                scores[n, pred_text] = row_f1, row_em
             rows.append(
                 {"id": ex.id, "f1": row_f1, "em": row_em, "error": error}
             )

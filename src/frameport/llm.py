@@ -333,6 +333,11 @@ class HttpBackend:
                     doc = json.loads(response.read().decode("utf-8"))
                 return self._parse(doc)
             except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+                # a client error other than a timeout (408) or rate limit
+                # (429) fails the same way on retry
+                client_error = isinstance(exc, urllib.error.HTTPError) and 400 <= exc.code < 500
+                if client_error and exc.code not in (408, 429):
+                    raise BackendUnavailable(f"backend rejected the request: {exc}") from None
                 last_error = exc
                 log.warning("backend attempt %d failed: %s", attempt + 1, exc)
         raise BackendUnavailable(f"backend unreachable after retries: {last_error}")

@@ -3,8 +3,8 @@
 One call to ``transpile_unit`` runs the whole chain: canonicalize the
 input, swap every API keyword for a numbered placeholder, have a
 completion backend translate the skeleton, resolve each keyword through
-the dictionary, reinsert the results, and canonicalize once more on the
-target side so the output is in the target dialect's canonical form.
+the dictionary, and reinsert the results, which rewrites the reinserted
+tree into the target dialect's canonical form before its one unparse.
 """
 
 from __future__ import annotations
@@ -167,13 +167,7 @@ def transpile_unit(
     if not report.ok:
         raise PlaceholderMismatch(report.missing, report.duplicate, report.extra)
     translations, warnings = build_translations(occs, dictionary)
-    draft = reinsert(
-        completion,
-        translations,
-        framework=tgt_db.framework,
-        origin=unit.origin,
-    )
-    output = canonicalize(draft, tgt_db)
+    output = reinsert(completion, translations, tgt_db, origin=unit.origin)
     return TranspileResult(
         output=output,
         canonical_source=canonical,

@@ -2,24 +2,32 @@
 
 A skeleton replaces the i-th keyword occurrence with the literal token
 ``PLACEHOLDER_i``. Reinsertion parses the (translated) skeleton, applies
-per-index translations, and unparses, so its output is always in
-canonical rendering and placeholder-free.
+per-index translations, rewrites the tree into the target's canonical
+form and unparses it once, so its output is canonical and placeholder-free.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import unicodedata
 from dataclasses import dataclass
 from keyword import iskeyword
 from typing import Mapping, Sequence
 
-from frameport.canon import ApiKeyword, KeywordOccurrence, SourceUnit
+from frameport.canon import (
+    ApiKeyword,
+    KeywordOccurrence,
+    SignatureDatabase,
+    SourceUnit,
+    _make_chain,
+    parse_source,
+    rewrite_tree,
+)
 from frameport.errors import (
     ExpansionContextError,
     MissingTranslationError,
     OverlapError,
-    ParseError,
     ResidualPlaceholderError,
     SkeletonError,
 )
@@ -93,16 +101,17 @@ def validate_placeholders(src: CodeSkeleton, out_text: str) -> PlaceholderReport
     return PlaceholderReport(ok=ok, missing=missing, duplicate=duplicate, extra=extra)
 
 
+def _is_name(text: str, dotted: bool) -> bool:
+    parts = text.split(".") if dotted else [text]
+    return all(p.isidentifier() and not iskeyword(p) for p in parts)
+
+
 def _parse_fragment(index: int, fragment: str) -> ast.expr:
     # a dotted ASCII name is built directly; the parser would give the same
     # Name/Attribute chain (it NFKC-normalizes non-ASCII identifiers, so
     # those still go through it)
-    parts = fragment.split(".")
-    if fragment.isascii() and all(p.isidentifier() and not iskeyword(p) for p in parts):
-        node: ast.expr = ast.Name(id=parts[0], ctx=ast.Load())
-        for attr in parts[1:]:
-            node = ast.Attribute(value=node, attr=attr, ctx=ast.Load())
-        return node
+    if fragment.isascii() and _is_name(fragment, dotted=True):
+        return _make_chain(fragment)
     try:
         return ast.parse(fragment, mode="eval").body
     except (SyntaxError, ValueError):
@@ -111,8 +120,18 @@ def _parse_fragment(index: int, fragment: str) -> ast.expr:
         ) from None
 
 
+def _identifier(index: int, name: str, dotted: bool, what: str) -> str:
+    """``name`` as the parser reads an identifier (dotted if ``dotted``)."""
+    name = unicodedata.normalize("NFKC", name)
+    if not _is_name(name, dotted):
+        raise SkeletonError(
+            f"translation for PLACEHOLDER_{index} is not {what}: {name!r}"
+        )
+    return name
+
+
 class _RenamePass(ast.NodeTransformer):
-    """Apply single-fragment renames and argument drops in place."""
+    """Apply renames, argument drops and expansions in place."""
 
     def __init__(self, translations: Mapping[int, Sequence[str]]):
         self.translations = translations
@@ -129,9 +148,19 @@ class _RenamePass(ast.NodeTransformer):
         fragments = self._lookup(index)
         if not fragments:
             raise SkeletonError(f"cannot drop callable PLACEHOLDER_{index}")
-        if len(fragments) == 1:
+        if len(fragments) > 1:
+            return node  # an expansion: the enclosing sequence renames it
+        if isinstance(node.ctx, ast.Load):
             return _parse_fragment(index, fragments[0])
-        return node  # expansion, handled structurally afterwards
+        new = _make_chain(_identifier(index, fragments[0], True, "an assignable name"))
+        new.ctx = node.ctx
+        return new
+
+    def visit_NamedExpr(self, node: ast.NamedExpr) -> ast.NamedExpr:
+        self.generic_visit(node)
+        if not isinstance(node.target, ast.Name):
+            raise SkeletonError("an assignment expression needs a bare name target")
+        return node
 
     def visit_keyword(self, node: ast.keyword) -> ast.keyword | None:
         self.generic_visit(node)
@@ -145,57 +174,76 @@ class _RenamePass(ast.NodeTransformer):
             raise ExpansionContextError(
                 f"parameter PLACEHOLDER_{index} cannot expand into new calls"
             )
-        name = fragments[0]
-        if not name.isidentifier():
-            raise SkeletonError(
-                f"translation for PLACEHOLDER_{index} is not a parameter name: {name!r}"
-            )
-        node.arg = name
+        node.arg = _identifier(index, fragments[0], False, "a parameter name")
         return node
 
-    def visit_alias(self, node: ast.alias) -> ast.alias:
-        for attr in ("name", "asname"):
-            index = _placeholder_index(getattr(node, attr))
-            if index is None:
-                continue
-            fragments = self._lookup(index)
-            if len(fragments) != 1:
-                raise ExpansionContextError(
-                    f"import alias PLACEHOLDER_{index} must map to one name"
-                )
-            setattr(node, attr, fragments[0])
+    def _rename_aliases(self, node: ast.Import | ast.ImportFrom) -> ast.stmt:
+        # ``import a.b`` takes a dotted module; every other import name is bare
+        for alias in node.names:
+            for attr, dotted in (("name", isinstance(node, ast.Import)), ("asname", False)):
+                index = _placeholder_index(getattr(alias, attr))
+                if index is None:
+                    continue
+                fragments = self._lookup(index)
+                if len(fragments) != 1:
+                    raise ExpansionContextError(
+                        f"import alias PLACEHOLDER_{index} must map to one name"
+                    )
+                name = _identifier(index, fragments[0], dotted, "an import name")
+                setattr(alias, attr, name)
         return node
 
+    visit_Import = visit_ImportFrom = _rename_aliases
 
-def _apply_expansions(tree: ast.AST, translations: Mapping[int, Sequence[str]]) -> None:
-    """Expand multi-fragment callables inside element-list contexts."""
-    for node in list(ast.walk(tree)):
+    def generic_visit(self, node: ast.AST) -> ast.AST:
+        super().generic_visit(node)
         for field in ("elts", "args"):
             elements = getattr(node, field, None)
-            if not isinstance(elements, list):
-                continue
-            rebuilt: list[ast.expr] = []
-            for element in elements:
-                if isinstance(element, ast.Call) and isinstance(element.func, ast.Name):
-                    index = _placeholder_index(element.func.id)
-                    if index is not None:
-                        fragments = list(translations[index])
-                        element.func = _parse_fragment(index, fragments[0])
-                        rebuilt.append(element)
-                        for extra in fragments[1:]:
-                            rebuilt.append(_parse_fragment(index, extra))
-                        continue
-                rebuilt.append(element)
-            setattr(node, field, rebuilt)
+            if isinstance(elements, list):
+                setattr(node, field, [new for old in elements for new in self._expand(old)])
+        return node
+
+    def _expand(self, element: ast.AST) -> list[ast.AST]:
+        # a call to a callable with several fragments is renamed, and its
+        # extra calls follow it in the element list or argument sequence
+        if isinstance(element, ast.Call) and isinstance(element.func, ast.Name):
+            index = _placeholder_index(element.func.id)
+            if index is not None:
+                first, *extra = self.translations[index]
+                element.func = _parse_fragment(index, first)
+                return [element, *(_parse_fragment(index, f) for f in extra)]
+        return [element]
+
+
+def _has_placeholder(value: object) -> bool:
+    if isinstance(value, list):
+        return any(map(_has_placeholder, value))
+    return isinstance(value, (str, bytes)) and PLACEHOLDER_RE.search(repr(value)) is not None
+
+
+def _check_no_placeholders(tree: ast.AST) -> None:
+    """Raise if a placeholder name or text survived renames and expansions
+    (text is looked for before the target rewrite can re-spell an import)."""
+    residual = False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and _placeholder_index(node.id) is not None:
+            raise ExpansionContextError(
+                f"{node.id} expands into new calls but is not inside a "
+                "list or argument sequence"
+            )
+        residual = residual or any(_has_placeholder(v) for _, v in ast.iter_fields(node))
+    if residual:
+        leftover = PLACEHOLDER_RE.search(ast.unparse(tree))
+        raise ResidualPlaceholderError(f"output still contains {leftover.group(0)}")
 
 
 def reinsert(
     skeleton_text: str,
     translations: Mapping[int, Sequence[str]],
-    framework: str = "",
+    db: SignatureDatabase,
     origin: str = "",
 ) -> SourceUnit:
-    """Substitute translated keywords back into a skeleton.
+    """Substitute translated keywords into a skeleton, in ``db``'s canonical form.
 
     A translation entry is a fragment list: ``[name]`` renames the
     placeholder, ``[]`` drops the keyword argument it labels, and
@@ -209,24 +257,10 @@ def reinsert(
         raise MissingTranslationError(
             f"no translation for placeholder indices {missing}"
         )
-    try:
-        tree = ast.parse(skeleton_text)
-    except (SyntaxError, ValueError) as exc:
-        raise ParseError(f"skeleton does not parse: {exc}") from None
+    tree = parse_source(skeleton_text, "skeleton does not parse")
     tree = _RenamePass(translations).visit(tree)
-    _apply_expansions(tree, translations)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and _placeholder_index(node.id) is not None:
-            raise ExpansionContextError(
-                f"{node.id} expands into new calls but is not inside a "
-                "list or argument sequence"
-            )
-    ast.fix_missing_locations(tree)
-    text = ast.unparse(tree)
-    leftover = PLACEHOLDER_RE.search(text)
-    if leftover:
-        raise ResidualPlaceholderError(f"output still contains {leftover.group(0)}")
-    return SourceUnit(text=text, framework=framework, origin=origin)
+    _check_no_placeholders(tree)
+    return SourceUnit(ast.unparse(rewrite_tree(tree, db)), db.framework, origin)
 
 
 def identity_translations(skeleton: CodeSkeleton) -> dict[int, list[str]]:

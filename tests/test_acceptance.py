@@ -707,9 +707,7 @@ def test_round_trips_hold_under_fuzz(tmp_path):
         occs = extract_keywords(canon, db)
         skeleton = to_skeleton(canon, occs)
         assert validate_placeholders(skeleton, skeleton.text).ok
-        rebuilt = reinsert(
-            skeleton.text, identity_translations(skeleton), framework="pytorch"
-        )
+        rebuilt = reinsert(skeleton.text, identity_translations(skeleton), db)
         assert rebuilt.text == canon.text, unit.text
         checked += 1
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from frameport import atomic
 from frameport import train as ft
+from frameport.canon import SourceUnit
 from frameport.corpus import CorpusManifest, IngestResult, save_corpus
 from frameport.dictionary import KeywordDictionary
+from frameport.evaluate import EvalReport
 
 
 def _save_checkpoint(path):
@@ -25,18 +29,49 @@ def _save_manifest(path):
     save_corpus(path.parent, IngestResult(manifest=CorpusManifest(), units={}))
 
 
+def _save_report(path):
+    EvalReport(seeds=[{"seed": 1}], mean={"f1": 1.0}).save(path)
+
+
+CORPUS_FILES = {"manifest.json", "units_pytorch.jsonl", "skipped.jsonl"}
+
+
+def _save_corpus_file(path):
+    """Save a one-unit corpus with one skipped file; keep only ``path``."""
+    result = IngestResult(
+        manifest=CorpusManifest(),
+        units={"pytorch": [SourceUnit("x = 1", "pytorch", "a.py:A")]},
+        skipped=[("b.py", "no framework marker")],
+    )
+    try:
+        save_corpus(path.parent, result)
+    finally:
+        for name in CORPUS_FILES - {path.name}:
+            (path.parent / name).unlink(missing_ok=True)
+
+
 SAVERS = {
     "checkpoint.json": _save_checkpoint,
     "dict.json": _save_dictionary,
     "manifest.json": _save_manifest,
+    "report.json": _save_report,
+    "units_pytorch.jsonl": _save_corpus_file,
+    "skipped.jsonl": _save_corpus_file,
 }
 
 
 class _TornFile:
-    """A file whose write stores half the text, then is interrupted."""
+    """A file whose write stores half the text, then is interrupted.
 
-    def __init__(self, *args, **kwargs):
-        self.fh = open(*args, **kwargs)
+    Only the temporary file of ``target`` tears; other files a saver writes
+    on the way are written whole.
+    """
+
+    target = ""
+
+    def __init__(self, file, *args, **kwargs):
+        self.fh = open(file, *args, **kwargs)
+        self.tears = Path(file).name.startswith(f".{self.target}.")
 
     def __enter__(self):
         return self
@@ -45,6 +80,8 @@ class _TornFile:
         self.fh.close()
 
     def write(self, text):
+        if not self.tears:
+            return self.fh.write(text)
         self.fh.write(text[: len(text) // 2])
         raise KeyboardInterrupt
 
@@ -53,6 +90,7 @@ class _TornFile:
 def test_interrupted_save_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch, name):
     path = tmp_path / name
     path.write_text("old contents\n")
+    monkeypatch.setattr(_TornFile, "target", name)
     monkeypatch.setattr(atomic, "open", _TornFile, raising=False)
     with pytest.raises(KeyboardInterrupt):
         SAVERS[name](path)

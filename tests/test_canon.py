@@ -271,3 +271,19 @@ def test_path_arithmetic():
     assert KS.resolve_name("layers.MaxPool2D") == "layers.MaxPooling2D"
     assert PT.looks_framework_qualified("nn.Linear")
     assert not PT.looks_framework_qualified("np.zeros")
+
+
+def test_blocks_emptied_by_the_import_rewrite_keep_a_pass():
+    # the second ``import torch.nn`` is dropped: its module is already imported
+    cases = {
+        "import torch.nn as nn\nif x:\n    import torch.nn\n":
+            "import torch.nn as nn\nif x:\n    pass",
+        "import torch.nn as nn\ntry:\n    x = 1\nfinally:\n    import torch.nn\n":
+            "import torch.nn as nn\ntry:\n    x = 1\nfinally:\n    pass",
+        "import torch.nn as nn\ntry:\n    x = 1\nexcept E:\n    y = 2\nfinally:\n    import torch.nn\n":
+            "import torch.nn as nn\ntry:\n    x = 1\nexcept E:\n    y = 2",
+    }
+    for src, want in cases.items():
+        out = canon(src)
+        assert out == want, src
+        assert canon(out) == out, src

@@ -288,7 +288,7 @@ def test_run_suite_canonicalizes_each_prediction_once_and_each_gold_once(monkeyp
     monkeypatch.setattr(frameport.evaluate, "canonical_tree", counting)
     report = run_suite(lambda ex, seed: ex.gold, examples, {"keras": KS}, seeds=seeds)
     assert report.mean["f1"] == 1.0 and report.mean["em"] == 1.0
-    assert len(calls) == len(seeds) * len(examples) + len(examples)
+    assert len(calls) == 2 * len(examples)
     assert sorted(o for o in calls if o.endswith(":gold")) == ["dense:gold", "relu:gold"]
 
 

@@ -201,6 +201,36 @@ def test_http_backend_retries_then_gives_up(monkeypatch):
     assert calls["n"] == 3  # first try plus two retries
 
 
+def test_http_backend_does_not_retry_client_errors(monkeypatch):
+    attempts = []
+
+    def rejecting(request, timeout=None):
+        attempts.append(request)
+        raise urllib.error.HTTPError(request.full_url, 401, "Unauthorized", {}, None)
+
+    monkeypatch.setattr(urllib.request, "urlopen", rejecting)
+    monkeypatch.setattr("frameport.llm.time.sleep", lambda s: pytest.fail("slept"))
+    cfg = BackendConfig(kind="http-completion", endpoint="http://x", retries=3)
+    with pytest.raises(BackendUnavailable, match="401"):
+        HttpBackend(chat=False).complete("p", "s", cfg)
+    assert len(attempts) == 1
+
+
+def test_http_backend_retries_rate_limits_and_server_errors(monkeypatch):
+    codes = iter([408, 429, 503])
+
+    def busy(request, timeout=None):
+        code = next(codes, None)
+        if code is not None:
+            raise urllib.error.HTTPError(request.full_url, code, "busy", {}, None)
+        return _FakeResponse(b'{"choices": [{"text": "late", "finish_reason": "stop"}]}')
+
+    monkeypatch.setattr(urllib.request, "urlopen", busy)
+    monkeypatch.setattr("frameport.llm.time.sleep", lambda s: None)
+    cfg = BackendConfig(kind="http-completion", endpoint="http://x", retries=3)
+    assert HttpBackend(chat=False).complete("p", "s", cfg).text == "late"
+
+
 def test_http_backend_recovers_after_transient_failure(monkeypatch):
     attempts = iter([urllib.error.URLError("boom"), None])
 
