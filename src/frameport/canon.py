@@ -26,6 +26,7 @@ from frameport.errors import (
     DuplicateKeywordError,
     ParseError,
     UnknownCallableError,
+    loading,
 )
 
 log = logging.getLogger(__name__)
@@ -243,11 +244,8 @@ class SignatureDatabase:
 
     @classmethod
     def load(cls, path: str | Path) -> "SignatureDatabase":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load signature database {path}: {exc}") from None
-        return cls.from_dict(doc)
+        with loading("signature database", path):
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import write_text_atomic
 from .bpe import bpe_train
 from .canon import CALLABLE, PARAMETER, ApiKeyword, SignatureDatabase, SourceUnit
 from .corpus import (
@@ -270,7 +271,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             result.best_cfg.total_steps,
             result.best_cfg,
         )
-        (out / "grid.json").write_text(
+        write_text_atomic(
+            out / "grid.json",
             json.dumps(
                 {
                     "cells": cells_seen,
@@ -504,20 +506,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dbs = _load_databases(frameworks or list(FRAMEWORKS))
     backend_cfg = BackendConfig.load(args.backend) if args.backend else BackendConfig()
 
-    cache: dict[tuple[str, str], tuple] = {}
-
-    def _pair(src: str, tgt: str):
-        if (src, tgt) not in cache:
-            if args.dictionary_dir:
-                path = Path(args.dictionary_dir) / f"dict_{src}_{tgt}.json"
-                dictionary = KeywordDictionary.load(path)
-            else:
-                dictionary = default_dictionary(src, tgt)
-            cache[(src, tgt)] = (dictionary, default_template(src, tgt))
-        return cache[(src, tgt)]
+    # Loaded up front so that a missing or malformed dictionary ends the
+    # run instead of becoming one failed row per example.
+    pairs: dict[tuple[str, str], tuple] = {}
+    directions = dict.fromkeys((ex.src_framework, ex.tgt_framework) for ex in examples)
+    for src, tgt in directions:
+        if args.dictionary_dir:
+            path = Path(args.dictionary_dir) / f"dict_{src}_{tgt}.json"
+            dictionary = KeywordDictionary.load(path)
+        else:
+            dictionary = default_dictionary(src, tgt)
+        pairs[src, tgt] = (dictionary, default_template(src, tgt))
 
     def transpile_once(ex) -> str:
-        dictionary, template = _pair(ex.src_framework, ex.tgt_framework)
+        dictionary, template = pairs[ex.src_framework, ex.tgt_framework]
         unit = SourceUnit(text=ex.source, framework=ex.src_framework, origin=ex.id)
         result = transpile_unit(
             unit,

@@ -26,6 +26,7 @@ from frameport.canon import (
     extract_keywords,
     extract_module_classes,
 )
+from frameport.errors import loading
 
 log = logging.getLogger(__name__)
 
@@ -273,20 +274,23 @@ def save_corpus(directory: str | Path, result: IngestResult) -> None:
 
 def load_corpus(directory: str | Path) -> IngestResult:
     d = Path(directory)
-    manifest = CorpusManifest.from_dict(json.loads((d / "manifest.json").read_text()))
+    path = d / "manifest.json"
+    with loading("corpus manifest", path):
+        manifest = CorpusManifest.from_dict(json.loads(path.read_text()))
     units: dict[str, list[SourceUnit]] = {}
     for fw in manifest.frameworks:
         fw_units: list[SourceUnit] = []
         path = d / f"units_{fw}.jsonl"
         if path.exists():
-            for line in path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                fw_units.append(
-                    SourceUnit(
-                        text=rec["text"], framework=fw, origin=rec.get("origin", "")
+            with loading("corpus units", path):
+                for line in path.read_text().splitlines():
+                    if not line.strip():
+                        continue
+                    rec = json.loads(line)
+                    fw_units.append(
+                        SourceUnit(
+                            text=rec["text"], framework=fw, origin=rec.get("origin", "")
+                        )
                     )
-                )
         units[fw] = fw_units
     return IngestResult(manifest=manifest, units=units)

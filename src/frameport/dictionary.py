@@ -49,6 +49,7 @@ from frameport.errors import (
     NonFiniteScoreError,
     UnmappedKeyword,
     ZeroVectorError,
+    loading,
 )
 
 COSINE = "cosine"
@@ -266,7 +267,8 @@ class KeywordDictionary:
 
     @classmethod
     def load(cls, path: str | Path) -> "KeywordDictionary":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        with loading("keyword dictionary", path):
+            return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def _group_similarities(

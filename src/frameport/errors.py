@@ -1,5 +1,11 @@
 """Exception hierarchy shared across the package."""
 
+from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
+
 
 class FrameportError(Exception):
     """Base class for all frameport errors."""
@@ -104,3 +110,19 @@ class UnmappedKeyword(FrameportError):
 
 class ConfigError(FrameportError):
     """Invalid configuration file or flag combination."""
+
+
+@contextmanager
+def loading(what: str, path: str | Path) -> Iterator[None]:
+    """Report an unreadable or malformed file as one ``ConfigError``.
+
+    I/O errors, JSON syntax errors, missing keys and fields of the wrong
+    type or value raised inside the block become
+    ``cannot load {what} {path}: ...``; frameport errors pass through.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"cannot load {what} {path}: missing field {exc}") from None
+    except (OSError, ValueError, TypeError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"cannot load {what} {path}: {exc}") from None

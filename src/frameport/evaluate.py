@@ -28,7 +28,7 @@ from frameport.canon import (
     canonicalize,
 )
 from frameport.dictionary import ScoreMatrix, _values
-from frameport.errors import ConfigError, FrameportError, ParseError
+from frameport.errors import ConfigError, FrameportError, ParseError, loading
 
 import ast
 
@@ -49,27 +49,25 @@ def load_eval_set(path: str | Path) -> list[EvalExample]:
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        try:
+        with loading("eval set", f"{path}:{ln}"):
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{ln}: bad JSON: {exc}") from None
-        pairs = tuple(
-            (
-                (s[0], s[1], s[2] if len(s) > 2 else None),
-                (t[0], t[1], t[2] if len(t) > 2 else None),
+            pairs = tuple(
+                (
+                    (s[0], s[1], s[2] if len(s) > 2 else None),
+                    (t[0], t[1], t[2] if len(t) > 2 else None),
+                )
+                for s, t in rec.get("gold_keyword_pairs", [])
             )
-            for s, t in rec.get("gold_keyword_pairs", [])
-        )
-        examples.append(
-            EvalExample(
-                id=str(rec["id"]),
-                src_framework=rec["src_framework"],
-                tgt_framework=rec["tgt_framework"],
-                source=rec["source"],
-                gold=rec["gold"],
-                gold_keyword_pairs=pairs,
+            examples.append(
+                EvalExample(
+                    id=str(rec["id"]),
+                    src_framework=rec["src_framework"],
+                    tgt_framework=rec["tgt_framework"],
+                    source=rec["source"],
+                    gold=rec["gold"],
+                    gold_keyword_pairs=pairs,
+                )
             )
-        )
     return examples
 
 
@@ -304,8 +302,9 @@ def run_suite(
         for ex in examples:
             exdir = base / ex.id
             exdir.mkdir(parents=True, exist_ok=True)
-            (exdir / "pred.py").write_text(first_preds.get(ex.id, "") + "\n")
-            (exdir / "gold_test.py").write_text(
+            write_text_atomic(exdir / "pred.py", first_preds.get(ex.id, "") + "\n")
+            write_text_atomic(
+                exdir / "gold_test.py",
                 f"# reference output for example {ex.id}; compare against pred.py\n"
                 + ex.gold
                 + "\n"

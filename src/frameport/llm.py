@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from frameport.errors import BackendUnavailable, ConfigError, StopMarkerMissing
+from frameport.errors import (
+    BackendUnavailable,
+    ConfigError,
+    StopMarkerMissing,
+    loading,
+)
 from frameport.skeleton import CodeSkeleton, PLACEHOLDER_RE
 
 log = logging.getLogger(__name__)
@@ -163,11 +168,8 @@ class BackendConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "BackendConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load backend config {path}: {exc}") from None
-        return cls.from_dict(doc)
+        with loading("backend config", path):
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)

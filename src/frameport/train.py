@@ -1,9 +1,9 @@
 """Domain-adversarial alignment of keyword embeddings.
 
-Each training step draws one independent batch per framework, runs a
-single forward pass that yields all four losses, then applies three
-in-order parameter updates from gradients taken at the step's starting
-point:
+Each training step draws one independent batch per framework, stacks
+the two (side 1 first) into one generator batch, runs a single forward
+pass that yields all four losses, then applies three in-order parameter
+updates from gradients taken at the step's starting point:
 
 1. generator + both output-embedding matrices, on L_CE_1 + L_CE_2;
 2. discriminator, on L_D (hidden states treated as constants);
@@ -37,6 +37,7 @@ from frameport.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDictionaryError,
+    loading,
 )
 
 LR_GRID = (2e-4, 5e-4, 1e-3)
@@ -223,48 +224,50 @@ def _smoothed_targets(n1: int, n2: int, smoothing: float) -> np.ndarray:
     return t * (1.0 - smoothing) + smoothing / 2.0
 
 
-@dataclass
-class _ForwardState:
-    z1: np.ndarray
-    z2: np.ndarray
-    gen_cache1: nn.ForwardCache
-    gen_cache2: nn.ForwardCache
-    dlogits1: np.ndarray
-    dlogits2: np.ndarray
-    disc_cache: nn.ForwardCache
-    d_grad_true: np.ndarray
-    d_grad_rev: np.ndarray
-    losses: dict[str, float]
-
-
-def _forward_all(
+def gradients(
     model: AlignmentModel,
     batch: TrainBatch,
-    label_smoothing: float,
-    train_mode: bool,
-    rng: np.random.Generator | None,
-) -> _ForwardState:
+    label_smoothing: float = 0.0,
+    train_mode: bool = False,
+    rng: np.random.Generator | None = None,
+) -> tuple[dict[str, list[np.ndarray]], dict[str, float]]:
+    """Per-role gradients and all four losses from one shared forward pass.
+
+    Both sides go through the generator as one stacked batch, side 1
+    first, so each generator pass (forward, CE backward, adversarial
+    backward) runs once per step.
+
+    joint: d(L_CE_1 + L_CE_2) over generator params then E1, E2;
+    disc: dL_D over discriminator params (hidden states constant);
+    gen_adv: dL_G over generator params, through the forward-time
+    discriminator.
+    """
     E1, E2 = model.output_embeddings
-    z1, c1 = nn.forward(model.generator, batch.h1, train_mode=train_mode, rng=rng)
-    z2, c2 = nn.forward(model.generator, batch.h2, train_mode=train_mode, rng=rng)
+    n1, n2 = len(batch.h1), len(batch.h2)
+    h = np.concatenate([batch.h1, batch.h2], axis=0)
+    z, gen_cache = nn.forward(model.generator, h, train_mode=train_mode, rng=rng)
+    z1, z2 = z[:n1], z[n1:]
     l_ce1, dlogits1 = nn.softmax_cross_entropy(z1 @ E1, batch.y1, label_smoothing)
     l_ce2, dlogits2 = nn.softmax_cross_entropy(z2 @ E2, batch.y2, label_smoothing)
-    d_in = np.concatenate([z1, z2], axis=0)
-    d_logit, dc = nn.forward(model.discriminator, d_in, train_mode=train_mode, rng=rng)
-    targets = _smoothed_targets(len(z1), len(z2), label_smoothing)
+    d_logit, disc_cache = nn.forward(
+        model.discriminator, z, train_mode=train_mode, rng=rng
+    )
+    targets = _smoothed_targets(n1, n2, label_smoothing)
     l_d, g_true = nn.binary_cross_entropy(d_logit, targets)
     l_g, g_rev = nn.binary_cross_entropy(d_logit, 1.0 - targets)
-    return _ForwardState(
-        z1=z1,
-        z2=z2,
-        gen_cache1=c1,
-        gen_cache2=c2,
-        dlogits1=dlogits1,
-        dlogits2=dlogits2,
-        disc_cache=dc,
-        d_grad_true=g_true,
-        d_grad_rev=g_rev,
-        losses={"L_CE_1": l_ce1, "L_CE_2": l_ce2, "L_D": l_d, "L_G": l_g},
+
+    dz_ce = np.concatenate([dlogits1 @ E1.T, dlogits2 @ E2.T], axis=0)
+    g_gen, _ = nn.backward(model.generator, gen_cache, dz_ce)
+    joint_grads = g_gen + [z1.T @ dlogits1, z2.T @ dlogits2]
+
+    g_disc, _ = nn.backward(model.discriminator, disc_cache, g_true)
+
+    _, dz_adv = nn.backward(model.discriminator, disc_cache, g_rev)
+    adv_grads, _ = nn.backward(model.generator, gen_cache, dz_adv)
+
+    return (
+        {"joint": joint_grads, "disc": g_disc, "gen_adv": adv_grads},
+        {"L_CE_1": l_ce1, "L_CE_2": l_ce2, "L_D": l_d, "L_G": l_g},
     )
 
 
@@ -276,46 +279,7 @@ def losses(
     rng: np.random.Generator | None = None,
 ) -> dict[str, float]:
     """All four losses on one batch, without touching any parameter."""
-    return _forward_all(model, batch, label_smoothing, train_mode, rng).losses
-
-
-def gradients(
-    model: AlignmentModel,
-    batch: TrainBatch,
-    label_smoothing: float = 0.0,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[dict[str, list[np.ndarray]], dict[str, float]]:
-    """Per-role gradients from one shared forward pass.
-
-    joint: d(L_CE_1 + L_CE_2) over generator params then E1, E2;
-    disc: dL_D over discriminator params (hidden states constant);
-    gen_adv: dL_G over generator params, through the forward-time
-    discriminator.
-    """
-    E1, E2 = model.output_embeddings
-    fs = _forward_all(model, batch, label_smoothing, train_mode, rng)
-
-    dE1 = fs.z1.T @ fs.dlogits1
-    dE2 = fs.z2.T @ fs.dlogits2
-    dz1_ce = fs.dlogits1 @ E1.T
-    dz2_ce = fs.dlogits2 @ E2.T
-    g_gen1, _ = nn.backward(model.generator, fs.gen_cache1, dz1_ce)
-    g_gen2, _ = nn.backward(model.generator, fs.gen_cache2, dz2_ce)
-    joint_grads = [a + b for a, b in zip(g_gen1, g_gen2)] + [dE1, dE2]
-
-    g_disc, _ = nn.backward(model.discriminator, fs.disc_cache, fs.d_grad_true)
-
-    _, dz_adv = nn.backward(model.discriminator, fs.disc_cache, fs.d_grad_rev)
-    n1 = len(fs.z1)
-    g_adv1, _ = nn.backward(model.generator, fs.gen_cache1, dz_adv[:n1])
-    g_adv2, _ = nn.backward(model.generator, fs.gen_cache2, dz_adv[n1:])
-    adv_grads = [a + b for a, b in zip(g_adv1, g_adv2)]
-
-    return (
-        {"joint": joint_grads, "disc": g_disc, "gen_adv": adv_grads},
-        dict(fs.losses),
-    )
+    return gradients(model, batch, label_smoothing, train_mode, rng)[1]
 
 
 def train_step(
@@ -608,14 +572,15 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != 1:
-        raise ConfigError(f"{path}: unsupported checkpoint version")
-    return TrainState(
-        model=AlignmentModel.from_dict(doc["model"]),
-        opt=Optimizers.from_dict(doc["optimizers"]),
-        sampler_state=doc["sampler_state"],
-        dropout_state=doc["dropout_state"],
-        step=int(doc["step"]),
-        cfg=TrainConfig.from_dict(doc["config"]),
-    )
+    with loading("checkpoint", path):
+        doc = json.loads(Path(path).read_text())
+        if doc.get("version") != 1:
+            raise ConfigError(f"{path}: unsupported checkpoint version")
+        return TrainState(
+            model=AlignmentModel.from_dict(doc["model"]),
+            opt=Optimizers.from_dict(doc["optimizers"]),
+            sampler_state=doc["sampler_state"],
+            dropout_state=doc["dropout_state"],
+            step=int(doc["step"]),
+            cfg=TrainConfig.from_dict(doc["config"]),
+        )

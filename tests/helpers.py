@@ -20,6 +20,28 @@ from frameport.train import AlignmentModel, TrainBatch, TrainConfig, gradients
 FD_EPS = 5e-6
 REL_FLOOR = 1e-6
 
+# one small module per framework, enough to ingest and train on
+PT_FILE = (
+    "import torch.nn as nn\n\n"
+    "class Net(nn.Module):\n"
+    "    def __init__(self):\n"
+    "        super().__init__()\n"
+    "        self.fc1 = nn.Linear(4, 8)\n"
+    "        self.fc2 = nn.Linear(8, 2)\n"
+    "        self.act = nn.ReLU()\n"
+    "        self.flat = nn.Flatten()\n"
+)
+KS_FILE = (
+    "from tensorflow.keras import layers\n\n"
+    "class Net(layers.Layer):\n"
+    "    def __init__(self):\n"
+    "        super().__init__()\n"
+    "        self.fc1 = layers.Dense(8)\n"
+    "        self.fc2 = layers.Dense(2)\n"
+    "        self.act = layers.ReLU()\n"
+    "        self.flat = layers.Flatten()\n"
+)
+
 
 def to_f64(mlp: fnn.Mlp) -> fnn.Mlp:
     return fnn.Mlp(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,12 @@ import pytest
 from frameport import atomic
 from frameport import train as ft
 from frameport.canon import SourceUnit
+from frameport.cli import main
 from frameport.corpus import CorpusManifest, IngestResult, save_corpus
 from frameport.dictionary import KeywordDictionary
-from frameport.evaluate import EvalReport
+from frameport.evaluate import EvalExample, EvalReport, run_suite
+from frameport.pipeline import default_database
+from helpers import KS_FILE, PT_FILE
 
 
 def _save_checkpoint(path):
@@ -50,6 +54,47 @@ def _save_corpus_file(path):
             (path.parent / name).unlink(missing_ok=True)
 
 
+def _save_grid(path):
+    """Run a one-cell ``train --grid`` into ``path``'s directory; keep only ``path``."""
+    work = path.parent / "work"
+    try:
+        (work / "tree").mkdir(parents=True)
+        (work / "tree" / "pt.py").write_text(PT_FILE)
+        (work / "tree" / "ks.py").write_text(KS_FILE)
+        assert main([
+            "ingest", "--root", str(work / "tree"), "--out", str(work / "corpus"),
+            "--framework", "pytorch", "--framework", "keras",
+        ]) == 0
+        assert main([
+            "train", "--corpus", str(work / "corpus"), "--out", str(path.parent),
+            "--src-framework", "pytorch", "--tgt-framework", "keras",
+            "--provider", "hash", "--provider-dim", "8", "--d", "8",
+            "--grid", "--lrs", "0.001", "--batch-sizes", "8", "--total-samples", "16",
+        ]) == 0
+    finally:
+        shutil.rmtree(work)
+        for name in ("checkpoint.json", "metrics.jsonl"):
+            (path.parent / name).unlink(missing_ok=True)
+
+
+EVAL_ARTIFACTS = {"pred.py", "gold_test.py"}
+
+
+def _save_eval_artifact(path):
+    """Score one example with its artifacts in ``path``'s directory; keep only ``path``."""
+    example = EvalExample(
+        id=path.parent.name, src_framework="pytorch", tgt_framework="keras",
+        source="x = 1\n", gold="x = 1",
+    )
+    try:
+        run_suite(lambda ex, seed: ex.gold, [example],
+                  {"keras": default_database("keras")}, seeds=[1],
+                  artifacts_dir=path.parent.parent)
+    finally:
+        for name in EVAL_ARTIFACTS - {path.name}:
+            (path.parent / name).unlink(missing_ok=True)
+
+
 SAVERS = {
     "checkpoint.json": _save_checkpoint,
     "dict.json": _save_dictionary,
@@ -57,7 +102,13 @@ SAVERS = {
     "report.json": _save_report,
     "units_pytorch.jsonl": _save_corpus_file,
     "skipped.jsonl": _save_corpus_file,
+    "grid.json": _save_grid,
+    "pred.py": _save_eval_artifact,
+    "gold_test.py": _save_eval_artifact,
 }
+
+# how a whole saved file starts, where it is not JSON
+STARTS = {"pred.py": "x = 1\n", "gold_test.py": "# reference output"}
 
 
 class _TornFile:
@@ -99,5 +150,5 @@ def test_interrupted_save_keeps_the_old_file_and_no_temporary(tmp_path, monkeypa
 
     monkeypatch.undo()
     SAVERS[name](path)
-    assert path.read_text().startswith("{")
+    assert path.read_text().startswith(STARTS.get(name, "{"))
     assert [p.name for p in tmp_path.iterdir()] == [name]

@@ -16,27 +16,7 @@ from frameport.dictionary import KeywordDictionary
 from frameport.errors import BackendUnavailable
 from frameport.pipeline import fixture_path
 from frameport.train import load_checkpoint
-
-PT_FILE = (
-    "import torch.nn as nn\n\n"
-    "class Net(nn.Module):\n"
-    "    def __init__(self):\n"
-    "        super().__init__()\n"
-    "        self.fc1 = nn.Linear(4, 8)\n"
-    "        self.fc2 = nn.Linear(8, 2)\n"
-    "        self.act = nn.ReLU()\n"
-    "        self.flat = nn.Flatten()\n"
-)
-KS_FILE = (
-    "from tensorflow.keras import layers\n\n"
-    "class Net(layers.Layer):\n"
-    "    def __init__(self):\n"
-    "        super().__init__()\n"
-    "        self.fc1 = layers.Dense(8)\n"
-    "        self.fc2 = layers.Dense(2)\n"
-    "        self.act = layers.ReLU()\n"
-    "        self.flat = layers.Flatten()\n"
-)
+from helpers import KS_FILE, PT_FILE
 
 FIG_INPUT = (
     "import torch.nn as nn\n\n"
@@ -565,6 +545,57 @@ def test_eval_missing_dictionary_dir_pair_exits_2(tmp_path):
         "--dictionary-dir", str(tmp_path / "dicts"),
     ])
     assert rc == 2
+
+
+# -- malformed input files ------------------------------------------------------
+
+
+def _broken_checkpoint(tmp_path, corpus):
+    path = tmp_path / "checkpoint.json"
+    path.write_text("not json\n")
+    argv = [
+        "dict", "--checkpoint", str(path), "--corpus", str(corpus),
+        "--src-framework", "pytorch", "--tgt-framework", "keras",
+        "--out", str(tmp_path / "dict.json"),
+    ]
+    return argv, path
+
+
+def _broken_manifest(tmp_path, corpus):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"frameworks": {"pytorch": {"unit_count": 1}}}\n')
+    return ["inspect", "vocab", "--corpus", str(tmp_path), "--framework", "pytorch"], path
+
+
+def _broken_dictionary(tmp_path, corpus):
+    path = tmp_path / "new.json"
+    path.write_text('{"groups": [\n')
+    bundled = fixture_path("dict_pytorch_keras.json")
+    return ["inspect", "diff", "--old", str(bundled), "--new", str(path)], path
+
+
+def _broken_eval_set(tmp_path, corpus):
+    path = tmp_path / "examples.jsonl"
+    _write_eval_set(path)
+    rows = path.read_text().splitlines()
+    row = json.loads(rows[1])
+    del row["src_framework"]
+    path.write_text(rows[0] + "\n" + json.dumps(row) + "\n")
+    return ["eval", "--eval-set", str(path), "--out", str(tmp_path / "out")], f"{path}:2"
+
+
+@pytest.mark.parametrize("make", [
+    _broken_checkpoint, _broken_manifest, _broken_dictionary, _broken_eval_set,
+])
+def test_malformed_input_file_exits_2_with_one_line_naming_it(
+    make, corpus, tmp_path, capsys
+):
+    argv, path = make(tmp_path, corpus)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load ") and err.count("\n") == 1
+    assert f" {path}: " in err
 
 
 # -- inspect ---------------------------------------------------------------------

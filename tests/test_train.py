@@ -312,3 +312,85 @@ def test_avg_cosine_similarity_hand_value():
     empty = KeywordDictionary("a", "b", 5.0, ())
     with pytest.raises(EmptyDictionaryError):
         ft.avg_cosine_similarity(model, empty, v1, v2)
+
+
+def _per_side_gradients(model, batch, label_smoothing, train_mode, rng):
+    """The former per-side step: one generator forward per side, and the
+    CE and adversarial generator backward calls run per side and summed."""
+    E1, E2 = model.output_embeddings
+    z1, c1 = fnn.forward(model.generator, batch.h1, train_mode=train_mode, rng=rng)
+    z2, c2 = fnn.forward(model.generator, batch.h2, train_mode=train_mode, rng=rng)
+    l_ce1, dlogits1 = fnn.softmax_cross_entropy(z1 @ E1, batch.y1, label_smoothing)
+    l_ce2, dlogits2 = fnn.softmax_cross_entropy(z2 @ E2, batch.y2, label_smoothing)
+    d_in = np.concatenate([z1, z2], axis=0)
+    d_logit, dc = fnn.forward(model.discriminator, d_in, train_mode=train_mode, rng=rng)
+    t = np.concatenate([np.zeros(len(z1)), np.ones(len(z2))])
+    targets = t * (1.0 - label_smoothing) + label_smoothing / 2.0
+    l_d, g_true = fnn.binary_cross_entropy(d_logit, targets)
+    l_g, g_rev = fnn.binary_cross_entropy(d_logit, 1.0 - targets)
+
+    g_gen1, _ = fnn.backward(model.generator, c1, dlogits1 @ E1.T)
+    g_gen2, _ = fnn.backward(model.generator, c2, dlogits2 @ E2.T)
+    joint = [a + b for a, b in zip(g_gen1, g_gen2)] + [z1.T @ dlogits1, z2.T @ dlogits2]
+    g_disc, _ = fnn.backward(model.discriminator, dc, g_true)
+    _, dz_adv = fnn.backward(model.discriminator, dc, g_rev)
+    n1 = len(z1)
+    g_adv1, _ = fnn.backward(model.generator, c1, dz_adv[:n1])
+    g_adv2, _ = fnn.backward(model.generator, c2, dz_adv[n1:])
+    adv = [a + b for a, b in zip(g_adv1, g_adv2)]
+    losses = {"L_CE_1": l_ce1, "L_CE_2": l_ce2, "L_D": l_d, "L_G": l_g}
+    return {"joint": joint, "disc": g_disc, "gen_adv": adv}, losses
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_step_matches_the_per_side_step(dtype):
+    rng = np.random.default_rng(18)
+    sizes = [(1, 1), (1, 7), (9, 1), (5, 4), (16, 3), (3, 16)]
+    for trial in range(24):
+        n1, n2 = sizes[trial % len(sizes)]
+        d_b, d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        m1, m2 = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        cfg = ft.TrainConfig(d=d, total_samples=0, dropout=0.2,
+                             disc_hidden=int(rng.integers(1, 3)))
+        model = ft.AlignmentModel.create(cfg, d_b, [m1, m2], rng)
+        if dtype is np.float64:
+            model = ft.AlignmentModel.from_dict(model.to_dict())
+            for p in model.parameters():
+                p += rng.uniform(-0.1, 0.1, size=p.shape)
+        batch = ft.TrainBatch(
+            h1=rng.standard_normal((n1, d_b)).astype(dtype),
+            y1=rng.integers(0, m1, n1),
+            h2=rng.standard_normal((n2, d_b)).astype(dtype),
+            y2=rng.integers(0, m2, n2),
+        )
+        eps = float(rng.choice([0.0, 0.1]))
+        for train_mode in (False, True):
+            seed = int(rng.integers(1 << 30))
+            got_g, got_l = ft.gradients(model, batch, eps, train_mode,
+                                        np.random.default_rng(seed))
+            ref_g, ref_l = _per_side_gradients(model, batch, eps, train_mode,
+                                               np.random.default_rng(seed))
+            assert set(got_l) == set(ref_l)
+            for key, ref in ref_l.items():
+                assert math.isclose(got_l[key], ref, rel_tol=1e-5, abs_tol=1e-12), key
+            for role, ref in ref_g.items():
+                assert [a.shape for a in got_g[role]] == [b.shape for b in ref]
+                scale = max(float(np.abs(b).max()) for b in ref)
+                err = max(float(np.abs(a - b).max()) for a, b in zip(got_g[role], ref))
+                assert err <= 1e-5 * scale, (role, err / scale)
+
+
+def test_one_step_makes_two_forward_and_four_backward_calls(monkeypatch):
+    calls = {"forward": 0, "backward": 0}
+    for name in calls:
+        real = getattr(fnn, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fnn, name, counted)
+    model, batch, cfg = random_alignment_model(np.random.default_rng(19))
+    ft.gradients(model, batch, cfg.label_smoothing, train_mode=True,
+                 rng=np.random.default_rng(0))
+    assert calls == {"forward": 2, "backward": 4}
