@@ -3,8 +3,9 @@
 Canonical form: every recognized call uses its framework's canonical
 callable name with keyword-only arguments listed in signature order, and
 import statements establish the canonical short alias of each module.
-:func:`rewrite_tree` is the one place that form is built, in one import
-walk and one rewrite traversal. :func:`canonicalize` renders the tree of
+:func:`rewrite_tree` is the one place that form is built, in one walk
+over the statement lists (imports are statements) and one rewrite
+traversal. :func:`canonicalize` renders the tree of
 :func:`canonical_tree` with ``ast.unparse``, which makes a canonicalized
 unit a fixed point of it; ingest cuts classes out of the same tree, eval
 scoring reads text and calls off it, and reinsertion rewrites its own tree.
@@ -308,14 +309,24 @@ def _import_names(node: ast.Import | ast.ImportFrom) -> list[tuple[ast.alias, st
     return [(a, f"{node.module}.{a.name}", a.asname or a.name) for a in node.names]
 
 
+# the fields that hold statements, ``except`` handlers and ``match`` cases
+_BLOCK_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
 def _scan_imports(
     tree: ast.AST, db: SignatureDatabase
 ) -> tuple[dict[str, str], set[str]]:
-    """One walk over the imports: the normalized path each bound name stands
-    for, and the modules whose canonical import the tree already spells."""
+    """One walk over the statements: the normalized path each bound name
+    stands for, and the modules whose canonical import the tree already
+    spells. Imports are statements, so expressions are never visited; the
+    walk is breadth first in field order, the order of ``ast.walk``, which
+    decides the binding a name imported twice keeps."""
     bindings: dict[str, str] = {}
     preserved: set[str] = set()
-    for node in ast.walk(tree):
+    queue = [tree]
+    for node in queue:  # the queue grows as it is read
+        for field in _BLOCK_FIELDS:
+            queue.extend(getattr(node, field, ()))
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         for alias, path, bound in _import_names(node) or ():

@@ -451,12 +451,12 @@ def _read_input(path: str) -> str:
 
 
 def _write_output(path: str, text: str) -> None:
+    if text and not text.endswith("\n"):
+        text += "\n"
     if path == "-":
         sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(path).write_text(text + ("\n" if text and not text.endswith("\n") else ""))
+        write_text_atomic(path, text)
 
 
 def cmd_transpile(args: argparse.Namespace) -> int:

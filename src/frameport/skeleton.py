@@ -4,6 +4,10 @@ A skeleton replaces the i-th keyword occurrence with the literal token
 ``PLACEHOLDER_i``. Reinsertion parses the (translated) skeleton, applies
 per-index translations, rewrites the tree into the target's canonical
 form and unparses it once, so its output is canonical and placeholder-free.
+No pass walks the tree just to look for leftovers: the rename pass reports
+an expansion outside a list or argument sequence and placeholder text in an
+import (which the target rewrite may re-spell), and one search of the
+output text finds any other placeholder text.
 """
 
 from __future__ import annotations
@@ -131,10 +135,13 @@ def _identifier(index: int, name: str, dotted: bool, what: str) -> str:
 
 
 class _RenamePass(ast.NodeTransformer):
-    """Apply renames, argument drops and expansions in place."""
+    """Apply renames, argument drops and expansions in place; raise for an
+    expansion that no sequence takes and for placeholder text in an import."""
 
     def __init__(self, translations: Mapping[int, Sequence[str]]):
         self.translations = translations
+        # expansion names no list or argument sequence has taken yet
+        self.unplaced: dict[ast.Name, int] = {}
 
     def _lookup(self, index: int) -> list[str]:
         if index not in self.translations:
@@ -149,7 +156,8 @@ class _RenamePass(ast.NodeTransformer):
         if not fragments:
             raise SkeletonError(f"cannot drop callable PLACEHOLDER_{index}")
         if len(fragments) > 1:
-            return node  # an expansion: the enclosing sequence renames it
+            self.unplaced[node] = index  # the enclosing sequence renames it
+            return node
         if isinstance(node.ctx, ast.Load):
             return _parse_fragment(index, fragments[0])
         new = _make_chain(_identifier(index, fragments[0], True, "an assignable name"))
@@ -191,9 +199,22 @@ class _RenamePass(ast.NodeTransformer):
                     )
                 name = _identifier(index, fragments[0], dotted, "an import name")
                 setattr(alias, attr, name)
+        # the target rewrite may re-spell an import: look for leftovers here
+        spelled = [getattr(node, "module", None)]
+        spelled += [name for alias in node.names for name in (alias.name, alias.asname)]
+        _raise_on_leftover(" ".join(filter(None, spelled)))
         return node
 
     visit_Import = visit_ImportFrom = _rename_aliases
+
+    def visit_Module(self, node: ast.Module) -> ast.Module:
+        self.generic_visit(node)
+        for name in self.unplaced:
+            raise ExpansionContextError(
+                f"{name.id} expands into new calls but is not inside a "
+                "list or argument sequence"
+            )
+        return node
 
     def generic_visit(self, node: ast.AST) -> ast.AST:
         super().generic_visit(node)
@@ -206,34 +227,17 @@ class _RenamePass(ast.NodeTransformer):
     def _expand(self, element: ast.AST) -> list[ast.AST]:
         # a call to a callable with several fragments is renamed, and its
         # extra calls follow it in the element list or argument sequence
-        if isinstance(element, ast.Call) and isinstance(element.func, ast.Name):
-            index = _placeholder_index(element.func.id)
-            if index is not None:
-                first, *extra = self.translations[index]
-                element.func = _parse_fragment(index, first)
-                return [element, *(_parse_fragment(index, f) for f in extra)]
+        if isinstance(element, ast.Call) and element.func in self.unplaced:
+            index = self.unplaced.pop(element.func)
+            first, *extra = self.translations[index]
+            element.func = _parse_fragment(index, first)
+            return [element, *(_parse_fragment(index, f) for f in extra)]
         return [element]
 
 
-def _has_placeholder(value: object) -> bool:
-    if isinstance(value, list):
-        return any(map(_has_placeholder, value))
-    return isinstance(value, (str, bytes)) and PLACEHOLDER_RE.search(repr(value)) is not None
-
-
-def _check_no_placeholders(tree: ast.AST) -> None:
-    """Raise if a placeholder name or text survived renames and expansions
-    (text is looked for before the target rewrite can re-spell an import)."""
-    residual = False
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and _placeholder_index(node.id) is not None:
-            raise ExpansionContextError(
-                f"{node.id} expands into new calls but is not inside a "
-                "list or argument sequence"
-            )
-        residual = residual or any(_has_placeholder(v) for _, v in ast.iter_fields(node))
-    if residual:
-        leftover = PLACEHOLDER_RE.search(ast.unparse(tree))
+def _raise_on_leftover(text: str) -> None:
+    leftover = PLACEHOLDER_RE.search(text)
+    if leftover:
         raise ResidualPlaceholderError(f"output still contains {leftover.group(0)}")
 
 
@@ -250,6 +254,10 @@ def reinsert(
     ``[name, call, ...]`` renames a callable and appends the extra calls
     right after the host call, which must sit in a list or argument
     sequence.
+
+    The rename pass raises for an expansion outside such a sequence and for
+    placeholder text left in an import; any other placeholder text left in
+    the output is found by one search of the unparsed text.
     """
     found = {int(m.group(1)) for m in PLACEHOLDER_RE.finditer(skeleton_text)}
     missing = sorted(i for i in found if i not in translations)
@@ -259,8 +267,9 @@ def reinsert(
         )
     tree = parse_source(skeleton_text, "skeleton does not parse")
     tree = _RenamePass(translations).visit(tree)
-    _check_no_placeholders(tree)
-    return SourceUnit(ast.unparse(rewrite_tree(tree, db)), db.framework, origin)
+    text = ast.unparse(rewrite_tree(tree, db))
+    _raise_on_leftover(text)
+    return SourceUnit(text, db.framework, origin)
 
 
 def identity_translations(skeleton: CodeSkeleton) -> dict[int, list[str]]:

@@ -271,17 +271,6 @@ def gradients(
     )
 
 
-def losses(
-    model: AlignmentModel,
-    batch: TrainBatch,
-    label_smoothing: float = 0.0,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> dict[str, float]:
-    """All four losses on one batch, without touching any parameter."""
-    return gradients(model, batch, label_smoothing, train_mode, rng)[1]
-
-
 def train_step(
     model: AlignmentModel,
     batch: TrainBatch,

@@ -95,6 +95,19 @@ def _save_eval_artifact(path):
             (path.parent / name).unlink(missing_ok=True)
 
 
+def _save_transpile_output(path):
+    """Transpile a two-line pytorch file into ``path``; keep only ``path``."""
+    source = path.parent / "source.py"
+    try:
+        source.write_text("import torch.nn as nn\nfc = nn.Linear(4, 2)\n", encoding="utf-8")
+        assert main([
+            "transpile", "--from", "pytorch", "--to", "keras",
+            "--input", str(source), "--output", str(path),
+        ]) == 0
+    finally:
+        source.unlink(missing_ok=True)
+
+
 SAVERS = {
     "checkpoint.json": _save_checkpoint,
     "dict.json": _save_dictionary,
@@ -105,10 +118,15 @@ SAVERS = {
     "grid.json": _save_grid,
     "pred.py": _save_eval_artifact,
     "gold_test.py": _save_eval_artifact,
+    "out.py": _save_transpile_output,
 }
 
 # how a whole saved file starts, where it is not JSON
-STARTS = {"pred.py": "x = 1\n", "gold_test.py": "# reference output"}
+STARTS = {
+    "pred.py": "x = 1\n",
+    "gold_test.py": "# reference output",
+    "out.py": "from tensorflow.keras import layers\nfc = layers.Dense(units=2)\n",
+}
 
 
 class _TornFile:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import inspect
 
+import numpy as np
 import pytest
 
 from frameport.canon import (
@@ -15,6 +16,8 @@ from frameport.canon import (
     ApiSignature,
     SignatureDatabase,
     SourceUnit,
+    _import_names,
+    _scan_imports,
     bind_arguments,
     canonicalize,
     extract_keywords,
@@ -28,6 +31,7 @@ from frameport.errors import (
     UnknownCallableError,
 )
 from frameport.pipeline import default_database
+from helpers import fuzz_pytorch_unit
 
 PT = default_database("pytorch")
 KS = default_database("keras")
@@ -287,3 +291,117 @@ def test_blocks_emptied_by_the_import_rewrite_keep_a_pass():
         out = canon(src)
         assert out == want, src
         assert canon(out) == out, src
+
+
+def _scan_imports_over_every_node(tree, db, walk=ast.walk):
+    """The former ``_scan_imports``, which ran ``ast.walk`` over every node
+    (``walk`` is bound here, so a test that counts ``ast.walk`` calls does
+    not count this one's)."""
+    bindings = {}
+    preserved = set()
+    for node in walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias, path, bound in _import_names(node) or ():
+            if alias.name == "*":
+                continue
+            normal = db.normalize_path(path)
+            if db.import_aliases.get(path) == bound and normal == path:
+                preserved.add(path)
+            plain = isinstance(node, ast.Import) and not alias.asname
+            bindings[bound] = db.normalize_path(bound) if plain else normal
+    for module_path, short in db.import_aliases.items():
+        bindings.setdefault(short, module_path)
+    return bindings, preserved
+
+
+# imports in every kind of block, most names bound more than once, so the
+# binding each name keeps depends on the order the imports are seen in
+NESTED_IMPORTS = [
+    # a depth-first walk would let the module-level import bind ``L`` last
+    "def f():\n    import tensorflow.keras.layers as L\nimport tensorflow as L\n",
+    # at one depth: ``try`` body, then handlers, then ``else``, then ``finally``
+    """\
+try:
+    if b:
+        import torch.optim as b
+except E:
+    import torch.nn as a
+    import torch.nn.init as b
+else:
+    if c:
+        import torch as a
+        import torch.utils as c
+finally:
+    if d:
+        import torch.nn.functional as c
+""",
+    """\
+import torch.nn as nn
+if x:
+    import torch.nn.functional as F
+elif y:
+    import torch as F
+else:
+    from torch import nn as F
+try:
+    import torch.optim as opt
+except ImportError:
+    import torch.nn.init as opt
+except (ValueError, TypeError) as e:
+    from torch.nn import init as nn
+else:
+    import torch.nn as opt
+finally:
+    import torch.nn.functional as nn
+with open(p) as fh:
+    import torch.utils as u
+    with g():
+        import torch.nn as u
+match cmd:
+    case 1:
+        import torch.nn.functional as m
+    case _:
+        from torch import nn as m
+async def h():
+    import torch as m
+    async with a:
+        import tensorflow.keras as t
+    async for i in b:
+        import torch.nn as t
+    else:
+        import keras.layers as t
+class C(nn.Module):
+    import torch.nn as nn
+    from tensorflow.keras import layers
+
+    def forward(self):
+        from torch.nn import functional as u
+        from keras import *
+for i in r:
+    import torch as opt
+else:
+    import torch.nn as F
+while z:
+    import keras.layers as L
+else:
+    from . import L
+    import tensorflow.keras
+""",
+]
+
+
+def test_statement_import_scan_matches_the_walk_over_every_node(monkeypatch):
+    real_walk = ast.walk
+    walks = []
+    monkeypatch.setattr(ast, "walk", lambda node: walks.append(node) or real_walk(node))
+    rng = np.random.default_rng(61)
+    texts = [fuzz_pytorch_unit(rng) for _ in range(1000)] + NESTED_IMPORTS
+    for text in texts:
+        tree = ast.parse(text)
+        for db in (PT, KS):
+            assert _scan_imports(tree, db) == _scan_imports_over_every_node(tree, db), text
+    assert walks == []  # the scan visits statements only
+    # the shadowing case binds the function's import, as ``ast.walk`` does
+    bindings, _ = _scan_imports(ast.parse(NESTED_IMPORTS[0]), KS)
+    assert bindings["L"] == "tensorflow.keras.layers"

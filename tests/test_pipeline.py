@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from dataclasses import replace
 
 import pytest
@@ -57,6 +58,36 @@ def test_module_class_translates_byte_exactly():
     assert "PLACEHOLDER_1" in result.completion
     assert "def call(" in result.completion
     assert result.canonical_source.text.startswith("import torch.nn as nn")
+
+
+def test_transpile_unit_makes_no_ast_walk(monkeypatch):
+    cases = [
+        (FIG_INPUT, "pytorch", "keras", FIG_OUTPUT),
+        (
+            "from tensorflow.keras import layers\n"
+            "stack = [layers.Dense(64, activation='relu')]\n",
+            "keras",
+            "pytorch",
+            "import torch.nn as nn\nstack = [nn.Linear(out_features=64), nn.ReLU()]",
+        ),
+    ]
+    fixtures = [
+        (default_database(src), default_database(tgt), default_dictionary(src, tgt),
+         default_template(src, tgt))
+        for _, src, tgt, _ in cases
+    ]
+    real_walk = ast.walk
+    calls = []
+
+    def counting_walk(node):
+        calls.append(node)
+        return real_walk(node)
+
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    for (text, src, _, want), loaded in zip(cases, fixtures):
+        result = transpile_unit(SourceUnit(text, src), *loaded)
+        assert result.output.text == want
+    assert calls == []
 
 
 def test_unmappable_source_parameter_is_dropped():

@@ -225,6 +225,19 @@ def test_residual_placeholder_in_string_literal_is_caught():
         reinsert("x = 'PLACEHOLDER_7'", {7: ["y"]}, PT)
 
 
+def test_translation_that_spells_a_placeholder_is_a_residual():
+    # the rename pass does not look inside the trees it builds
+    cases = [
+        ("x = PLACEHOLDER_1()", {1: ["PLACEHOLDER_9"]}, "PLACEHOLDER_9"),
+        ("x = [PLACEHOLDER_1()]", {1: ["PLACEHOLDER_9"]}, "PLACEHOLDER_9"),
+        ("x = [PLACEHOLDER_1()]", {1: ["layers.ReLU", "f(PLACEHOLDER_3)"]}, "PLACEHOLDER_3"),
+    ]
+    for text, translations, leftover in cases:
+        with pytest.raises(ResidualPlaceholderError) as info:
+            reinsert(text, translations, KS)
+        assert str(info.value) == f"output still contains {leftover}"
+
+
 def test_skeleton_of_unit_without_keywords_is_the_unit():
     unit = SourceUnit("x = 1 + 2", "pytorch")
     skel = to_skeleton(unit, [])
