@@ -12,15 +12,21 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     The text goes to a sibling temporary file that ``os.replace`` then moves
     over ``path``. If anything interrupts the write, including
     ``KeyboardInterrupt``, the old file stays as it was and the temporary file
-    is removed. The data is not synced to disk, so this guards against
-    interrupted or crashed processes, not against power loss.
+    is removed; an ``OSError`` is raised naming ``path``, not the temporary
+    file. The data is not synced to disk, so this guards against interrupted
+    or crashed processes, not against power loss.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        # report the file the caller asked for, not the hidden temporary
+        exc.filename, exc.filename2 = os.fspath(path), None
+        raise
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

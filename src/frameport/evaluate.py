@@ -168,18 +168,26 @@ def _gold_ranks(
     kind_ids: dict[str, list[int]] = {}
     for kw in vocab2:
         kind_ids.setdefault(kw.kind, []).append(kw.id)
-    kind_cols = {kind: np.asarray(ids) for kind, ids in kind_ids.items()}
+    kind_members = {kind: set(ids) for kind, ids in kind_ids.items()}
     ranks: list[float] = []
+    # per kind: positions in ``ranks``, source rows and gold columns
+    ranked: dict[str, tuple[list[int], list[int], list[int]]] = {}
     for src_key, tgt_key in gold_pairs:
         i = idx1.get(tuple(src_key))
         j = idx2.get(tuple(tgt_key))
         if i is None or j is None:
             continue
-        cands = kind_cols.get(src_key[0])
-        if cands is None or j not in cands:
-            ranks.append(float("inf"))
-        else:
-            ranks.append(int((values[i, cands] >= values[i, j]).sum()))
+        ranks.append(float("inf"))
+        if j in kind_members.get(src_key[0], ()):
+            at, rows, golds = ranked.setdefault(src_key[0], ([], [], []))
+            at.append(len(ranks) - 1)
+            rows.append(i)
+            golds.append(j)
+    for kind, (at, rows, golds) in ranked.items():
+        gold = values[rows, golds]
+        beaten = values[np.ix_(rows, kind_ids[kind])] >= gold[:, None]
+        for pos, rank in zip(at, beaten.sum(axis=1).tolist()):
+            ranks[pos] = rank
     return ranks
 
 

@@ -41,6 +41,9 @@ class Mlp:
     def __post_init__(self) -> None:
         if self.activation not in (RELU, LEAKY_RELU):
             raise ConfigError(f"unknown activation {self.activation!r}")
+        if not 0.0 <= self.leaky_slope < 1.0:
+            # the max-based activation and gradient need a slope in [0, 1)
+            raise ConfigError(f"leaky slope {self.leaky_slope} outside [0, 1)")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -129,21 +132,24 @@ class Mlp:
 class ForwardCache:
     mlp: Mlp
     inputs: list[np.ndarray]  # input to each layer (post-dropout)
-    pre: list[np.ndarray]  # pre-activation of each layer
+    act_grads: list[np.ndarray]  # activation derivative per hidden layer
     masks: list[np.ndarray | None]  # dropout mask per hidden layer
     train_mode: bool
 
 
-def _activate(mlp: Mlp, z: np.ndarray) -> np.ndarray:
-    if mlp.activation == RELU:
-        return np.maximum(z, 0)
-    return np.where(z > 0, z, mlp.leaky_slope * z)
+def _activate(mlp: Mlp, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The activation at ``z`` and its derivative there.
 
-
-def _activate_grad(mlp: Mlp, z: np.ndarray) -> np.ndarray:
+    For a slope in [0, 1), ``max(z, slope * z)`` equals ``z if z > 0 else
+    slope * z`` bit for bit, except at ``z = +inf`` with a slope that is 0 in
+    ``z``'s dtype (``0 * inf`` is NaN); ``max(z > 0, slope)`` equals
+    ``1 if z > 0 else slope``.
+    """
+    grad = (z > 0).astype(z.dtype)
     if mlp.activation == RELU:
-        return (z > 0).astype(z.dtype)
-    return np.where(z > 0, z.dtype.type(1), z.dtype.type(mlp.leaky_slope))
+        return np.maximum(z, 0), grad
+    np.maximum(grad, z.dtype.type(mlp.leaky_slope), out=grad)
+    return np.maximum(z, mlp.leaky_slope * z), grad
 
 
 def forward(
@@ -161,55 +167,65 @@ def forward(
     keep = 1.0 - mlp.dropout
     a = x
     inputs: list[np.ndarray] = []
-    pre: list[np.ndarray] = []
+    act_grads: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
     last = len(mlp.weights) - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         inputs.append(a)
         z = a @ w + b
-        pre.append(z)
         if l == last:
             a = z
         else:
-            a = _activate(mlp, z)
+            a, grad = _activate(mlp, z)
+            act_grads.append(grad)
             if use_dropout:
                 mask = (rng.random(a.shape) < keep).astype(a.dtype)
                 a = a * mask / keep
                 masks.append(mask)
             else:
                 masks.append(None)
-    return a, ForwardCache(mlp=mlp, inputs=inputs, pre=pre, masks=masks, train_mode=train_mode)
+    cache = ForwardCache(
+        mlp=mlp, inputs=inputs, act_grads=act_grads, masks=masks, train_mode=train_mode
+    )
+    return a, cache
 
 
 def backward(
-    mlp: Mlp, cache: ForwardCache, upstream: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients for every parameter (parameters() order) plus the input."""
+    mlp: Mlp,
+    cache: ForwardCache,
+    upstream: np.ndarray,
+    param_grads: bool = True,
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
+    """Gradients for every parameter (parameters() order) plus the input.
+
+    ``param_grads=False`` skips every weight and bias gradient (the
+    ``inputs.T @ dz`` products and the ``dz`` column sums) and returns None
+    in their place; ``input_grad=False`` skips the input gradient (the first
+    layer's ``dz @ W.T``) and returns None for it. The activation
+    derivatives come from the forward pass. Skipping one part leaves the
+    other bit for bit unchanged.
+    """
     if cache.mlp is not mlp:
         raise CacheMismatch("cache was produced by a different model")
     if upstream.shape != (cache.inputs[0].shape[0], mlp.dims[-1]):
         raise DimensionMismatch(f"upstream gradient has shape {upstream.shape}")
     keep = 1.0 - mlp.dropout
-    grads_w: list[np.ndarray | None] = [None] * len(mlp.weights)
-    grads_b: list[np.ndarray | None] = [None] * len(mlp.weights)
+    reversed_grads: list[np.ndarray] = []
     dz = upstream
-    dx = upstream
+    dx = None
     for l in reversed(range(len(mlp.weights))):
-        grads_w[l] = cache.inputs[l].T @ dz
-        grads_b[l] = dz.sum(axis=0)
-        da = dz @ mlp.weights[l].T
-        if l == 0:
-            dx = da
-        else:
+        if param_grads:
+            reversed_grads += (dz.sum(axis=0), cache.inputs[l].T @ dz)
+        if l > 0:
+            da = dz @ mlp.weights[l].T
             mask = cache.masks[l - 1]
             if mask is not None:
                 da = da * mask / keep
-            dz = da * _activate_grad(mlp, cache.pre[l - 1])
-    grads: list[np.ndarray] = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.append(gw)
-        grads.append(gb)
-    return grads, dx
+            dz = da * cache.act_grads[l - 1]
+        elif input_grad:
+            dx = dz @ mlp.weights[0].T
+    return (reversed_grads[::-1] if param_grads else None), dx
 
 
 @dataclass
@@ -266,13 +282,23 @@ def adam_step(
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise DimensionMismatch(f"grad shape {g.shape} != param shape {p.shape}")
+        # the textbook update, operation for operation, in three buffers:
+        # ``scratch`` has g's dtype and ``denom`` and ``update`` have m's, as
+        # the textbook temporaries do, so every result rounds the same way
+        scratch = (1.0 - b1) * g
         m *= b1
-        m += (1.0 - b1) * g
+        m += scratch
+        np.square(g, out=scratch)
+        scratch *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * np.square(g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype, copy=False)
+        v += scratch
+        denom = v / (1.0 - b2**t)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update = m / (1.0 - b1**t)
+        update *= lr
+        update /= denom
+        p -= update.astype(p.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -310,14 +336,24 @@ def softmax_cross_entropy(
         raise LabelOutOfRange(f"labels must lie in [0, {k})")
     if not 0.0 <= label_smoothing < 1.0:
         raise ConfigError(f"label smoothing {label_smoothing} outside [0, 1)")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_norm
-    target = np.full_like(logits, label_smoothing / k)
-    target[np.arange(n), labels] += 1.0 - label_smoothing
-    loss = float(-np.sum(target * log_probs, dtype=np.float64) / n)
-    grad = (np.exp(log_probs) - target) / n
-    return loss, grad.astype(logits.dtype, copy=False)
+    # log-probabilities in one buffer, exp() and products in the other; the
+    # smoothed target is c off the label and t on it, so the label entries
+    # are patched after each full-size operation instead of building it
+    log_probs = logits - logits.max(axis=1, keepdims=True)
+    work = np.exp(log_probs)
+    log_probs -= np.log(work.sum(axis=1, keepdims=True))
+    c = log_probs.dtype.type(label_smoothing / k)
+    t = c + log_probs.dtype.type(1.0 - label_smoothing)
+    rows = np.arange(n)
+    np.multiply(log_probs, c, out=work)
+    work[rows, labels] = t * log_probs[rows, labels]
+    loss = float(-np.sum(work, dtype=np.float64) / n)
+    np.exp(log_probs, out=work)
+    on_label = work[rows, labels] - t
+    work -= c
+    work[rows, labels] = on_label
+    work /= n
+    return loss, work.astype(logits.dtype, copy=False)
 
 
 def binary_cross_entropy(

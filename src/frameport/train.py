@@ -235,7 +235,10 @@ def gradients(
 
     Both sides go through the generator as one stacked batch, side 1
     first, so each generator pass (forward, CE backward, adversarial
-    backward) runs once per step.
+    backward) runs once per step. No backward pass computes a gradient
+    the step discards: neither generator pass nor the true-label
+    discriminator pass yields an input gradient, and the reversed-label
+    discriminator pass yields only the gradient for the hidden states.
 
     joint: d(L_CE_1 + L_CE_2) over generator params then E1, E2;
     disc: dL_D over discriminator params (hidden states constant);
@@ -257,13 +260,13 @@ def gradients(
     l_g, g_rev = nn.binary_cross_entropy(d_logit, 1.0 - targets)
 
     dz_ce = np.concatenate([dlogits1 @ E1.T, dlogits2 @ E2.T], axis=0)
-    g_gen, _ = nn.backward(model.generator, gen_cache, dz_ce)
+    g_gen, _ = nn.backward(model.generator, gen_cache, dz_ce, input_grad=False)
     joint_grads = g_gen + [z1.T @ dlogits1, z2.T @ dlogits2]
 
-    g_disc, _ = nn.backward(model.discriminator, disc_cache, g_true)
+    g_disc, _ = nn.backward(model.discriminator, disc_cache, g_true, input_grad=False)
 
-    _, dz_adv = nn.backward(model.discriminator, disc_cache, g_rev)
-    adv_grads, _ = nn.backward(model.generator, gen_cache, dz_adv)
+    _, dz_adv = nn.backward(model.discriminator, disc_cache, g_rev, param_grads=False)
+    adv_grads, _ = nn.backward(model.generator, gen_cache, dz_adv, input_grad=False)
 
     return (
         {"joint": joint_grads, "disc": g_disc, "gen_adv": adv_grads},

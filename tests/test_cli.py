@@ -391,6 +391,22 @@ def test_transpile_missing_input_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_transpile_unwritable_output_names_the_output_path(tmp_path, capsys):
+    src = tmp_path / "net.py"
+    src.write_text(FIG_INPUT)
+    dst = tmp_path / "missing" / "dir" / "x.py"
+    capsys.readouterr()
+    rc = main([
+        "transpile", "--from", "pytorch", "--to", "keras",
+        "--input", str(src), "--output", str(dst),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"'{dst}'" in err
+    assert ".tmp" not in err
+    assert not dst.parent.exists()
+
+
 def test_transpile_pair_without_bundled_dictionary_exits_2(tmp_path):
     src = tmp_path / "net.py"
     src.write_text(FIG_INPUT)

@@ -142,6 +142,66 @@ def test_ranking_handles_missing_vocab_entries():
         mrr(scores, [], vocab1, vocab2)
 
 
+def _per_pair_gold_ranks(values, gold_pairs, vocab1, vocab2):
+    """Reference ranking: one membership scan and one gather per pair."""
+    idx1 = {(kw.kind, kw.text, kw.owner): kw.id for kw in vocab1}
+    idx2 = {(kw.kind, kw.text, kw.owner): kw.id for kw in vocab2}
+    kind_ids = {}
+    for kw in vocab2:
+        kind_ids.setdefault(kw.kind, []).append(kw.id)
+    kind_cols = {kind: np.asarray(ids) for kind, ids in kind_ids.items()}
+    ranks = []
+    for src_key, tgt_key in gold_pairs:
+        i = idx1.get(tuple(src_key))
+        j = idx2.get(tuple(tgt_key))
+        if i is None or j is None:
+            continue
+        cands = kind_cols.get(src_key[0])
+        if cands is None or j not in cands:
+            ranks.append(float("inf"))
+        else:
+            ranks.append(int((values[i, cands] >= values[i, j]).sum()))
+    return ranks
+
+
+def test_gold_ranks_match_the_per_pair_ranking():
+    rng = np.random.default_rng(12)
+    kinds = [CALLABLE, PARAMETER]
+
+    def keyword(framework, i):
+        kind = kinds[int(rng.integers(2))]
+        owner = "o" if kind == PARAMETER else None
+        return ApiKeyword(framework, kind, f"k{i}", owner=owner).with_id(i)
+
+    left_out = infinite = 0
+    for trial in range(30):
+        m1, m2 = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        vocab1 = [keyword("a", i) for i in range(m1)]
+        vocab2 = [keyword("b", j) for j in range(m2)]
+        values = rng.standard_normal((m1, m2))
+        if trial % 2:
+            values = np.round(values)  # ties
+        gold = []
+        for _ in range(int(rng.integers(1, 2 * m1 + 2))):
+            src = vocab1[int(rng.integers(m1))]
+            tgt = vocab2[int(rng.integers(m2))]
+            src_key = (src.kind, src.text, src.owner)
+            tgt_key = (tgt.kind, tgt.text, tgt.owner)
+            roll = rng.random()
+            if roll < 0.1:
+                src_key = (src.kind, "missing", src.owner)
+            elif roll < 0.2:
+                tgt_key = (tgt.kind, "missing", tgt.owner)
+            gold.append((src_key, tgt_key))
+        got = frameport.evaluate._gold_ranks(values, gold, vocab1, vocab2)
+        ref = _per_pair_gold_ranks(values, gold, vocab1, vocab2)
+        assert got == ref
+        assert [type(r) for r in got] == [type(r) for r in ref]
+        left_out += len(gold) - len(got)
+        infinite += got.count(float("inf"))
+    assert left_out > 0 and infinite > 0  # missing pairs and cross-kind targets
+
+
 def test_ranking_brute_force_on_random_matrices():
     rng = np.random.default_rng(11)
     m1, m2 = 8, 9

@@ -235,3 +235,193 @@ def test_finite_difference_epsilon_is_sane():
     # central differences in float64: truncation ~ eps^2, cancellation
     # ~ machine_eps / eps; both stay well under 1e-4 inside this window
     assert 1e-6 <= FD_EPS <= 1e-4
+
+
+def test_leaky_slope_outside_unit_interval_is_rejected():
+    for slope in (-0.1, 1.5):
+        with pytest.raises(ConfigError):
+            fnn.Mlp.create([3, 4, 2], activation=fnn.LEAKY_RELU, leaky_slope=slope)
+
+
+# -- bit-level oracles: the textbook forms, kept here as the reference --------
+
+UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(a.view(UINT[a.dtype]), b.view(UINT[b.dtype]))
+    )
+
+
+def _where_activate(mlp, z):
+    if mlp.activation == fnn.RELU:
+        return np.maximum(z, 0)
+    return np.where(z > 0, z, mlp.leaky_slope * z)
+
+
+def _where_activate_grad(mlp, z):
+    if mlp.activation == fnn.RELU:
+        return (z > 0).astype(z.dtype)
+    return np.where(z > 0, z.dtype.type(1), z.dtype.type(mlp.leaky_slope))
+
+
+def _special_inputs(rng, dtype, with_pos_inf: bool) -> np.ndarray:
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.nan, -np.nan, -np.inf, 1.0, -1.0, info.tiny,
+               -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+               info.max, -info.max]
+    if with_pos_inf:
+        special.append(np.inf)
+    scale = 10.0 ** rng.integers(-30, 30, 500)
+    return np.concatenate([special, rng.standard_normal(500) * scale]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_activation_and_gradient_match_the_where_forms_bitwise(dtype):
+    rng = np.random.default_rng(20)
+    slopes = [0.0, 1e-300, 0.01, 0.2, 0.5, float(np.nextafter(1.0, 0.0))]
+    slopes += rng.uniform(0.0, 1.0, 20).tolist()
+    cases = [(fnn.RELU, 0.01)] + [(fnn.LEAKY_RELU, s) for s in slopes]
+    for activation, slope in cases:
+        mlp = fnn.Mlp.create([2, 2], activation=activation, leaky_slope=slope)
+        # where the slope is 0 in this dtype, slope * inf is NaN, so
+        # max(inf, slope * inf) is NaN where the where form gives inf: +inf is
+        # left out there
+        with_pos_inf = activation == fnn.RELU or dtype(slope) > 0.0
+        z = _special_inputs(rng, dtype, with_pos_inf)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out, grad = fnn._activate(mlp, z)
+            ref_out = _where_activate(mlp, z)
+        assert _same_bits(out, ref_out), (activation, slope)
+        assert _same_bits(grad, _where_activate_grad(mlp, z)), (activation, slope)
+
+
+def _recomputing_forward_backward(mlp, x, upstream, train_mode, rng):
+    """Forward and backward that store pre-activations, take the activation
+    gradient from them in every backward, and compute every gradient."""
+    keep = 1.0 - mlp.dropout
+    a, inputs, pre, masks = x, [], [], []
+    last = len(mlp.weights) - 1
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        inputs.append(a)
+        z = a @ w + b
+        pre.append(z)
+        if l == last:
+            a = z
+            continue
+        a = _where_activate(mlp, z)
+        mask = None
+        if train_mode and mlp.dropout > 0.0:
+            mask = (rng.random(a.shape) < keep).astype(a.dtype)
+            a = a * mask / keep
+        masks.append(mask)
+    grads = []
+    dz = upstream
+    for l in reversed(range(len(mlp.weights))):
+        grads[:0] = [inputs[l].T @ dz, dz.sum(axis=0)]
+        da = dz @ mlp.weights[l].T
+        if l == 0:
+            dx = da
+        else:
+            if masks[l - 1] is not None:
+                da = da * masks[l - 1] / keep
+            dz = da * _where_activate_grad(mlp, pre[l - 1])
+    return a, grads, dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_and_backward_match_the_recomputing_form_bitwise(dtype):
+    rng = np.random.default_rng(23)
+    for trial in range(24):
+        mlp = random_mlp(rng)
+        mlp.weights = [w.astype(dtype) for w in mlp.weights]
+        # zero biases on half the trials, so zero rows of x hit the kink
+        mlp.biases = [b.astype(dtype) * (trial % 2) for b in mlp.biases]
+        x = rng.standard_normal((6, mlp.dims[0])).astype(dtype)
+        x[0] = 0.0
+        upstream = rng.standard_normal((6, mlp.dims[-1])).astype(dtype)
+        train_mode = trial % 4 < 2
+        seed = int(rng.integers(1 << 30))
+        ref_out, ref_grads, ref_dx = _recomputing_forward_backward(
+            mlp, x, upstream, train_mode, np.random.default_rng(seed)
+        )
+        out, cache = fnn.forward(mlp, x, train_mode, np.random.default_rng(seed))
+        assert _same_bits(out, ref_out)
+        grads, dx = fnn.backward(mlp, cache, upstream)
+        assert all(_same_bits(g, r) for g, r in zip(grads, ref_grads, strict=True))
+        assert _same_bits(dx, ref_dx)
+        only_grads, none = fnn.backward(mlp, cache, upstream, input_grad=False)
+        assert none is None
+        assert all(_same_bits(g, r) for g, r in zip(only_grads, ref_grads, strict=True))
+        none, only_dx = fnn.backward(mlp, cache, upstream, param_grads=False)
+        assert none is None and _same_bits(only_dx, ref_dx)
+
+
+def _target_form_softmax_cross_entropy(logits, labels, label_smoothing):
+    n, k = logits.shape
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - log_norm
+    target = np.full_like(logits, label_smoothing / k)
+    target[np.arange(n), labels] += 1.0 - label_smoothing
+    loss = float(-np.sum(target * log_probs, dtype=np.float64) / n)
+    grad = (np.exp(log_probs) - target) / n
+    return loss, grad.astype(logits.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_softmax_cross_entropy_matches_the_target_form_bitwise(dtype, smoothing):
+    rng = np.random.default_rng(21)
+    for n, k, scale in [(1, 1, 1.0), (3, 2, 1.0), (7, 5, 30.0), (128, 750, 4.0),
+                        (16, 40, 300.0)]:
+        logits = (rng.standard_normal((n, k)) * scale).astype(dtype)
+        labels = rng.integers(0, k, n)
+        if k > 2:
+            logits[0, (labels[0] + 1) % k] = -np.inf
+        with np.errstate(invalid="ignore"):
+            loss, grad = fnn.softmax_cross_entropy(logits, labels, smoothing)
+            ref_loss, ref_grad = _target_form_softmax_cross_entropy(logits, labels, smoothing)
+        assert _same_bits(np.float64(loss), np.float64(ref_loss)), (n, k)
+        assert _same_bits(grad, ref_grad), (n, k)
+
+
+def _allocating_adam_step(params, grads, state, lr):
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype, copy=False)
+
+
+@pytest.mark.parametrize(
+    "p_dtype, g_dtype",
+    [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+)
+def test_adam_step_matches_the_allocating_form_bitwise(p_dtype, g_dtype):
+    rng = np.random.default_rng(22)
+    shapes = [(64, 750), (64,), (3, 5), (1,)]
+    params = [rng.standard_normal(s).astype(p_dtype) for s in shapes]
+    ref_params = [p.copy() for p in params]
+    state = fnn.AdamState.init(params)
+    ref_state = fnn.AdamState.init(ref_params)
+    for step in range(1, 8):
+        grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(g_dtype)
+                 for s in shapes]
+        lr = 1e-3 * step
+        fnn.adam_step(params, grads, state, lr)
+        _allocating_adam_step(ref_params, grads, ref_state, lr)
+        assert state.step == ref_state.step == step
+        for got, ref in zip(params + state.m + state.v,
+                            ref_params + ref_state.m + ref_state.v):
+            assert _same_bits(got, ref), step

@@ -15,7 +15,7 @@ from frameport import train as ft
 from frameport.canon import CALLABLE, PARAMETER, ApiKeyword
 from frameport.dictionary import KeywordDictionary, GroupEntry, ParamEntry
 from frameport.errors import ConfigError, EmptyDictionaryError
-from helpers import check_model_gradients, random_alignment_model
+from helpers import check_model_gradients, random_alignment_model, to_f64
 
 
 def _toy_data(rng, n1=60, n2=50, d_b=8, m1=5, m2=6):
@@ -378,6 +378,71 @@ def test_stacked_step_matches_the_per_side_step(dtype):
                 scale = max(float(np.abs(b).max()) for b in ref)
                 err = max(float(np.abs(a - b).max()) for a, b in zip(got_g[role], ref))
                 assert err <= 1e-5 * scale, (role, err / scale)
+
+
+def _four_full_backward_gradients(model, batch, label_smoothing, train_mode, rng):
+    """The step with every backward call computing all of its gradients,
+    including the ones the step discards."""
+    E1, E2 = model.output_embeddings
+    n1 = len(batch.h1)
+    h = np.concatenate([batch.h1, batch.h2], axis=0)
+    z, gen_cache = fnn.forward(model.generator, h, train_mode=train_mode, rng=rng)
+    z1, z2 = z[:n1], z[n1:]
+    l_ce1, dlogits1 = fnn.softmax_cross_entropy(z1 @ E1, batch.y1, label_smoothing)
+    l_ce2, dlogits2 = fnn.softmax_cross_entropy(z2 @ E2, batch.y2, label_smoothing)
+    d_logit, disc_cache = fnn.forward(
+        model.discriminator, z, train_mode=train_mode, rng=rng
+    )
+    t = np.concatenate([np.zeros(n1), np.ones(len(z2))])
+    targets = t * (1.0 - label_smoothing) + label_smoothing / 2.0
+    l_d, g_true = fnn.binary_cross_entropy(d_logit, targets)
+    l_g, g_rev = fnn.binary_cross_entropy(d_logit, 1.0 - targets)
+    dz_ce = np.concatenate([dlogits1 @ E1.T, dlogits2 @ E2.T], axis=0)
+    g_gen, _ = fnn.backward(model.generator, gen_cache, dz_ce)
+    joint = g_gen + [z1.T @ dlogits1, z2.T @ dlogits2]
+    g_disc, _ = fnn.backward(model.discriminator, disc_cache, g_true)
+    _, dz_adv = fnn.backward(model.discriminator, disc_cache, g_rev)
+    adv, _ = fnn.backward(model.generator, gen_cache, dz_adv)
+    losses = {"L_CE_1": l_ce1, "L_CE_2": l_ce2, "L_D": l_d, "L_G": l_g}
+    return {"joint": joint, "disc": g_disc, "gen_adv": adv}, losses
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gradients_equal_the_full_backward_step_bitwise(dtype):
+    rng = np.random.default_rng(20)
+    uint = np.uint32 if dtype is np.float32 else np.uint64
+    for trial in range(12):
+        n1, n2 = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+        d_b, d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        m1, m2 = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+        cfg = ft.TrainConfig(d=d, total_samples=0, dropout=0.2,
+                             disc_hidden=int(rng.integers(1, 3)))
+        model = ft.AlignmentModel.create(cfg, d_b, [m1, m2], rng)
+        if dtype is np.float64:
+            model = ft.AlignmentModel.from_dict(model.to_dict())
+            model.generator = to_f64(model.generator)
+            model.discriminator = to_f64(model.discriminator)
+            model.output_embeddings = [e.astype(dtype) for e in model.output_embeddings]
+        batch = ft.TrainBatch(
+            h1=rng.standard_normal((n1, d_b)).astype(dtype),
+            y1=rng.integers(0, m1, n1),
+            h2=rng.standard_normal((n2, d_b)).astype(dtype),
+            y2=rng.integers(0, m2, n2),
+        )
+        eps = float(rng.choice([0.0, 0.1]))
+        for train_mode in (False, True):
+            seed = int(rng.integers(1 << 30))
+            got_g, got_l = ft.gradients(model, batch, eps, train_mode,
+                                        np.random.default_rng(seed))
+            ref_g, ref_l = _four_full_backward_gradients(
+                model, batch, eps, train_mode, np.random.default_rng(seed)
+            )
+            assert got_l == ref_l
+            assert set(got_g) == set(ref_g)
+            for role, ref in ref_g.items():
+                for a, b in zip(got_g[role], ref, strict=True):
+                    assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                    assert np.array_equal(a.view(uint), b.view(uint)), role
 
 
 def test_one_step_makes_two_forward_and_four_backward_calls(monkeypatch):
