@@ -19,7 +19,7 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from frameport.errors import (
     ArityError,
@@ -343,7 +343,39 @@ def _scan_imports(
     return bindings, preserved
 
 
-class _Rewriter(ast.NodeTransformer):
+# forwards the deprecated ``visit_Num``, ``visit_Str``, ... handlers, which no
+# pass defines; newer Pythons have no such method
+_VISIT_CONSTANT = getattr(ast.NodeVisitor, "visit_Constant", None)
+
+
+class _DispatchTransformer(ast.NodeTransformer):
+    """``ast.NodeTransformer`` whose ``visit`` looks a node's handler up in a
+    table keyed by node type, built once per class, instead of building the
+    ``visit_<Type>`` name and calling ``getattr`` for every node. A type with
+    no handler of the class, ``Constant`` included, goes straight to
+    ``generic_visit``, as it does in ``ast.NodeTransformer``."""
+
+    _handlers: dict[type, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {}
+        for name in dir(cls):
+            if not name.startswith("visit_"):
+                continue
+            handler = getattr(cls, name)
+            node_type = getattr(ast, name[len("visit_"):], None)
+            if isinstance(node_type, type) and handler is not _VISIT_CONSTANT:
+                cls._handlers[node_type] = handler
+
+    def visit(self, node: ast.AST):
+        handler = self._handlers.get(type(node))
+        if handler is None:
+            return self.generic_visit(node)
+        return handler(self, node)
+
+
+class _Rewriter(_DispatchTransformer):
     """Single canonicalization pass: imports, name uses, argument binding."""
 
     def __init__(self, db: SignatureDatabase, tree: ast.AST, strict: bool):
@@ -351,6 +383,7 @@ class _Rewriter(ast.NodeTransformer):
         self.strict = strict
         # a canonical import the tree already spells counts as emitted
         self.bindings, self.emitted_modules = _scan_imports(tree, db)
+        self._rewritten: dict[str, str] = {}
 
     def generic_visit(self, node: ast.AST) -> ast.AST:
         super().generic_visit(node)
@@ -366,14 +399,17 @@ class _Rewriter(ast.NodeTransformer):
     # -- name resolution -------------------------------------------------
 
     def _rewrite_path(self, path: str) -> str:
-        head, sep, rest = path.partition(".")
-        base = self.bindings.get(head)
-        expanded = base + sep + rest if base is not None else path
-        expanded = self.db.normalize_path(expanded)
-        contracted = self.db.contract_path(expanded)
-        if contracted is None:
-            return path
-        return self.db.resolve_name(contracted)
+        # memoized: the bindings are fixed once ``_scan_imports`` returns
+        new = self._rewritten.get(path)
+        if new is None:
+            head, sep, rest = path.partition(".")
+            base = self.bindings.get(head)
+            expanded = base + sep + rest if base is not None else path
+            expanded = self.db.normalize_path(expanded)
+            contracted = self.db.contract_path(expanded)
+            new = path if contracted is None else self.db.resolve_name(contracted)
+            self._rewritten[path] = new
+        return new
 
     def visit_Name(self, node: ast.Name) -> ast.expr:
         if not isinstance(node.ctx, ast.Load):

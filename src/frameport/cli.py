@@ -471,6 +471,8 @@ def cmd_transpile(args: argparse.Namespace) -> int:
     else:
         template = load_template(args.template, src, tgt)
     backend_cfg = BackendConfig.load(args.backend) if args.backend else BackendConfig()
+    if args.seed is not None:
+        backend_cfg = replace(backend_cfg, seed=args.seed)
     text = _read_input(args.input)
     unit = SourceUnit(text=text, framework=src, origin=args.input)
     result = transpile_unit(
@@ -518,7 +520,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             dictionary = default_dictionary(src, tgt)
         pairs[src, tgt] = (dictionary, default_template(src, tgt))
 
-    def transpile_once(ex) -> str:
+    def transpile_once(ex, cfg: BackendConfig) -> str:
         dictionary, template = pairs[ex.src_framework, ex.tgt_framework]
         unit = SourceUnit(text=ex.source, framework=ex.src_framework, origin=ex.id)
         result = transpile_unit(
@@ -527,7 +529,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             dbs[ex.tgt_framework],
             dictionary,
             template,
-            backend_cfg,
+            cfg,
         )
         return result.output.text
 
@@ -539,10 +541,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     def transpile_fn(ex, seed: int) -> str:
         if backend_cfg.kind != "mock-rules":
-            return transpile_once(ex)
+            return transpile_once(ex, replace(backend_cfg, seed=seed))
         if ex not in replay:
             try:
-                replay[ex] = transpile_once(ex)
+                replay[ex] = transpile_once(ex, backend_cfg)
             except FrameportError as exc:
                 replay[ex] = exc
         if isinstance(replay[ex], FrameportError):
@@ -732,14 +734,7 @@ def _add_measure(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="frameport",
-        description="Source-to-source transpiler between deep-learning framework dialects.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="Scan file trees into a training corpus.")
+def _ingest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--root", dest="roots", action="append", required=True,
                    help="Directory to scan; repeatable.")
     p.add_argument("--out", required=True, help="Corpus output directory.")
@@ -759,7 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="Align keyword embeddings adversarially.")
+
+def _train_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="Corpus directory from ingest.")
     p.add_argument("--src-framework", required=True, choices=FRAMEWORKS)
     p.add_argument("--tgt-framework", required=True, choices=FRAMEWORKS)
@@ -790,7 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("dict", help="Induce a keyword dictionary from a checkpoint.")
+
+def _dict_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True, help="Corpus the checkpoint was trained on.")
     p.add_argument("--src-framework", required=True, choices=FRAMEWORKS)
@@ -804,7 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_dict)
 
-    p = sub.add_parser("transpile", help="Translate one file or stdin.")
+
+def _transpile_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--from", dest="src_framework", required=True, choices=FRAMEWORKS)
     p.add_argument("--to", dest="tgt_framework", required=True, choices=FRAMEWORKS)
     p.add_argument("--input", default="-", help="Input file, or - for stdin.")
@@ -817,12 +815,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Backend config JSON (default: offline mock).")
     p.add_argument("--strict", action="store_true",
                    help="Fail on unknown callables instead of passing them through.")
-    p.add_argument("--seed", type=int, default=10,
-                   help="Reserved for sampling backends; the mock is deterministic.")
+    p.add_argument("--seed", type=int, default=None,
+                   help="Sampling seed sent to HTTP backends (default: the "
+                   "backend config's); the mock is deterministic.")
     _add_format(p)
     p.set_defaults(func=cmd_transpile)
 
-    p = sub.add_parser("eval", help="Score a transpilation example suite.")
+
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-set", required=True, help="JSONL examples file.")
     p.add_argument("--out", required=True, help="Directory for report and artifacts.")
     p.add_argument("--seeds", type=_csv_ints, default=[10, 20, 30, 40, 50],
@@ -834,37 +834,89 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect", help="Examine corpora, rankings, and dictionaries.")
-    what = p.add_subparsers(dest="what", required=True)
 
-    q = what.add_parser("vocab", help="List a framework's keyword vocabulary.")
-    q.add_argument("--corpus", required=True)
-    q.add_argument("--framework", required=True, choices=FRAMEWORKS)
-    q.add_argument("--kind", choices=(CALLABLE, PARAMETER), default=None)
-    q.add_argument("--limit", type=int, default=None)
-    _add_format(q)
-    q.set_defaults(func=cmd_inspect_vocab)
+def _vocab_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--framework", required=True, choices=FRAMEWORKS)
+    p.add_argument("--kind", choices=(CALLABLE, PARAMETER), default=None)
+    p.add_argument("--limit", type=int, default=None)
+    _add_format(p)
+    p.set_defaults(func=cmd_inspect_vocab)
 
-    q = what.add_parser("neighbors", help="Top-scoring candidates for one keyword.")
-    q.add_argument("--checkpoint", required=True)
-    q.add_argument("--corpus", required=True)
-    q.add_argument("--src-framework", required=True, choices=FRAMEWORKS)
-    q.add_argument("--tgt-framework", required=True, choices=FRAMEWORKS)
-    q.add_argument("--keyword", required=True, help="Keyword text to look up.")
-    q.add_argument("--kind", choices=(CALLABLE, PARAMETER), default=CALLABLE)
-    q.add_argument("--owner", default=None,
+
+def _neighbors_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--src-framework", required=True, choices=FRAMEWORKS)
+    p.add_argument("--tgt-framework", required=True, choices=FRAMEWORKS)
+    p.add_argument("--keyword", required=True, help="Keyword text to look up.")
+    p.add_argument("--kind", choices=(CALLABLE, PARAMETER), default=CALLABLE)
+    p.add_argument("--owner", default=None,
                    help="Owning callable (required for parameters).")
-    q.add_argument("--top", type=int, default=5)
-    _add_measure(q)
-    _add_format(q)
-    q.set_defaults(func=cmd_inspect_neighbors)
+    p.add_argument("--top", type=int, default=5)
+    _add_measure(p)
+    _add_format(p)
+    p.set_defaults(func=cmd_inspect_neighbors)
 
-    q = what.add_parser("diff", help="Compare the mappings of two dictionaries.")
-    q.add_argument("--old", required=True)
-    q.add_argument("--new", required=True)
-    _add_format(q)
-    q.set_defaults(func=cmd_inspect_diff)
 
+def _diff_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--old", required=True)
+    p.add_argument("--new", required=True)
+    _add_format(p)
+    p.set_defaults(func=cmd_inspect_diff)
+
+
+def _inspect_arguments(p: argparse.ArgumentParser) -> None:
+    _add_commands(p.add_subparsers(dest="what", required=True), _INSPECT)
+
+
+# (name, help, add-arguments function) of each command, in usage order
+_COMMANDS = (
+    ("ingest", "Scan file trees into a training corpus.", _ingest_arguments),
+    ("train", "Align keyword embeddings adversarially.", _train_arguments),
+    ("dict", "Induce a keyword dictionary from a checkpoint.", _dict_arguments),
+    ("transpile", "Translate one file or stdin.", _transpile_arguments),
+    ("eval", "Score a transpilation example suite.", _eval_arguments),
+    ("inspect", "Examine corpora, rankings, and dictionaries.", _inspect_arguments),
+)
+_INSPECT = (
+    ("vocab", "List a framework's keyword vocabulary.", _vocab_arguments),
+    ("neighbors", "Top-scoring candidates for one keyword.", _neighbors_arguments),
+    ("diff", "Compare the mappings of two dictionaries.", _diff_arguments),
+)
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which adds its arguments when argparse hands it
+    the rest of the command line: only the command that runs builds them."""
+
+    def __init__(self, *args, add_arguments, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_commands(sub: argparse._SubParsersAction, commands) -> None:
+    for name, help, add_arguments in commands:
+        sub.add_parser(name, help=help, add_arguments=add_arguments)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``frameport`` parser: every command is registered with its help,
+    and argparse adds a command's arguments when it dispatches to it."""
+    parser = argparse.ArgumentParser(
+        prog="frameport",
+        description="Source-to-source transpiler between deep-learning framework dialects.",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
+    _add_commands(sub, _COMMANDS)
     return parser
 
 

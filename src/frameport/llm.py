@@ -151,6 +151,8 @@ class BackendConfig:
     retries: int = 3
     backoff: float = 0.5
     timeout: float = 30.0
+    # sent to HTTP backends when set; the mock ignores it
+    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("mock-rules", "http-completion", "http-chat"):
@@ -300,6 +302,8 @@ class HttpBackend:
         }
         if cfg.model:
             payload["model"] = cfg.model
+        if cfg.seed is not None:
+            payload["seed"] = cfg.seed
         if self.chat:
             payload["messages"] = [{"role": "user", "content": prompt}]
         else:

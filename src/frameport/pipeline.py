@@ -10,7 +10,6 @@ tree into the target dialect's canonical form before its one unparse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -40,10 +39,13 @@ from .skeleton import (
 
 FRAMEWORKS = ("keras", "mxnet", "pytorch")
 
+# the data files bundled with the package
+_FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def fixture_path(name: str) -> Path:
     """Absolute path of a data file bundled with the package."""
-    path = Path(str(resources.files("frameport").joinpath("fixtures", name)))
+    path = _FIXTURES / name
     if not path.is_file():
         raise ConfigError(f"no bundled fixture named {name!r}")
     return path

@@ -24,6 +24,7 @@ from frameport.canon import (
     KeywordOccurrence,
     SignatureDatabase,
     SourceUnit,
+    _DispatchTransformer,
     _make_chain,
     parse_source,
     rewrite_tree,
@@ -134,7 +135,7 @@ def _identifier(index: int, name: str, dotted: bool, what: str) -> str:
     return name
 
 
-class _RenamePass(ast.NodeTransformer):
+class _RenamePass(_DispatchTransformer):
     """Apply renames, argument drops and expansions in place; raise for an
     expansion that no sequence takes and for placeholder text in an import."""
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import http.server
 import io
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from frameport import nn as fnn
 from frameport.cli import main
 from frameport.dictionary import KeywordDictionary
 from frameport.errors import BackendUnavailable
+from frameport.llm import BackendConfig, MockRulesBackend
 from frameport.pipeline import fixture_path
 from frameport.train import load_checkpoint
 from helpers import KS_FILE, PT_FILE
@@ -93,6 +96,344 @@ def test_missing_required_flag_is_a_usage_error(tree):
 def test_bad_grid_list_is_a_usage_error(corpus, tmp_path):
     argv = _train_argv(corpus, tmp_path, "--grid", "--lrs", "fast,faster")
     assert main(argv) == 2
+
+
+# -- help and usage goldens ------------------------------------------------------
+
+# stdout, stderr and exit code of every help screen and of typical usage
+# errors, byte for byte; argparse wraps at the terminal width, pinned to 80
+# columns by COLUMNS. Building only the chosen command's arguments changes
+# none of them.
+CLI_GOLDENS = [
+    (
+        ["--help"],
+        0,
+        (
+            "usage: frameport [-h] {ingest,train,dict,transpile,eval,inspect} ...\n"
+            "\n"
+            "Source-to-source transpiler between deep-learning framework dialects.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {ingest,train,dict,transpile,eval,inspect}\n"
+            "    ingest              Scan file trees into a training corpus.\n"
+            "    train               Align keyword embeddings adversarially.\n"
+            "    dict                Induce a keyword dictionary from a checkpoint.\n"
+            "    transpile           Translate one file or stdin.\n"
+            "    eval                Score a transpilation example suite.\n"
+            "    inspect             Examine corpora, rankings, and dictionaries.\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    (
+        ["ingest", "--help"],
+        0,
+        (
+            "usage: frameport ingest [-h] --root ROOTS --out OUT\n"
+            "                        [--framework {keras,mxnet,pytorch}]\n"
+            "                        [--include INCLUDE] [--exclude EXCLUDE]\n"
+            "                        [--marker MARKERS] [--size-cap SIZE_CAP] [--dry-run]\n"
+            "                        [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --root ROOTS          Directory to scan; repeatable.\n"
+            "  --out OUT             Corpus output directory.\n"
+            "  --framework {keras,mxnet,pytorch}\n"
+            "                        Framework to collect; repeatable (default: all).\n"
+            "  --include INCLUDE     Filename glob to include; repeatable (default: *.py,\n"
+            "                        *.ipynb).\n"
+            "  --exclude EXCLUDE     Path glob to exclude; repeatable.\n"
+            "  --marker MARKERS      Substring a file must mention; repeatable (default:\n"
+            "                        torch, keras, mxnet).\n"
+            "  --size-cap SIZE_CAP   Skip files larger than this many bytes.\n"
+            "  --dry-run             Report counts without writing the corpus.\n"
+            "  --format {text,json}  Output format for the command summary.\n"
+        ),
+        "",
+    ),
+    (
+        ["train", "--help"],
+        0,
+        (
+            "usage: frameport train [-h] --corpus CORPUS --src-framework\n"
+            "                       {keras,mxnet,pytorch} --tgt-framework\n"
+            "                       {keras,mxnet,pytorch} --out OUT [--provider PROVIDER]\n"
+            "                       [--provider-dim PROVIDER_DIM] [--bpe-merges BPE_MERGES]\n"
+            "                       [--d D] [--peak-lr PEAK_LR] [--batch-size BATCH_SIZE]\n"
+            "                       [--total-samples TOTAL_SAMPLES]\n"
+            "                       [--checkpoint-every CHECKPOINT_EVERY] [--tau TAU]\n"
+            "                       [--seed SEED] [--grid] [--lrs LRS]\n"
+            "                       [--batch-sizes BATCH_SIZES] [--resume RESUME]\n"
+            "                       [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --corpus CORPUS       Corpus directory from ingest.\n"
+            "  --src-framework {keras,mxnet,pytorch}\n"
+            "  --tgt-framework {keras,mxnet,pytorch}\n"
+            "  --out OUT             Directory for checkpoints and metrics.\n"
+            "  --provider PROVIDER   Embedding provider: hash, context-window, or\n"
+            "                        file:PATH.\n"
+            "  --provider-dim PROVIDER_DIM\n"
+            "                        Embedding width d_b for generated providers.\n"
+            "  --bpe-merges BPE_MERGES\n"
+            "                        BPE merges when training a context-window provider.\n"
+            "  --d D                 Aligned hidden width d.\n"
+            "  --peak-lr PEAK_LR\n"
+            "  --batch-size BATCH_SIZE\n"
+            "  --total-samples TOTAL_SAMPLES\n"
+            "                        Samples drawn per side over the whole run (default\n"
+            "                        1536000).\n"
+            "  --checkpoint-every CHECKPOINT_EVERY\n"
+            "                        Steps between model-selection checkpoints.\n"
+            "  --tau TAU             Expansion threshold used by the selection dictionary.\n"
+            "  --seed SEED\n"
+            "  --grid                Search the (peak_lr, batch_size) grid instead of one\n"
+            "                        cell.\n"
+            "  --lrs LRS             Grid learning rates as a comma list.\n"
+            "  --batch-sizes BATCH_SIZES\n"
+            "                        Grid batch sizes as a comma list.\n"
+            "  --resume RESUME       Checkpoint file to continue from.\n"
+            "  --format {text,json}  Output format for the command summary.\n"
+        ),
+        "",
+    ),
+    (
+        ["dict", "--help"],
+        0,
+        (
+            "usage: frameport dict [-h] --checkpoint CHECKPOINT --corpus CORPUS\n"
+            "                      --src-framework {keras,mxnet,pytorch} --tgt-framework\n"
+            "                      {keras,mxnet,pytorch} --out OUT\n"
+            "                      [--measure {cosine,dot,csls}] [--k K] [--tau TAU]\n"
+            "                      [--drop-floor DROP_FLOOR] [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --checkpoint CHECKPOINT\n"
+            "  --corpus CORPUS       Corpus the checkpoint was trained on.\n"
+            "  --src-framework {keras,mxnet,pytorch}\n"
+            "  --tgt-framework {keras,mxnet,pytorch}\n"
+            "  --out OUT             Dictionary JSON path.\n"
+            "  --measure {cosine,dot,csls}\n"
+            "                        Similarity measure; csls rescales dot scores by\n"
+            "                        neighborhood.\n"
+            "  --k K                 Neighborhood size for --measure csls.\n"
+            "  --tau TAU             Parameter-to-callable expansion threshold.\n"
+            "  --drop-floor DROP_FLOOR\n"
+            "                        Scores below this floor drop the parameter outright.\n"
+            "  --format {text,json}  Output format for the command summary.\n"
+        ),
+        "",
+    ),
+    (
+        ["transpile", "--help"],
+        0,
+        (
+            "usage: frameport transpile [-h] --from {keras,mxnet,pytorch} --to\n"
+            "                           {keras,mxnet,pytorch} [--input INPUT]\n"
+            "                           [--output OUTPUT] [--dictionary DICTIONARY]\n"
+            "                           [--template TEMPLATE] [--backend BACKEND]\n"
+            "                           [--strict] [--seed SEED] [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --from {keras,mxnet,pytorch}\n"
+            "  --to {keras,mxnet,pytorch}\n"
+            "  --input INPUT         Input file, or - for stdin.\n"
+            "  --output OUTPUT       Output file, or - for stdout.\n"
+            "  --dictionary DICTIONARY\n"
+            "                        Keyword dictionary JSON (default: bundled fixture).\n"
+            "  --template TEMPLATE   Prompt template file (default: bundled fixture).\n"
+            "  --backend BACKEND     Backend config JSON (default: offline mock).\n"
+            "  --strict              Fail on unknown callables instead of passing them\n"
+            "                        through.\n"
+            "  --seed SEED           Sampling seed sent to HTTP backends (default: the\n"
+            "                        backend config's); the mock is deterministic.\n"
+            "  --format {text,json}  Output format for the command summary.\n"
+        ),
+        "",
+    ),
+    (
+        ["eval", "--help"],
+        0,
+        (
+            "usage: frameport eval [-h] --eval-set EVAL_SET --out OUT [--seeds SEEDS]\n"
+            "                      [--dictionary-dir DICTIONARY_DIR] [--backend BACKEND]\n"
+            "                      [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --eval-set EVAL_SET   JSONL examples file.\n"
+            "  --out OUT             Directory for report and artifacts.\n"
+            "  --seeds SEEDS         Run seeds as a comma list.\n"
+            "  --dictionary-dir DICTIONARY_DIR\n"
+            "                        Directory of dict_<src>_<tgt>.json files (default:\n"
+            "                        bundled).\n"
+            "  --backend BACKEND     Backend config JSON (default: offline mock).\n"
+            "  --format {text,json}  Output format for the command summary.\n"
+        ),
+        "",
+    ),
+    (
+        ["inspect", "--help"],
+        0,
+        (
+            "usage: frameport inspect [-h] {vocab,neighbors,diff} ...\n"
+            "\n"
+            "positional arguments:\n"
+            "  {vocab,neighbors,diff}\n"
+            "    vocab               List a framework's keyword vocabulary.\n"
+            "    neighbors           Top-scoring candidates for one keyword.\n"
+            "    diff                Compare the mappings of two dictionaries.\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    (
+        ["inspect", "vocab", "--help"],
+        0,
+        (
+            "usage: frameport inspect vocab [-h] --corpus CORPUS --framework\n"
+            "                               {keras,mxnet,pytorch}\n"
+            "                               [--kind {callable,parameter}] [--limit LIMIT]\n"
+            "                               [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --corpus CORPUS\n"
+            "  --framework {keras,mxnet,pytorch}\n"
+            "  --kind {callable,parameter}\n"
+            "  --limit LIMIT\n"
+            "  --format {text,json}  Output format for the command summary.\n"
+        ),
+        "",
+    ),
+    (
+        ["inspect", "neighbors", "--help"],
+        0,
+        (
+            "usage: frameport inspect neighbors [-h] --checkpoint CHECKPOINT --corpus\n"
+            "                                   CORPUS --src-framework\n"
+            "                                   {keras,mxnet,pytorch} --tgt-framework\n"
+            "                                   {keras,mxnet,pytorch} --keyword KEYWORD\n"
+            "                                   [--kind {callable,parameter}]\n"
+            "                                   [--owner OWNER] [--top TOP]\n"
+            "                                   [--measure {cosine,dot,csls}] [--k K]\n"
+            "                                   [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --checkpoint CHECKPOINT\n"
+            "  --corpus CORPUS\n"
+            "  --src-framework {keras,mxnet,pytorch}\n"
+            "  --tgt-framework {keras,mxnet,pytorch}\n"
+            "  --keyword KEYWORD     Keyword text to look up.\n"
+            "  --kind {callable,parameter}\n"
+            "  --owner OWNER         Owning callable (required for parameters).\n"
+            "  --top TOP\n"
+            "  --measure {cosine,dot,csls}\n"
+            "                        Similarity measure; csls rescales dot scores by\n"
+            "                        neighborhood.\n"
+            "  --k K                 Neighborhood size for --measure csls.\n"
+            "  --format {text,json}  Output format for the command summary.\n"
+        ),
+        "",
+    ),
+    (
+        ["inspect", "diff", "--help"],
+        0,
+        (
+            "usage: frameport inspect diff [-h] --old OLD --new NEW [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --old OLD\n"
+            "  --new NEW\n"
+            "  --format {text,json}  Output format for the command summary.\n"
+        ),
+        "",
+    ),
+    (
+        [],
+        2,
+        "",
+        (
+            "usage: frameport [-h] {ingest,train,dict,transpile,eval,inspect} ...\n"
+            "frameport: error: the following arguments are required: command\n"
+        ),
+    ),
+    (
+        ["no-such-command"],
+        2,
+        "",
+        (
+            "usage: frameport [-h] {ingest,train,dict,transpile,eval,inspect} ...\n"
+            "frameport: error: argument command: invalid choice: 'no-such-command' (choose from 'ingest', 'train', 'dict', 'transpile', 'eval', 'inspect')\n"
+        ),
+    ),
+    (
+        ["transpile", "--to", "keras"],
+        2,
+        "",
+        (
+            "usage: frameport transpile [-h] --from {keras,mxnet,pytorch} --to\n"
+            "                           {keras,mxnet,pytorch} [--input INPUT]\n"
+            "                           [--output OUTPUT] [--dictionary DICTIONARY]\n"
+            "                           [--template TEMPLATE] [--backend BACKEND]\n"
+            "                           [--strict] [--seed SEED] [--format {text,json}]\n"
+            "frameport transpile: error: the following arguments are required: --from\n"
+        ),
+    ),
+    (
+        ["transpile", "--from", "tensorflow", "--to", "keras"],
+        2,
+        "",
+        (
+            "usage: frameport transpile [-h] --from {keras,mxnet,pytorch} --to\n"
+            "                           {keras,mxnet,pytorch} [--input INPUT]\n"
+            "                           [--output OUTPUT] [--dictionary DICTIONARY]\n"
+            "                           [--template TEMPLATE] [--backend BACKEND]\n"
+            "                           [--strict] [--seed SEED] [--format {text,json}]\n"
+            "frameport transpile: error: argument --from: invalid choice: 'tensorflow' (choose from 'keras', 'mxnet', 'pytorch')\n"
+        ),
+    ),
+    (
+        ["transpile", "--from", "pytorch", "--to", "keras", "--bogus"],
+        2,
+        "",
+        (
+            "usage: frameport [-h] {ingest,train,dict,transpile,eval,inspect} ...\n"
+            "frameport: error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    (
+        ["inspect"],
+        2,
+        "",
+        (
+            "usage: frameport inspect [-h] {vocab,neighbors,diff} ...\n"
+            "frameport inspect: error: the following arguments are required: what\n"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    CLI_GOLDENS,
+    ids=[" ".join(argv) or "<no command>" for argv, *_ in CLI_GOLDENS],
+)
+def test_help_and_usage_errors_match_goldens(argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
 
 
 # -- ingest ----------------------------------------------------------------------
@@ -437,6 +778,26 @@ def test_transpile_strict_rejects_unknown_callables(tmp_path):
     assert rc == 3
 
 
+def test_transpile_seed_reaches_the_backend_config(tmp_path, monkeypatch):
+    src = tmp_path / "net.py"
+    src.write_text(FIG_INPUT)
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps({"kind": "mock-rules", "seed": 3}))
+    seeds = []
+    real = cli.transpile_unit
+
+    def recording(unit, src_db, tgt_db, dictionary, template, cfg, **kwargs):
+        seeds.append(cfg.seed)
+        return real(unit, src_db, tgt_db, dictionary, template, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "transpile_unit", recording)
+    base = ["transpile", "--from", "pytorch", "--to", "keras", "--input", str(src)]
+    for extra in ([], ["--seed", "7"], ["--backend", str(backend)],
+                  ["--backend", str(backend), "--seed", "7"]):
+        assert main([*base, "--output", str(tmp_path / "out.py"), *extra]) == 0
+    assert seeds == [None, 7, 3, 7]
+
+
 # -- eval ------------------------------------------------------------------------
 
 
@@ -537,6 +898,61 @@ def test_eval_calls_an_http_backend_once_per_seed(tmp_path, monkeypatch):
     ])
     assert rc == 0
     assert calls == ["fig", "conv", "fig", "conv"]
+
+
+class _MockOverHttp(http.server.BaseHTTPRequestHandler):
+    """A completion endpoint that answers as the offline mock and records
+    the seed of every request in ``seeds``."""
+
+    seeds: list = []
+
+    def do_POST(self) -> None:
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.seeds.append(payload.get("seed"))
+        completion = MockRulesBackend().complete(
+            payload["prompt"], payload["stop"][0], BackendConfig()
+        )
+        body = json.dumps(
+            {"choices": [{"text": completion.text, "finish_reason": "stop"}]}
+        ).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+def test_eval_sends_each_seed_to_an_http_backend(tmp_path, capsys, monkeypatch):
+    eval_set = tmp_path / "examples.jsonl"
+    _write_eval_set(eval_set)
+    monkeypatch.setattr(_MockOverHttp, "seeds", [])
+    server = http.server.HTTPServer(("127.0.0.1", 0), _MockOverHttp)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        backend = tmp_path / "backend.json"
+        backend.write_text(json.dumps({
+            "kind": "http-completion",
+            "endpoint": f"http://127.0.0.1:{server.server_port}/v1",
+            "retries": 0,
+        }))
+        capsys.readouterr()
+        rc = main([
+            "eval", "--eval-set", str(eval_set), "--out", str(tmp_path / "out"),
+            "--seeds", "10,20,30,40,50", "--backend", str(backend), "--format", "json",
+        ])
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert rc == 0
+    # one request per example and seed, seeds outermost
+    assert _MockOverHttp.seeds == [seed for seed in (10, 20, 30, 40, 50) for _ in "ab"]
+    payload = json.loads(capsys.readouterr().out)
+    assert [s["f1"] for s in payload["seeds"]] == [1.0] * 5
 
 
 def test_eval_empty_set_reports_no_examples(tmp_path, capsys):

@@ -8,6 +8,7 @@ import itertools
 import json
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
@@ -163,6 +164,9 @@ def test_http_backend_parses_completion_and_chat(monkeypatch):
     assert captured["payload"]["prompt"] == "PROMPT"
     assert captured["payload"]["stop"] == ["\n# S"]
     assert captured["payload"]["model"] == "m"
+    assert "seed" not in captured["payload"]
+    HttpBackend(chat=False).complete("PROMPT", "\n# S", replace(plain_cfg, seed=7))
+    assert captured["payload"]["seed"] == 7
 
     chat_cfg = BackendConfig(kind="http-chat", endpoint="http://x/v1")
     got = HttpBackend(chat=True).complete("PROMPT", "\n# S", chat_cfg)

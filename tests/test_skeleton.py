@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from frameport import canon, skeleton
 from frameport.canon import (
     CALLABLE,
     SourceUnit,
@@ -426,6 +427,106 @@ def test_fused_reinsert_matches_reinsert_then_canonicalize():
             outcomes["equal"] += 1
     assert outcomes["equal"] == 1000, outcomes
     assert outcomes["ResidualPlaceholderError"] == len(SINGLE_DEFECT_CASES) - 4, outcomes
+
+
+# -- the dispatch-table transformer base against ast.NodeTransformer ----------
+
+
+class _PlainRewriter(canon._Rewriter):
+    """The canonical rewrite on ``ast.NodeTransformer``'s own dispatch
+    (a ``visit_<Type>`` name and a ``getattr`` per node) and without the
+    path memo; logs every node it visits."""
+
+    log: list = []
+
+    def visit(self, node):
+        self.log.append(type(node))
+        return ast.NodeTransformer.visit(self, node)
+
+    def _rewrite_path(self, path: str) -> str:
+        head, sep, rest = path.partition(".")
+        base = self.bindings.get(head)
+        expanded = base + sep + rest if base is not None else path
+        expanded = self.db.normalize_path(expanded)
+        contracted = self.db.contract_path(expanded)
+        if contracted is None:
+            return path
+        return self.db.resolve_name(contracted)
+
+
+class _PlainRenamePass(skeleton._RenamePass):
+    """The rename pass on ``ast.NodeTransformer``'s own dispatch."""
+
+    log: list = []
+
+    def visit(self, node):
+        self.log.append(type(node))
+        return ast.NodeTransformer.visit(self, node)
+
+
+class _LoggedRewriter(canon._Rewriter):
+    log: list = []
+
+    def visit(self, node):
+        self.log.append(type(node))
+        return super().visit(node)
+
+
+class _LoggedRenamePass(skeleton._RenamePass):
+    log: list = []
+
+    def visit(self, node):
+        self.log.append(type(node))
+        return super().visit(node)
+
+
+def _fuzz_passes(rewriter, rename_pass, monkeypatch) -> list[tuple]:
+    """Per acceptance fuzz unit: the canonical text, the identity and the
+    pytorch -> keras reinsertion (or its error), and the node types the two
+    passes visited, in order."""
+    monkeypatch.setattr(canon, "_Rewriter", rewriter)
+    monkeypatch.setattr(skeleton, "_RenamePass", rename_pass)
+    rng = np.random.default_rng(1312)
+    dictionary = default_dictionary("pytorch", "keras")
+    results = []
+    for _ in range(1000):
+        log = []
+        monkeypatch.setattr(rewriter, "log", log)
+        monkeypatch.setattr(rename_pass, "log", log)
+        unit = canonicalize(SourceUnit(fuzz_pytorch_unit(rng), "pytorch"), PT)
+        occs = extract_keywords(unit, PT)
+        skel = to_skeleton(unit, occs)
+        identity = reinsert(skel.text, identity_translations(skel), PT).text
+        try:
+            translated = reinsert(skel.text, build_translations(occs, dictionary)[0], KS).text
+        except FrameportError as exc:
+            translated = repr(exc)
+        results.append((unit.text, identity, translated, log))
+    return results
+
+
+def test_dispatch_table_matches_node_transformer_dispatch(monkeypatch):
+    want = _fuzz_passes(_PlainRewriter, _PlainRenamePass, monkeypatch)
+    got = _fuzz_passes(_LoggedRewriter, _LoggedRenamePass, monkeypatch)
+    assert len(got) == len(want) == 1000
+    for (*texts, log), (*want_texts, want_log) in zip(got, want):
+        assert texts == want_texts
+        assert log == want_log
+    assert any(ast.Constant in log for *_, log in got)
+
+
+def test_dispatch_table_holds_the_handler_node_transformer_would_call():
+    # a Constant without visit_Num/visit_Str handlers is generic_visit's
+    forwarder = getattr(ast.NodeVisitor, "visit_Constant", None)
+    node_types = [
+        t for t in vars(ast).values() if isinstance(t, type) and issubclass(t, ast.AST)
+    ]
+    for transformer in (canon._Rewriter, skeleton._RenamePass):
+        for node_type in node_types:
+            want = getattr(transformer, f"visit_{node_type.__name__}", None)
+            assert transformer._handlers.get(node_type) is (
+                None if want is forwarder else want
+            ), (transformer, node_type)
 
 
 def test_translations_the_parser_rejects_raise_skeleton_error():
