@@ -46,11 +46,10 @@ from .dictionary import (
     vocab_index,
 )
 from .embeddings import (
-    CONTEXT_WINDOW,
-    DETERMINISTIC_HASH,
-    FILE_BACKED,
+    ContextWindowProvider,
+    FileBackedProvider,
+    HashProvider,
     embed_batch,
-    make_provider,
 )
 from .errors import (
     BackendUnavailable,
@@ -71,10 +70,10 @@ from .pipeline import (
 )
 from .train import (
     BATCH_GRID,
-    DEFAULT_TOTAL_SAMPLES,
     LR_GRID,
     Optimizers,
     TrainConfig,
+    TrainState,
     avg_cosine_similarity,
     grid_search,
     load_checkpoint,
@@ -154,17 +153,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def _build_provider(args: argparse.Namespace, texts: Sequence[str]):
     spec = args.provider
     if spec.startswith("file:"):
-        return make_provider(FILE_BACKED, path=spec[len("file:") :])
+        return FileBackedProvider(spec[len("file:") :])
     if spec == "hash":
-        return make_provider(DETERMINISTIC_HASH, dim=args.provider_dim)
+        return HashProvider(args.provider_dim)
     if spec == "context-window":
         vocab = bpe_train(texts, merge_count=args.bpe_merges)
-        return make_provider(
-            CONTEXT_WINDOW,
-            dim=args.provider_dim,
-            vocab=vocab,
-            texts=texts,
-            seed=args.seed,
+        return ContextWindowProvider.train(
+            texts, vocab, dim=args.provider_dim, seed=args.seed
         )
     raise ConfigError(
         f"unknown provider {spec!r}; expected hash, context-window, or file:PATH"
@@ -184,10 +179,7 @@ def _framework_arrays(occs, vocab, provider) -> tuple[np.ndarray, np.ndarray]:
         labels.append(kid)
     if not kept:
         raise EmptyVocabularyError("no keyword occurrences to train on")
-    embs = embed_batch(provider, kept)
-    H = np.stack([e.vector for e in embs]).astype(np.float32)
-    y = np.asarray(labels, dtype=np.int64)
-    return H, y
+    return embed_batch(provider, kept), np.asarray(labels, dtype=np.int64)
 
 
 def _train_inputs(args: argparse.Namespace):
@@ -213,72 +205,70 @@ def _make_selector(vocab1, vocab2, db1, db2, tau: float):
     return selector
 
 
+def _cell_record(cell) -> dict:
+    return {
+        "peak_lr": cell.peak_lr,
+        "batch_size": cell.batch_size,
+        "avg_cos_sim": cell.score,
+    }
+
+
 def cmd_train(args: argparse.Namespace) -> int:
-    arrays, vocabs, dbs = _train_inputs(args)
-    H1, y1, H2, y2 = arrays
-    vocab1, vocab2 = vocabs
-    db1, db2 = dbs
+    if args.resume and args.grid:
+        raise ConfigError("--resume cannot be combined with --grid")
+    resume = load_checkpoint(args.resume) if args.resume else None
+    if resume is None:
+        cfg = TrainConfig(
+            d=args.d,
+            peak_lr=args.peak_lr,
+            batch_size=args.batch_size,
+            seed=args.seed,
+            checkpoint_every=args.checkpoint_every,
+        )
+    else:
+        cfg = resume.cfg
+    if args.total_samples is not None:
+        cfg = replace(cfg, total_samples=args.total_samples)
+
+    (H1, y1, H2, y2), (vocab1, vocab2), (db1, db2) = _train_inputs(args)
     sizes = (len(vocab1), len(vocab2))
     selector = _make_selector(vocab1, vocab2, db1, db2, args.tau)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.jsonl"
-
-    if args.resume and args.grid:
-        raise ConfigError("--resume cannot be combined with --grid")
+    ckpt = out / "checkpoint.json"
 
     if args.grid:
-        cells_seen: list[dict] = []
         with open(metrics_path, "w") as fh:
 
             def on_cell(cell) -> None:
-                rec = {
-                    "peak_lr": cell.peak_lr,
-                    "batch_size": cell.batch_size,
-                    "avg_cos_sim": cell.score,
-                }
-                cells_seen.append(rec)
-                fh.write(json.dumps(rec) + "\n")
+                fh.write(json.dumps(_cell_record(cell)) + "\n")
 
-            base = TrainConfig(
-                d=args.d,
-                total_samples=(
-                    args.total_samples
-                    if args.total_samples is not None
-                    else DEFAULT_TOTAL_SAMPLES
-                ),
-                seed=args.seed,
-                checkpoint_every=args.checkpoint_every,
-            )
             result = grid_search(
                 H1,
                 y1,
                 H2,
                 y2,
-                base,
+                cfg,
                 selector,
                 lrs=args.lrs,
                 batch_sizes=args.batch_sizes,
                 on_cell=on_cell,
                 vocab_sizes=sizes,
             )
-        ckpt = out / "checkpoint.json"
+        best, model = result.best_cfg, result.best_model
         save_checkpoint(
-            ckpt,
-            result.best_model,
-            Optimizers.init(result.best_model),
-            result.best_cfg.total_steps,
-            result.best_cfg,
+            ckpt, TrainState(model, Optimizers.init(model), best.total_steps, best)
         )
         write_text_atomic(
             out / "grid.json",
             json.dumps(
                 {
-                    "cells": cells_seen,
+                    "cells": [_cell_record(cell) for cell in result.cells],
                     "best": {
-                        "peak_lr": result.best_cfg.peak_lr,
-                        "batch_size": result.best_cfg.batch_size,
+                        "peak_lr": best.peak_lr,
+                        "batch_size": best.batch_size,
                         "avg_cos_sim": result.best_score,
                     },
                 },
@@ -288,39 +278,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         payload = {
             "mode": "grid",
-            "best_peak_lr": result.best_cfg.peak_lr,
-            "best_batch_size": result.best_cfg.batch_size,
+            "best_peak_lr": best.peak_lr,
+            "best_batch_size": best.batch_size,
             "avg_cos_sim": result.best_score,
             "checkpoint": str(ckpt),
         }
         lines = [
-            f"grid best: lr={result.best_cfg.peak_lr} "
-            f"batch={result.best_cfg.batch_size} "
+            f"grid best: lr={best.peak_lr} batch={best.batch_size} "
             f"avg_cos_sim={result.best_score:.4f}",
             f"checkpoint written to {ckpt}",
         ]
         _emit(args, payload, lines)
         return 0
-
-    resume_state = None
-    if args.resume:
-        resume_state = load_checkpoint(args.resume)
-        cfg = resume_state.cfg
-        if args.total_samples is not None:
-            cfg = replace(cfg, total_samples=args.total_samples)
-    else:
-        cfg = TrainConfig(
-            d=args.d,
-            peak_lr=args.peak_lr,
-            batch_size=args.batch_size,
-            total_samples=(
-                args.total_samples
-                if args.total_samples is not None
-                else DEFAULT_TOTAL_SAMPLES
-            ),
-            seed=args.seed,
-            checkpoint_every=args.checkpoint_every,
-        )
 
     interrupted = {"flag": False}
 
@@ -343,43 +312,30 @@ def cmd_train(args: argparse.Namespace) -> int:
                 cfg,
                 selector=selector,
                 on_record=on_record,
-                resume=resume_state,
+                resume=resume,
                 vocab_sizes=sizes,
                 stop=lambda: interrupted["flag"],
             )
     finally:
         signal.signal(signal.SIGINT, previous)
 
-    ckpt = out / "checkpoint.json"
-    save_checkpoint(
-        ckpt,
-        result.model,
-        result.opt,
-        result.step,
-        cfg,
-        result.sampler_state,
-        result.dropout_state,
-    )
+    step = result.state.step
+    save_checkpoint(ckpt, result.state)
     best_ckpt = out / "checkpoint_best.json"
-    save_checkpoint(
-        best_ckpt,
-        result.best_model,
-        Optimizers.init(result.best_model),
-        result.step,
-        cfg,
-    )
+    best = TrainState(result.best_model, Optimizers.init(result.best_model), step, cfg)
+    save_checkpoint(best_ckpt, best)
     if interrupted["flag"]:
-        print(f"interrupted: checkpoint saved at step {result.step}", file=sys.stderr)
+        print(f"interrupted: checkpoint saved at step {step}", file=sys.stderr)
     payload = {
         "mode": "train",
-        "steps": result.step,
+        "steps": step,
         "avg_cos_sim": result.best_score,
         "checkpoint": str(ckpt),
         "best_checkpoint": str(best_ckpt),
         "interrupted": interrupted["flag"],
     }
     lines = [
-        f"trained to step {result.step}, best avg_cos_sim={result.best_score:.4f}",
+        f"trained to step {step}, best avg_cos_sim={result.best_score:.4f}",
         f"checkpoint written to {ckpt}",
     ]
     _emit(args, payload, lines)
@@ -413,12 +369,6 @@ def cmd_dict(args: argparse.Namespace) -> int:
         tau=args.tau,
         drop_floor=args.drop_floor,
         csls_k=csls_k,
-    )
-    dictionary = KeywordDictionary(
-        src_framework=args.src_framework,
-        tgt_framework=args.tgt_framework,
-        tau=dictionary.tau,
-        groups=dictionary.groups,
     )
     dictionary.save(args.out)
     n_params = sum(len(g.params) for g in dictionary.groups)
@@ -653,12 +603,12 @@ def cmd_inspect_neighbors(args: argparse.Namespace) -> int:
     return 0
 
 
-def _group_shape(g) -> tuple:
-    return (
-        g.tgt_callable,
-        tuple((p.src, p.tgt) for p in g.params),
-        tuple((e.src_param, e.new_call) for e in g.expansions),
-    )
+def _group_parts(g) -> dict:
+    return {
+        "target": g.tgt_callable,
+        "params": [(p.src, p.tgt) for p in g.params],
+        "expansions": [(e.src_param, e.new_call) for e in g.expansions],
+    }
 
 
 def cmd_inspect_diff(args: argparse.Namespace) -> int:
@@ -673,25 +623,30 @@ def cmd_inspect_diff(args: argparse.Namespace) -> int:
             changes.append({"src_callable": name, "change": "added"})
         elif b is None:
             changes.append({"src_callable": name, "change": "removed"})
-        elif _group_shape(a) != _group_shape(b):
-            changes.append(
-                {
-                    "src_callable": name,
-                    "change": "changed",
-                    "old_tgt": a.tgt_callable,
-                    "new_tgt": b.tgt_callable,
-                }
-            )
+        else:
+            old_parts, new_parts = _group_parts(a), _group_parts(b)
+            parts = [k for k in old_parts if old_parts[k] != new_parts[k]]
+            if parts:
+                changes.append(
+                    {
+                        "src_callable": name,
+                        "change": "changed",
+                        "parts": parts,
+                        "old_tgt": a.tgt_callable,
+                        "new_tgt": b.tgt_callable,
+                    }
+                )
     payload = {"changes": changes}
-    lines = [
-        f"{c['change']:<8} {c['src_callable']}"
-        + (
-            f" ({c['old_tgt']} -> {c['new_tgt']})"
-            if c["change"] == "changed"
-            else ""
-        )
-        for c in changes
-    ]
+    lines = []
+    for c in changes:
+        line = f"{c['change']:<8} {c['src_callable']}"
+        if c["change"] == "changed":
+            named = [
+                f"target {c['old_tgt']} -> {c['new_tgt']}" if part == "target" else part
+                for part in c["parts"]
+            ]
+            line += f" ({', '.join(named)})"
+        lines.append(line)
     _emit(args, payload, lines)
     return 0
 

@@ -2,14 +2,16 @@
 
 A provider turns a KeywordOccurrence into one d_b-dimensional vector by
 average-pooling the subword vectors of the keyword's tokens inside its
-context. Three interchangeable providers:
+context, and ``embed_batch`` stacks a sequence of occurrences into one
+float32 ``(n, d_b)`` matrix. Three providers share that interface:
 
-- file-backed: vectors precomputed offline, keyed per occurrence;
-- deterministic-hash: per-token vectors seeded from a content hash, so
+- ``FileBackedProvider``: vectors precomputed offline, keyed per
+  occurrence;
+- ``HashProvider``: per-token vectors seeded from a content hash, so
   identical keyword text embeds identically across runs;
-- context-window: skip-gram vectors trained on the corpus, mixed with a
-  projected local-context average so occurrences of the same keyword in
-  different surroundings separate.
+- ``ContextWindowProvider``: skip-gram vectors trained on the corpus,
+  mixed with a projected local-context average so occurrences of the
+  same keyword in different surroundings separate.
 
 Providers are read-only once constructed; training never writes back.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 import base64
 import binascii
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,16 +39,6 @@ from frameport.errors import (
     MissingVectorError,
 )
 
-FILE_BACKED = "file-backed"
-CONTEXT_WINDOW = "context-window"
-DETERMINISTIC_HASH = "deterministic-hash"
-
-
-@dataclass(frozen=True, eq=False)
-class ContextualEmbedding:
-    vector: np.ndarray
-    occurrence: KeywordOccurrence
-
 
 def occurrence_key(occ: KeywordOccurrence) -> str:
     """Stable lookup key: corpusid:unitid:spanstart:spanend."""
@@ -55,9 +46,7 @@ def occurrence_key(occ: KeywordOccurrence) -> str:
 
 
 class EmbeddingProvider:
-    """Interface: subclasses define kind, dim, and _vector()."""
-
-    kind: str = "abstract"
+    """Interface: subclasses define dim and _vector()."""
 
     @property
     def dim(self) -> int:
@@ -67,28 +56,23 @@ class EmbeddingProvider:
         raise NotImplementedError
 
 
-def embed_occurrence(
-    provider: EmbeddingProvider, occ: KeywordOccurrence
-) -> ContextualEmbedding:
-    vec = np.asarray(provider._vector(occ), dtype=np.float32)
-    if vec.shape != (provider.dim,):
-        raise DimensionMismatch(
-            f"provider returned shape {vec.shape}, declared d_b={provider.dim}"
-        )
-    if not np.all(np.isfinite(vec)):
-        raise DimensionMismatch("non-finite embedding entries")
-    return ContextualEmbedding(vector=vec, occurrence=occ)
-
-
 def embed_batch(
     provider: EmbeddingProvider, occs: Sequence[KeywordOccurrence]
-) -> list[ContextualEmbedding]:
-    out: list[ContextualEmbedding] = []
+) -> np.ndarray:
+    """Row i is occurrence i's vector; a failure names the occurrence."""
+    out = np.empty((len(occs), provider.dim), dtype=np.float32)
     for i, occ in enumerate(occs):
         try:
-            out.append(embed_occurrence(provider, occ))
+            vec = np.asarray(provider._vector(occ), dtype=np.float32)
+            if vec.shape != (provider.dim,):
+                raise DimensionMismatch(
+                    f"provider returned shape {vec.shape}, declared d_b={provider.dim}"
+                )
+            if not np.all(np.isfinite(vec)):
+                raise DimensionMismatch("non-finite embedding entries")
         except Exception as exc:
             raise type(exc)(f"occurrence {i}: {exc}") from exc
+        out[i] = vec
     return out
 
 
@@ -99,8 +83,6 @@ class FileBackedProvider(EmbeddingProvider):
     ``corpusid:unitid:spanstart:spanend<TAB><payload>`` where the payload
     is the f32 little-endian vector as hex or base64.
     """
-
-    kind = FILE_BACKED
 
     def __init__(self, path: str | Path):
         lines = Path(path).read_text().splitlines()
@@ -175,8 +157,6 @@ class HashProvider(EmbeddingProvider):
     over those tokens. Context is ignored by construction.
     """
 
-    kind = DETERMINISTIC_HASH
-
     def __init__(self, dim: int = 64):
         if dim <= 0:
             raise ConfigError("d_b must be positive")
@@ -215,8 +195,6 @@ class ContextWindowProvider(EmbeddingProvider):
     of the w tokens on each side), with R a fixed seeded projection. The
     context term makes occurrences of one keyword differ by surroundings.
     """
-
-    kind = CONTEXT_WINDOW
 
     def __init__(
         self,
@@ -316,23 +294,3 @@ class ContextWindowProvider(EmbeddingProvider):
             kw_mean = kw_mean + self._context_weight * (self._projection @ ctx_mean)
         return kw_mean
 
-
-def make_provider(
-    kind: str,
-    dim: int = 64,
-    path: str | Path | None = None,
-    vocab: BpeVocab | None = None,
-    texts: Iterable[str] | None = None,
-    seed: int = 0,
-) -> EmbeddingProvider:
-    if kind == FILE_BACKED:
-        if path is None:
-            raise ConfigError("file-backed provider needs a path")
-        return FileBackedProvider(path)
-    if kind == DETERMINISTIC_HASH:
-        return HashProvider(dim)
-    if kind == CONTEXT_WINDOW:
-        if vocab is None or texts is None:
-            raise ConfigError("context-window provider needs a vocab and corpus")
-        return ContextWindowProvider.train(texts, vocab, dim=dim, seed=seed)
-    raise ConfigError(f"unknown provider kind {kind!r}")

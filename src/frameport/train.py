@@ -13,13 +13,18 @@ updates from gradients taken at the step's starting point:
 The three roles keep separate Adam states because the two generator
 losses run at different scales. Contextual embeddings are inputs only;
 no gradient ever reaches the provider.
+
+A run is one ``TrainState``: model, optimizers, step, config, and the
+sampler and dropout generator states. ``train`` resumes from one and
+returns one (with the best snapshot under the selection criterion), and
+``save_checkpoint``/``load_checkpoint`` write and read it.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -75,22 +80,6 @@ class TrainConfig:
             total_steps=self.total_steps,
             warmup_fraction=self.warmup_fraction,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "peak_lr": self.peak_lr,
-            "batch_size": self.batch_size,
-            "total_samples": self.total_samples,
-            "warmup_fraction": self.warmup_fraction,
-            "label_smoothing": self.label_smoothing,
-            "dropout": self.dropout,
-            "leaky_slope": self.leaky_slope,
-            "gen_hidden": self.gen_hidden,
-            "disc_hidden": self.disc_hidden,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -361,16 +350,25 @@ def avg_cosine_similarity(
 
 
 @dataclass
-class TrainResult:
+class TrainState:
+    """One training run, as a checkpoint file holds it and ``train``
+    resumes from it. Snapshots (the best model, a grid winner) carry
+    fresh optimizers and no sampler or dropout state."""
+
     model: AlignmentModel
     opt: Optimizers
-    records: list[dict]
-    checkpoint_scores: list[tuple[int, float]]
-    best_model: AlignmentModel
-    best_score: float
     step: int
+    cfg: TrainConfig
     sampler_state: dict = field(default_factory=dict)
     dropout_state: dict = field(default_factory=dict)
+
+
+@dataclass
+class TrainResult:
+    state: TrainState
+    best_model: AlignmentModel
+    best_score: float
+    checkpoint_scores: list[tuple[int, float]]
 
 
 def train(
@@ -381,7 +379,7 @@ def train(
     cfg: TrainConfig,
     selector: Callable[[AlignmentModel], float] | None = None,
     on_record: Callable[[dict], None] | None = None,
-    resume: "TrainState | None" = None,
+    resume: TrainState | None = None,
     vocab_sizes: tuple[int, int] | None = None,
     stop: Callable[[], bool] | None = None,
 ) -> TrainResult:
@@ -389,9 +387,11 @@ def train(
 
     ``selector`` scores a model snapshot (typically average cosine
     similarity of the dictionary it induces); the best-scoring snapshot
-    is kept alongside the final model. ``stop`` is polled before each
-    step so callers can end training early at a step boundary and still
-    get a consistent, resumable result. The loop is single-threaded and
+    is kept alongside the final state. Each step's losses and each
+    checkpoint's score go to ``on_record``. ``resume`` continues a saved
+    ``TrainState`` under ``cfg``. ``stop`` is polled before each step so
+    callers can end training early at a step boundary and still get a
+    consistent, resumable state. The loop is single-threaded and
     bit-reproducible for a given config.
     """
     d_b = H1.shape[1]
@@ -421,7 +421,6 @@ def train(
         start_step = 0
 
     schedule = cfg.schedule
-    records: list[dict] = []
     checkpoint_scores: list[tuple[int, float]] = []
     best_model = copy.deepcopy(model)
     best_score = -np.inf
@@ -432,10 +431,8 @@ def train(
             return
         score = selector(model)
         checkpoint_scores.append((step, score))
-        rec = {"step": step, "avg_cos_sim": score}
-        records.append(rec)
         if on_record:
-            on_record(rec)
+            on_record({"step": step, "avg_cos_sim": score})
         if score > best_score:
             best_score = score
             best_model = copy.deepcopy(model)
@@ -448,10 +445,8 @@ def train(
         batch = sampler.next_batch()
         lr = schedule.lr_at(step)
         loss_rec = train_step(model, batch, opt, cfg, lr, rng=rng_drop)
-        rec = {"step": step, "lr": lr, **loss_rec}
-        records.append(rec)
         if on_record:
-            on_record(rec)
+            on_record({"step": step, "lr": lr, **loss_rec})
         if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             checkpoint(step)
     if (
@@ -463,17 +458,10 @@ def train(
     if selector is None:
         best_model = model
         best_score = float("nan")
-    return TrainResult(
-        model=model,
-        opt=opt,
-        records=records,
-        checkpoint_scores=checkpoint_scores,
-        best_model=best_model,
-        best_score=best_score,
-        step=step,
-        sampler_state=sampler.state(),
-        dropout_state=rng_drop.bit_generator.state,
+    state = TrainState(
+        model, opt, step, cfg, sampler.state(), rng_drop.bit_generator.state
     )
+    return TrainResult(state, best_model, best_score, checkpoint_scores)
 
 
 @dataclass
@@ -530,35 +518,15 @@ def grid_search(
     )
 
 
-@dataclass
-class TrainState:
-    """Everything needed to continue training from a checkpoint file."""
-
-    model: AlignmentModel
-    opt: Optimizers
-    sampler_state: dict
-    dropout_state: dict
-    step: int
-    cfg: TrainConfig
-
-
-def save_checkpoint(
-    path: str | Path,
-    model: AlignmentModel,
-    opt: Optimizers,
-    step: int,
-    cfg: TrainConfig,
-    sampler_state: dict | None = None,
-    dropout_state: dict | None = None,
-) -> None:
+def save_checkpoint(path: str | Path, state: TrainState) -> None:
     doc = {
         "version": 1,
-        "step": step,
-        "config": cfg.to_dict(),
-        "model": model.to_dict(),
-        "optimizers": opt.to_dict(),
-        "sampler_state": sampler_state or {},
-        "dropout_state": dropout_state or {},
+        "step": state.step,
+        "config": asdict(state.cfg),
+        "model": state.model.to_dict(),
+        "optimizers": state.opt.to_dict(),
+        "sampler_state": state.sampler_state,
+        "dropout_state": state.dropout_state,
     }
     write_text_atomic(path, json.dumps(doc) + "\n")
 
@@ -571,8 +539,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
         return TrainState(
             model=AlignmentModel.from_dict(doc["model"]),
             opt=Optimizers.from_dict(doc["optimizers"]),
-            sampler_state=doc["sampler_state"],
-            dropout_state=doc["dropout_state"],
             step=int(doc["step"]),
             cfg=TrainConfig.from_dict(doc["config"]),
+            sampler_state=doc["sampler_state"],
+            dropout_state=doc["dropout_state"],
         )

@@ -243,7 +243,7 @@ def test_alignment_recovers_synthetic_keyword_pairing():
 
     cfg = TrainConfig(total_samples=_SAMPLE_BUDGET, batch_size=64, seed=10)
     result = train(h1, y1, h2, y2, cfg, vocab_sizes=(m, m))
-    e1, e2 = result.model.output_embeddings
+    e1, e2 = result.state.model.output_embeddings
     p1 = precision_at_k(score_matrix(e1, e2, COSINE), gold, vocab1, vocab2, 1)
 
     cell_p1: list[float] = []
@@ -731,42 +731,26 @@ def test_round_trips_hold_under_fuzz(tmp_path):
     cfg = TrainConfig(d=8, total_samples=64, batch_size=8, seed=10)
     result = train(h, y1, h.copy(), y2, cfg, vocab_sizes=(5, 6))
     ckpt = tmp_path / "checkpoint.json"
-    save_checkpoint(
-        ckpt,
-        result.model,
-        result.opt,
-        result.step,
-        cfg,
-        result.sampler_state,
-        result.dropout_state,
-    )
+    save_checkpoint(ckpt, result.state)
     state = load_checkpoint(ckpt)
     resaved = tmp_path / "checkpoint_resaved.json"
-    save_checkpoint(
-        resaved,
-        state.model,
-        state.opt,
-        state.step,
-        state.cfg,
-        state.sampler_state,
-        state.dropout_state,
-    )
+    save_checkpoint(resaved, state)
     ckpt_ok = (
-        state.step == result.step
+        state.step == result.state.step
         and state.cfg == cfg
         and all(
             np.array_equal(a, b)
             for a, b in zip(
-                result.model.generator.parameters()
-                + result.model.discriminator.parameters()
-                + list(result.model.output_embeddings),
+                result.state.model.generator.parameters()
+                + result.state.model.discriminator.parameters()
+                + list(result.state.model.output_embeddings),
                 state.model.generator.parameters()
                 + state.model.discriminator.parameters()
                 + list(state.model.output_embeddings),
             )
         )
         and json.dumps(state.opt.to_dict(), sort_keys=True)
-        == json.dumps(result.opt.to_dict(), sort_keys=True)
+        == json.dumps(result.state.opt.to_dict(), sort_keys=True)
         and ckpt.read_bytes() == resaved.read_bytes()
     )
 

@@ -22,7 +22,7 @@ from helpers import KS_FILE, PT_FILE
 def _save_checkpoint(path):
     cfg = ft.TrainConfig(d=8, batch_size=4, total_samples=8, seed=9)
     model = ft.AlignmentModel.create(cfg, 6, [4, 5], np.random.default_rng(14))
-    ft.save_checkpoint(path, model, ft.Optimizers.init(model), 2, cfg)
+    ft.save_checkpoint(path, ft.TrainState(model, ft.Optimizers.init(model), 2, cfg))
 
 
 def _save_dictionary(path):

@@ -14,7 +14,7 @@ import pytest
 import frameport.cli as cli
 from frameport import nn as fnn
 from frameport.cli import main
-from frameport.dictionary import KeywordDictionary
+from frameport.dictionary import Expansion, KeywordDictionary
 from frameport.errors import BackendUnavailable
 from frameport.llm import BackendConfig, MockRulesBackend
 from frameport.pipeline import fixture_path
@@ -563,6 +563,49 @@ def test_train_grid_cannot_resume(corpus, tmp_path, run_dir):
         "--resume", str(run_dir / "checkpoint.json"),
     )
     assert main(argv) == 2
+
+
+def test_train_grid_with_resume_fails_before_any_work(tmp_path, capsys):
+    # neither the corpus nor the checkpoint exists: the flag pair is
+    # rejected before either is read and before --out is created
+    out = tmp_path / "out"
+    argv = _train_argv(
+        tmp_path / "no-corpus", out,
+        "--grid", "--resume", str(tmp_path / "no-checkpoint.json"),
+    )
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--resume" in err and "--grid" in err
+    assert not out.exists()
+
+
+def _assert_snapshot(path, step: int) -> None:
+    """A snapshot checkpoint: the run's step, fresh Adam moments, and no
+    sampler or dropout state."""
+    doc = json.loads(path.read_text())
+    assert doc["step"] == step
+    assert doc["sampler_state"] == {} and doc["dropout_state"] == {}
+    opt = load_checkpoint(path).opt
+    for adam in (opt.joint, opt.disc, opt.gen_adv):
+        assert adam.step == 0
+        assert all(not m.any() for m in adam.m) and all(not v.any() for v in adam.v)
+
+
+def test_snapshot_checkpoints_hold_fresh_optimizers_at_the_final_step(
+    run_dir, corpus, tmp_path
+):
+    _assert_snapshot(run_dir / "checkpoint_best.json", 8)
+    rc = main(
+        _train_argv(
+            corpus, tmp_path,
+            "--grid", "--lrs", "0.0005,0.001", "--batch-sizes", "8,16",
+            "--total-samples", "32",
+        )
+    )
+    assert rc == 0
+    best = json.loads((tmp_path / "grid.json").read_text())["best"]
+    _assert_snapshot(tmp_path / "checkpoint.json", 32 // best["batch_size"])
 
 
 def test_train_missing_corpus_is_a_config_error(tmp_path):
@@ -1137,3 +1180,32 @@ def test_inspect_diff_reports_changes(tmp_path, capsys):
     assert kinds[original.groups[0].src_callable] == "changed"
     assert kinds[original.groups[-1].src_callable] == "removed"
     assert len(changes) == 2
+
+
+def test_inspect_diff_names_the_parts_that_changed(tmp_path, capsys):
+    bundled = fixture_path("dict_pytorch_keras.json")
+    original = KeywordDictionary.load(bundled)
+    groups = list(original.groups)
+    # same target, one parameter fewer
+    groups[1] = replace(groups[1], params=groups[1].params[:-1])
+    # new target and a new expansion
+    groups[3] = replace(
+        groups[3],
+        tgt_callable="layers.Activation",
+        expansions=(Expansion("inplace", "layers.ReLU()", 1.0),),
+    )
+    new_path = tmp_path / "new.json"
+    replace(original, groups=tuple(groups)).save(new_path)
+    argv = ["inspect", "diff", "--old", str(bundled), "--new", str(new_path)]
+    capsys.readouterr()
+    assert main([*argv, "--format", "json"]) == 0
+    changes = json.loads(capsys.readouterr().out)["changes"]
+    assert [(c["src_callable"], c["parts"]) for c in changes] == [
+        ("nn.Conv2d", ["params"]),
+        ("nn.ReLU", ["target", "expansions"]),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "changed  nn.Conv2d (params)",
+        "changed  nn.ReLU (target layers.ReLU -> layers.Activation, expansions)",
+    ]

@@ -10,15 +10,10 @@ import pytest
 from frameport.bpe import bpe_train
 from frameport.canon import CALLABLE, PARAMETER, ApiKeyword, KeywordOccurrence
 from frameport.embeddings import (
-    CONTEXT_WINDOW,
-    DETERMINISTIC_HASH,
-    FILE_BACKED,
     ContextWindowProvider,
     FileBackedProvider,
     HashProvider,
     embed_batch,
-    embed_occurrence,
-    make_provider,
     occurrence_key,
     write_embedding_file,
 )
@@ -44,7 +39,7 @@ def test_occurrence_key_format():
 
 def test_hash_provider_matches_sha256_seeded_token_mean():
     provider = HashProvider(dim=16)
-    got = embed_occurrence(provider, _occ("nn.Linear")).vector
+    got = embed_batch(provider, [_occ("nn.Linear")])[0]
 
     def token_vec(token: str) -> np.ndarray:
         digest = hashlib.sha256(token.encode()).digest()
@@ -60,9 +55,9 @@ def test_hash_provider_ignores_context_and_is_stable_across_instances():
     b = HashProvider(dim=8)
     occ1 = _occ("nn.ReLU", context="x = nn.ReLU()", span=(4, 11))
     occ2 = _occ("nn.ReLU", context="totally different place", span=(0, 7))
-    v1 = embed_occurrence(a, occ1).vector
-    v2 = embed_occurrence(a, occ2).vector
-    v3 = embed_occurrence(b, occ1).vector
+    v1 = embed_batch(a, [occ1])[0]
+    v2 = embed_batch(a, [occ2])[0]
+    v3 = embed_batch(b, [occ1])[0]
     assert np.array_equal(v1, v2)
     assert np.array_equal(v1, v3)
     with pytest.raises(ConfigError):
@@ -78,10 +73,10 @@ def test_file_backed_round_trip_and_lookup(tmp_path):
     provider = FileBackedProvider(path)
     assert provider.dim == 5 and len(provider) == 4
     occ = _occ("abc", span=(2, 5), unit_ref="pytorch:0")
-    got = embed_occurrence(provider, occ).vector
+    got = embed_batch(provider, [occ])[0]
     assert np.array_equal(got, vecs["pytorch:0:2:5"])
     with pytest.raises(MissingVectorError):
-        embed_occurrence(provider, _occ("abc", span=(90, 93)))
+        embed_batch(provider, [_occ("abc", span=(90, 93))])
 
 
 def test_file_backed_accepts_hex_payloads(tmp_path):
@@ -90,7 +85,7 @@ def test_file_backed_accepts_hex_payloads(tmp_path):
     path.write_text(f"d_b=3\npytorch:0:0:3\t{vec.tobytes().hex()}\n")
     provider = FileBackedProvider(path)
     assert np.array_equal(
-        embed_occurrence(provider, _occ("abc", span=(0, 3))).vector, vec
+        embed_batch(provider, [_occ("abc", span=(0, 3))])[0], vec
     )
 
 
@@ -131,20 +126,20 @@ def test_context_window_provider_separates_contexts():
     ctx_b = "y = nn.Linear(out_features=2)"
     occ_a = _occ("nn.Linear", context=ctx_a, span=(5, 14))
     occ_b = _occ("nn.Linear", context=ctx_b, span=(4, 13))
-    va = embed_occurrence(provider, occ_a).vector
-    vb = embed_occurrence(provider, occ_b).vector
+    va = embed_batch(provider, [occ_a])[0]
+    vb = embed_batch(provider, [occ_b])[0]
     assert va.shape == (12,) and vb.shape == (12,)
     assert not np.array_equal(va, vb)  # same keyword, different surroundings
     # deterministic re-train produces identical vectors
     _, _, provider2 = _trained_provider()
-    assert np.array_equal(va, embed_occurrence(provider2, occ_a).vector)
+    assert np.array_equal(va, embed_batch(provider2, [occ_a])[0])
 
 
 def test_context_window_span_outside_context_fails():
     _, _, provider = _trained_provider()
     occ = _occ("nn.Linear", context="short", span=(100, 109))
     with pytest.raises(MissingVectorError):
-        embed_occurrence(provider, occ)
+        embed_batch(provider, [occ])
 
 
 def test_context_window_honors_context_offset():
@@ -153,8 +148,8 @@ def test_context_window_honors_context_offset():
     shifted = _occ("nn.Linear", context=ctx, span=(105, 114), context_offset=100)
     plain = _occ("nn.Linear", context=ctx, span=(5, 14))
     assert np.array_equal(
-        embed_occurrence(provider, shifted).vector,
-        embed_occurrence(provider, plain).vector,
+        embed_batch(provider, [shifted])[0],
+        embed_batch(provider, [plain])[0],
     )
 
 
@@ -179,38 +174,21 @@ def test_embed_batch_prefixes_the_failing_index():
         embed_batch(provider, [good, _occ("")])
     assert str(exc.value).startswith("occurrence 1:")
     out = embed_batch(provider, [good, good])
-    assert len(out) == 2
-    assert all(e.vector.shape == (4,) for e in out)
+    assert out.shape == (2, 4) and out.dtype == np.float32
 
 
-def test_embed_occurrence_validates_shape_and_finiteness():
+def test_embed_batch_validates_shape_and_finiteness():
     class Bad(HashProvider):
         def _vector(self, occ):
             return np.zeros(self.dim + 1, np.float32)
 
     with pytest.raises(DimensionMismatch):
-        embed_occurrence(Bad(4), _occ())
+        embed_batch(Bad(4), [_occ()])
 
     class Inf(HashProvider):
         def _vector(self, occ):
             return np.full(self.dim, np.inf, np.float32)
 
     with pytest.raises(DimensionMismatch):
-        embed_occurrence(Inf(4), _occ())
+        embed_batch(Inf(4), [_occ()])
 
-
-def test_make_provider_dispatch(tmp_path):
-    assert make_provider(DETERMINISTIC_HASH, dim=7).dim == 7
-    with pytest.raises(ConfigError):
-        make_provider(FILE_BACKED)
-    with pytest.raises(ConfigError):
-        make_provider(CONTEXT_WINDOW)
-    with pytest.raises(ConfigError):
-        make_provider("psychic")
-    path = tmp_path / "emb.txt"
-    write_embedding_file(path, 2, [("k", np.zeros(2, np.float32))])
-    assert make_provider(FILE_BACKED, path=path).kind == FILE_BACKED
-    texts = ["a b c d"]
-    vocab = bpe_train(texts, 2)
-    provider = make_provider(CONTEXT_WINDOW, dim=6, vocab=vocab, texts=texts)
-    assert provider.dim == 6

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_config_validation_and_steps():
         ft.TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         ft.TrainConfig(total_samples=-1)
-    back = ft.TrainConfig.from_dict(cfg.to_dict())
+    back = ft.TrainConfig.from_dict(asdict(cfg))
     assert back == cfg
 
 
@@ -138,11 +139,12 @@ def test_training_is_bit_deterministic():
     rng = np.random.default_rng(8)
     H1, y1, H2, y2 = _toy_data(rng)
     cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=16 * 10, seed=11)
-    a = ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(5, 6))
-    b = ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(5, 6))
-    for pa, pb in zip(a.model.parameters(), b.model.parameters()):
+    a_records, b_records = [], []
+    a = ft.train(H1, y1, H2, y2, cfg, on_record=a_records.append, vocab_sizes=(5, 6))
+    b = ft.train(H1, y1, H2, y2, cfg, on_record=b_records.append, vocab_sizes=(5, 6))
+    for pa, pb in zip(a.state.model.parameters(), b.state.model.parameters()):
         assert np.array_equal(pa, pb)
-    assert a.records == b.records
+    assert a_records == b_records
 
 
 def test_cross_entropy_decreases_on_separable_data():
@@ -156,8 +158,9 @@ def test_cross_entropy_decreases_on_separable_data():
     H2 = (centers2[y2] + 0.1 * rng.standard_normal((400, d_b))).astype(np.float32)
     cfg = ft.TrainConfig(d=16, batch_size=32, total_samples=32 * 150, seed=5,
                          peak_lr=1e-3)
-    result = ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(m1, m2))
-    last = result.records[-1]
+    records = []
+    ft.train(H1, y1, H2, y2, cfg, on_record=records.append, vocab_sizes=(m1, m2))
+    last = records[-1]
     assert last["L_CE_1"] < math.log(m1)
     assert last["L_CE_2"] < math.log(m2)
 
@@ -177,14 +180,13 @@ def test_stop_then_resume_equals_uninterrupted_run(tmp_path):
 
     part = ft.train(H1, y1, H2, y2, cfg, on_record=count, vocab_sizes=(5, 6),
                     stop=lambda: seen["n"] >= 5)
-    assert part.step == 5
+    assert part.state.step == 5
     path = tmp_path / "ck.json"
-    ft.save_checkpoint(path, part.model, part.opt, part.step, cfg,
-                       part.sampler_state, part.dropout_state)
+    ft.save_checkpoint(path, part.state)
     state = ft.load_checkpoint(path)
     resumed = ft.train(H1, y1, H2, y2, cfg, resume=state, vocab_sizes=(5, 6))
-    assert resumed.step == full.step
-    for a, b in zip(resumed.model.parameters(), full.model.parameters()):
+    assert resumed.state.step == full.state.step
+    for a, b in zip(resumed.state.model.parameters(), full.state.model.parameters()):
         assert np.array_equal(a, b)
 
 
@@ -194,7 +196,7 @@ def test_zero_step_run_checkpoints_the_init():
     cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=0, seed=2)
     result = ft.train(H1, y1, H2, y2, cfg, selector=lambda m: 0.25,
                       vocab_sizes=(5, 6))
-    assert result.step == 0
+    assert result.state.step == 0
     assert result.checkpoint_scores == [(0, 0.25)]
     assert result.best_score == 0.25
 
@@ -246,8 +248,8 @@ def test_checkpoint_file_round_trip(tmp_path):
                               np.ones((3, 6), np.float32), np.zeros(3, int),
                               batch_size=4, seed=1)
     path = tmp_path / "state.json"
-    ft.save_checkpoint(path, model, opt, 2, cfg, sampler.state(),
-                       np.random.default_rng(3).bit_generator.state)
+    drop = np.random.default_rng(3).bit_generator.state
+    ft.save_checkpoint(path, ft.TrainState(model, opt, 2, cfg, sampler.state(), drop))
     state = ft.load_checkpoint(path)
     assert state.step == 2
     assert state.cfg == cfg
@@ -279,10 +281,11 @@ def test_metrics_records_have_expected_keys():
     H1, y1, H2, y2 = _toy_data(rng)
     cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=16 * 4,
                          checkpoint_every=2, seed=7)
-    result = ft.train(H1, y1, H2, y2, cfg, selector=lambda m: 0.0,
-                      vocab_sizes=(5, 6))
-    step_recs = [r for r in result.records if "lr" in r]
-    sel_recs = [r for r in result.records if "avg_cos_sim" in r]
+    records = []
+    ft.train(H1, y1, H2, y2, cfg, selector=lambda m: 0.0,
+             on_record=records.append, vocab_sizes=(5, 6))
+    step_recs = [r for r in records if "lr" in r]
+    sel_recs = [r for r in records if "avg_cos_sim" in r]
     assert len(step_recs) == 4 and len(sel_recs) == 2
     assert set(step_recs[0]) == {"step", "lr", "L_CE_1", "L_CE_2", "L_D", "L_G"}
     assert set(sel_recs[0]) == {"step", "avg_cos_sim"}
