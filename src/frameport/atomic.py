@@ -25,8 +25,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         # report the file the caller asked for, not the hidden temporary
-        exc.filename, exc.filename2 = os.fspath(path), None
-        raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -11,11 +11,9 @@ human-readable for ASCII while staying a bijection.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 from frameport.errors import ConfigError
@@ -67,31 +65,12 @@ class BpeVocab:
     def size(self) -> int:
         return len(self.tokens)
 
-    @property
-    def pad_id(self) -> int:
-        return self.token_to_id[PAD]
-
-    @property
-    def unk_id(self) -> int:
-        return self.token_to_id[UNK]
-
-    @property
-    def mask_id(self) -> int:
-        return self.token_to_id[MASK]
-
     def to_dict(self) -> dict:
         return {"version": 1, "merges": [list(p) for p in self.merges]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BpeVocab":
         return cls(merges=tuple((a, b) for a, b in doc["merges"]))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "BpeVocab":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def bpe_train(texts: Iterable[str], merge_count: int) -> BpeVocab:

@@ -223,36 +223,10 @@ class SignatureDatabase:
             path_aliases=doc.get("path_aliases", {}),
         )
 
-    def to_dict(self) -> dict:
-        doc: dict = {
-            "framework": self.framework,
-            "import_aliases": dict(self.import_aliases),
-            "signatures": [],
-        }
-        if self.path_aliases:
-            doc["path_aliases"] = dict(self.path_aliases)
-        for sig in self.signatures.values():
-            entry: dict = {
-                "canonical_name": sig.canonical_name,
-                "aliases": sorted(sig.aliases),
-                "parameters": list(sig.parameters),
-                "required_count": sig.required_count,
-            }
-            if sig.variadic:
-                entry["variadic"] = True
-            doc["signatures"].append(entry)
-        return doc
-
     @classmethod
     def load(cls, path: str | Path) -> "SignatureDatabase":
         with loading("signature database", path):
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n",
-            encoding="utf-8",
-        )
 
 
 # -- AST helpers ---------------------------------------------------------
@@ -623,7 +597,6 @@ def extract_keywords(
 def extract_module_classes(
     file_text: str,
     dbs: Mapping[str, SignatureDatabase],
-    base_classes: Mapping[str, tuple[str, ...]] | None = None,
     origin: str = "",
 ) -> list[SourceUnit]:
     """Extract framework module classes from one source file.
@@ -632,10 +605,9 @@ def extract_module_classes(
     Alias unification runs before classes are cut out so each unit
     canonicalizes standalone.
     """
-    patterns_by_fw = base_classes or DEFAULT_BASE_CLASSES
     units: list[SourceUnit] = []
     for framework in sorted(dbs):
-        patterns = set(patterns_by_fw.get(framework, ()))
+        patterns = set(DEFAULT_BASE_CLASSES.get(framework, ()))
         if not patterns:
             continue
         # the ParseError text is "<origin>: <SyntaxError>", as the warning wants

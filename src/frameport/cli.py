@@ -112,13 +112,13 @@ def _load_pair(args: argparse.Namespace):
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    dbs = _load_databases(args.frameworks)
+    dbs = _load_databases(args.frameworks or FRAMEWORKS)
     result = ingest(
         args.roots,
         dbs,
-        include=args.include,
-        exclude=args.exclude,
-        markers=args.markers,
+        include=args.include or DEFAULT_INCLUDE,
+        exclude=args.exclude or (),
+        markers=args.markers or DEFAULT_MARKERS,
         size_cap=args.size_cap,
     )
     if not args.dry_run:
@@ -224,6 +224,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             seed=args.seed,
             checkpoint_every=args.checkpoint_every,
+        )
+    elif not resume.sampler_state:
+        raise ConfigError(
+            f"{args.resume} is a snapshot without sampler state; "
+            "--resume needs the run's checkpoint.json"
         )
     else:
         cfg = resume.cfg
@@ -875,19 +880,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "command", "") == "ingest":
-        args.frameworks = args.frameworks or list(FRAMEWORKS)
-        args.include = args.include or list(DEFAULT_INCLUDE)
-        args.exclude = args.exclude or []
-        args.markers = args.markers or list(DEFAULT_MARKERS)
-    return args
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = _normalize(parser.parse_args(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -126,9 +126,7 @@ class KeywordGroup:
                 )
 
 
-def build_groups(
-    db: SignatureDatabase, vocab: Sequence[ApiKeyword]
-) -> list[KeywordGroup]:
+def build_groups(vocab: Sequence[ApiKeyword]) -> list[KeywordGroup]:
     """Group the vocabulary by callable ownership, in vocab order."""
     for kw in vocab:
         if kw.id < 0:
@@ -351,8 +349,8 @@ def generate_dictionary(
             f"embedding columns {E1.shape[1]}/{E2.shape[1]} != vocab sizes "
             f"{len(vocab1)}/{len(vocab2)}"
         )
-    groups1 = build_groups(db1, vocab1)
-    groups2 = build_groups(db2, vocab2)
+    groups1 = build_groups(vocab1)
+    groups2 = build_groups(vocab2)
     if not groups1 or not groups2:
         raise EmptyVocabularyError("both sides need at least one callable group")
     s = score_matrix(E1, E2, measure)
@@ -440,35 +438,27 @@ class Translation:
     kind: str  # rename | drop | expand
     new_name: str | None = None
     new_call: str | None = None
-    score: float = 0.0
 
 
-def lookup(
-    dictionary: KeywordDictionary,
-    kw: ApiKeyword,
-    owner: str | None = None,
-) -> Translation:
+def lookup(dictionary: KeywordDictionary, kw: ApiKeyword) -> Translation:
     """Resolve a keyword; parameters resolve inside their owner's group."""
     if kw.kind == CALLABLE:
         g = dictionary.group_for(kw.text)
         if g is None:
             raise UnmappedKeyword(f"callable {kw.text!r} not in dictionary")
-        return Translation(kind=RENAME, new_name=g.tgt_callable, score=g.score)
-    owner_name = owner if owner is not None else kw.owner
-    if not owner_name:
-        raise UnmappedKeyword(f"parameter {kw.text!r} has no owner context")
-    g = dictionary.group_for(owner_name)
+        return Translation(kind=RENAME, new_name=g.tgt_callable)
+    g = dictionary.group_for(kw.owner)
     if g is None:
-        raise UnmappedKeyword(f"no group for owner {owner_name!r}")
+        raise UnmappedKeyword(f"no group for owner {kw.owner!r}")
     for e in g.expansions:
         if e.src_param == kw.text:
-            return Translation(kind=EXPAND, new_call=e.new_call, score=e.score)
+            return Translation(kind=EXPAND, new_call=e.new_call)
     for p in g.params:
         if p.src == kw.text:
             if p.tgt is None:
-                return Translation(kind=DROP, score=p.score)
-            return Translation(kind=RENAME, new_name=p.tgt, score=p.score)
-    raise UnmappedKeyword(f"parameter {kw.text!r} not in group {owner_name!r}")
+                return Translation(kind=DROP)
+            return Translation(kind=RENAME, new_name=p.tgt)
+    raise UnmappedKeyword(f"parameter {kw.text!r} not in group {kw.owner!r}")
 
 
 def dictionary_pairs(

@@ -6,12 +6,14 @@ context, and ``embed_batch`` stacks a sequence of occurrences into one
 float32 ``(n, d_b)`` matrix. Three providers share that interface:
 
 - ``FileBackedProvider``: vectors precomputed offline, keyed per
-  occurrence;
+  occurrence, with hex or base64 payloads;
 - ``HashProvider``: per-token vectors seeded from a content hash, so
   identical keyword text embeds identically across runs;
-- ``ContextWindowProvider``: skip-gram vectors trained on the corpus,
-  mixed with a projected local-context average so occurrences of the
-  same keyword in different surroundings separate.
+- ``ContextWindowProvider``: skip-gram vectors trained in one pass over
+  the corpus, mixed with a projected local-context average so occurrences
+  of the same keyword in different surroundings separate. Its window,
+  negative-sample count, learning rate and context weight are module
+  constants; only the width and the seed vary.
 
 Providers are read-only once constructed; training never writes back.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import base64
 import binascii
 import hashlib
+import string
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,6 +41,14 @@ from frameport.errors import (
     DimensionMismatch,
     MissingVectorError,
 )
+
+# ContextWindowProvider: tokens of context on each side of a keyword (also
+# the skip-gram window), negative samples per context token, skip-gram
+# learning rate, and the weight of the projected context term
+_WINDOW = 4
+_NEGATIVES = 4
+_LR = 0.05
+_CONTEXT_WEIGHT = 0.5
 
 
 def occurrence_key(occ: KeywordOccurrence) -> str:
@@ -81,7 +92,9 @@ class FileBackedProvider(EmbeddingProvider):
 
     Format: header line ``d_b=<int>``, then one record per occurrence:
     ``corpusid:unitid:spanstart:spanend<TAB><payload>`` where the payload
-    is the f32 little-endian vector as hex or base64.
+    is the f32 little-endian vector as hex or base64. A payload is hex only
+    when it is exactly ``8 * d_b`` hex digits; anything else is base64,
+    whose alphabet also contains every hex digit.
     """
 
     def __init__(self, path: str | Path):
@@ -101,7 +114,7 @@ class FileBackedProvider(EmbeddingProvider):
             key, _, payload = line.partition("\t")
             if not payload:
                 raise ConfigError(f"{path}:{ln}: expected key<TAB>payload")
-            raw = _decode_payload(payload.strip(), path, ln)
+            raw = _decode_payload(payload.strip(), self._dim, path, ln)
             vec = np.frombuffer(raw, dtype="<f4")
             if vec.shape != (self._dim,):
                 raise DimensionMismatch(
@@ -113,9 +126,6 @@ class FileBackedProvider(EmbeddingProvider):
     def dim(self) -> int:
         return self._dim
 
-    def __len__(self) -> int:
-        return len(self._table)
-
     def _vector(self, occ: KeywordOccurrence) -> np.ndarray:
         key = occurrence_key(occ)
         vec = self._table.get(key)
@@ -124,11 +134,8 @@ class FileBackedProvider(EmbeddingProvider):
         return vec
 
 
-def _decode_payload(payload: str, path, ln: int) -> bytes:
-    is_hex = len(payload) % 2 == 0 and all(
-        c in "0123456789abcdefABCDEF" for c in payload
-    )
-    if is_hex:
+def _decode_payload(payload: str, dim: int, path, ln: int) -> bytes:
+    if len(payload) == 8 * dim and all(c in string.hexdigits for c in payload):
         return binascii.unhexlify(payload)
     try:
         return base64.b64decode(payload, validate=True)
@@ -191,19 +198,13 @@ class HashProvider(EmbeddingProvider):
 class ContextWindowProvider(EmbeddingProvider):
     """Skip-gram token vectors plus a projected local-context average.
 
-    The occurrence vector is mean(keyword-token vectors) + R @ mean(vectors
-    of the w tokens on each side), with R a fixed seeded projection. The
-    context term makes occurrences of one keyword differ by surroundings.
+    The occurrence vector is mean(keyword-token vectors) + _CONTEXT_WEIGHT
+    * R @ mean(vectors of the _WINDOW tokens on each side), with R a fixed
+    seeded projection. The context term makes occurrences of one keyword
+    differ by surroundings.
     """
 
-    def __init__(
-        self,
-        vocab: BpeVocab,
-        vectors: np.ndarray,
-        window: int = 4,
-        context_weight: float = 0.5,
-        seed: int = 0,
-    ):
+    def __init__(self, vocab: BpeVocab, vectors: np.ndarray, seed: int = 0):
         if vectors.ndim != 2 or vectors.shape[0] != vocab.size:
             raise DimensionMismatch(
                 f"vector table {vectors.shape} does not match vocab size {vocab.size}"
@@ -211,8 +212,6 @@ class ContextWindowProvider(EmbeddingProvider):
         self._vocab = vocab
         self._vectors = vectors.astype(np.float32)
         self._vectors.flags.writeable = False
-        self._window = window
-        self._context_weight = context_weight
         d = vectors.shape[1]
         self._projection = (
             np.random.default_rng(seed).standard_normal((d, d)).astype(np.float32)
@@ -225,18 +224,9 @@ class ContextWindowProvider(EmbeddingProvider):
 
     @classmethod
     def train(
-        cls,
-        texts: Iterable[str],
-        vocab: BpeVocab,
-        dim: int = 64,
-        window: int = 4,
-        negatives: int = 4,
-        lr: float = 0.05,
-        epochs: int = 1,
-        seed: int = 0,
-        context_weight: float = 0.5,
+        cls, texts: Iterable[str], vocab: BpeVocab, dim: int = 64, seed: int = 0
     ) -> "ContextWindowProvider":
-        """Skip-gram with negative sampling over BPE token streams."""
+        """One pass of skip-gram with negative sampling over BPE token streams."""
         rng = np.random.default_rng(seed)
         v = vocab.size
         w_in = ((rng.random((v, dim)) - 0.5) / dim).astype(np.float32)
@@ -246,34 +236,27 @@ class ContextWindowProvider(EmbeddingProvider):
         ]
         if not any(streams):
             raise ConfigError("cannot train on an empty corpus")
-        for _ in range(epochs):
-            for stream in streams:
-                n = len(stream)
-                for i, center in enumerate(stream):
-                    lo = max(0, i - window)
-                    hi = min(n, i + window + 1)
-                    for j in range(lo, hi):
-                        if j == i:
-                            continue
-                        ctx = stream[j]
-                        targets = [(ctx, 1.0)]
-                        for neg in rng.integers(0, v, size=negatives):
-                            targets.append((int(neg), 0.0))
-                        vi = w_in[center]
-                        for tid, label in targets:
-                            vo = w_out[tid]
-                            score = 1.0 / (1.0 + np.exp(-np.clip(vi @ vo, -30, 30)))
-                            g = lr * (label - score)
-                            w_out[tid] = vo + g * vi
-                            vi = vi + g * vo
-                        w_in[center] = vi
-        return cls(
-            vocab,
-            w_in,
-            window=window,
-            context_weight=context_weight,
-            seed=seed,
-        )
+        for stream in streams:
+            n = len(stream)
+            for i, center in enumerate(stream):
+                lo = max(0, i - _WINDOW)
+                hi = min(n, i + _WINDOW + 1)
+                for j in range(lo, hi):
+                    if j == i:
+                        continue
+                    ctx = stream[j]
+                    targets = [(ctx, 1.0)]
+                    for neg in rng.integers(0, v, size=_NEGATIVES):
+                        targets.append((int(neg), 0.0))
+                    vi = w_in[center]
+                    for tid, label in targets:
+                        vo = w_out[tid]
+                        score = 1.0 / (1.0 + np.exp(-np.clip(vi @ vo, -30, 30)))
+                        g = _LR * (label - score)
+                        w_out[tid] = vo + g * vi
+                        vi = vi + g * vo
+                    w_in[center] = vi
+        return cls(vocab, w_in, seed=seed)
 
     def _vector(self, occ: KeywordOccurrence) -> np.ndarray:
         encoded = bpe_encode_with_offsets(self._vocab, occ.context)
@@ -284,13 +267,13 @@ class ContextWindowProvider(EmbeddingProvider):
             )
         ids = [encoded[k][0] for k in positions]
         kw_mean = self._vectors[ids].mean(axis=0)
-        lo = max(0, positions[0] - self._window)
-        hi = min(len(encoded), positions[-1] + 1 + self._window)
+        lo = max(0, positions[0] - _WINDOW)
+        hi = min(len(encoded), positions[-1] + 1 + _WINDOW)
         ctx_ids = [
             encoded[k][0] for k in range(lo, hi) if k not in positions
         ]
         if ctx_ids:
             ctx_mean = self._vectors[ctx_ids].mean(axis=0)
-            kw_mean = kw_mean + self._context_weight * (self._projection @ ctx_mean)
+            kw_mean = kw_mean + _CONTEXT_WEIGHT * (self._projection @ ctx_mean)
         return kw_mean
 

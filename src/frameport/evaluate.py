@@ -2,11 +2,13 @@
 and the multi-seed evaluation harness.
 
 Calls compare textually after canonicalization; there is no semantic
-equivalence (``2*2`` never matches ``4``). The harness canonicalizes each
-distinct prediction once and each gold at most once per suite, and takes both
-the call bag (F1) and the canonical text (EM) from that one canonical tree.
-Ranking metrics restrict candidates to the keyword's own kind and charge
-ties at the worst rank.
+equivalence (``2*2`` never matches ``4``). Both F1 and EM come from one
+canonical tree per side: ``f1`` and ``exact_match`` score one pair the way
+``run_suite`` scores each row, and the harness canonicalizes each distinct
+prediction once and each gold at most once per suite. An eval-set record
+holds ``id``, ``src_framework``, ``tgt_framework``, ``source`` and ``gold``;
+other keys are ignored. Ranking metrics restrict candidates to the
+keyword's own kind and charge ties at the worst rank.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from frameport.canon import (
     SignatureDatabase,
     SourceUnit,
     canonical_tree,
-    canonicalize,
 )
 from frameport.dictionary import ScoreMatrix, _values
 from frameport.errors import ConfigError, FrameportError, ParseError, loading
@@ -40,7 +41,6 @@ class EvalExample:
     tgt_framework: str
     source: str
     gold: str
-    gold_keyword_pairs: tuple[tuple[tuple[str, str, str | None], tuple[str, str, str | None]], ...] = ()
 
 
 def load_eval_set(path: str | Path) -> list[EvalExample]:
@@ -51,13 +51,6 @@ def load_eval_set(path: str | Path) -> list[EvalExample]:
             continue
         with loading("eval set", f"{path}:{ln}"):
             rec = json.loads(line)
-            pairs = tuple(
-                (
-                    (s[0], s[1], s[2] if len(s) > 2 else None),
-                    (t[0], t[1], t[2] if len(t) > 2 else None),
-                )
-                for s, t in rec.get("gold_keyword_pairs", [])
-            )
             examples.append(
                 EvalExample(
                     id=str(rec["id"]),
@@ -65,7 +58,6 @@ def load_eval_set(path: str | Path) -> list[EvalExample]:
                     tgt_framework=rec["tgt_framework"],
                     source=rec["source"],
                     gold=rec["gold"],
-                    gold_keyword_pairs=pairs,
                 )
             )
     return examples
@@ -107,7 +99,7 @@ def call_bag(unit: SourceUnit, db: SignatureDatabase) -> Counter:
     (name, value text) pairs), so pre-canonical argument order never
     matters.
     """
-    return _tree_call_bag(canonical_tree(unit, db))
+    return _text_and_bag(unit, db)[1]
 
 
 def _bag_f1(pred_bag: Counter, gold_bag: Counter) -> float:
@@ -119,27 +111,30 @@ def _bag_f1(pred_bag: Counter, gold_bag: Counter) -> float:
     return 2.0 * n_match / (n_pred + n_truth)
 
 
+def _score(
+    pred: SourceUnit, gold: tuple[str, Counter], db: SignatureDatabase
+) -> tuple[float, bool]:
+    """(F1, EM) of a prediction against a gold's canonical text and call
+    bag; an unparseable prediction scores (0, False)."""
+    try:
+        pred_text, pred_bag = _text_and_bag(pred, db)
+    except ParseError:
+        return 0.0, False
+    return _bag_f1(pred_bag, gold[1]), pred_text == gold[0]
+
+
 def f1(pred: SourceUnit, gold: SourceUnit, db: SignatureDatabase) -> float:
     """2*n_match / (n_pred + n_truth) over call bags; 1.0 if both empty.
 
     An unparseable prediction scores 0.
     """
-    gold_bag = call_bag(gold, db)
-    try:
-        pred_bag = call_bag(pred, db)
-    except ParseError:
-        return 0.0
-    return _bag_f1(pred_bag, gold_bag)
+    return _score(pred, _text_and_bag(gold, db), db)[0]
 
 
 def exact_match(pred: SourceUnit, gold: SourceUnit, db: SignatureDatabase) -> bool:
-    """Byte equality after canonicalizing both sides."""
-    try:
-        canon_pred = canonicalize(pred, db)
-    except ParseError:
-        return False
-    canon_gold = canonicalize(gold, db)
-    return canon_pred.text == canon_gold.text
+    """Byte equality after canonicalizing both sides; an unparseable
+    prediction never matches."""
+    return _score(pred, _text_and_bag(gold, db), db)[1]
 
 
 # -- dictionary ranking metrics ----------------------------------------------
@@ -279,15 +274,8 @@ def run_suite(
                     golds[n] = _text_and_bag(
                         SourceUnit(ex.gold, ex.tgt_framework, f"{ex.id}:gold"), tgt_db
                     )
-                gold_text, gold_bag = golds[n]
                 pred_unit = SourceUnit(pred_text, ex.tgt_framework, f"{ex.id}:pred")
-                try:
-                    pred_canon, pred_bag = _text_and_bag(pred_unit, tgt_db)
-                except ParseError:
-                    pass
-                else:
-                    row_f1 = _bag_f1(pred_bag, gold_bag)
-                    row_em = pred_canon == gold_text
+                row_f1, row_em = _score(pred_unit, golds[n], tgt_db)
                 scores[n, pred_text] = row_f1, row_em
             rows.append(
                 {"id": ex.id, "f1": row_f1, "em": row_em, "error": error}

@@ -5,7 +5,9 @@ carry framework labels and whose final ``{{SKELETON}}`` slot receives
 the skeleton to translate. The ``mock-rules`` backend translates the
 fixed skeletal patterns (imports, class headers, forward/call
 signatures) with a deterministic line-rule table so the whole pipeline
-runs offline.
+runs offline. It leaves placeholders where they are: ``to_skeleton`` puts
+them only at keyword occurrences, never in an import. A real backend may
+still move one into an import, which reinsertion handles.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ _TARGET_HEADER = "# {{TARGET}}"
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Instruction, demonstrations, and the skeleton slot, parsed from text."""
+    """Demonstrations and the skeleton slot, parsed from text."""
 
     raw: str
     source_label: str
@@ -63,13 +65,6 @@ class PromptTemplate:
             )
         if "{{SKELETON}}" not in self.raw:
             raise ConfigError("template is missing the {{SKELETON}} slot")
-
-    @property
-    def instruction(self) -> str:
-        for line in self.raw.splitlines():
-            if line.strip():
-                return line
-        return ""
 
     @property
     def demonstrations(self) -> tuple[tuple[str, str], ...]:
@@ -187,7 +182,6 @@ class Completion:
 class _Profile:
     label: str
     import_lines: tuple[str, ...]
-    placeholder_import: str  # with one %s slot for the alias token
     class_bases: tuple[str, ...]
     method_name: str
 
@@ -196,7 +190,6 @@ _PROFILES = {
     "PyTorch": _Profile(
         label="PyTorch",
         import_lines=("import torch.nn as nn", "from torch import nn"),
-        placeholder_import="import torch.nn as %s",
         class_bases=("nn.Module",),
         method_name="forward",
     ),
@@ -206,28 +199,20 @@ _PROFILES = {
             "from tensorflow.keras import layers",
             "import tensorflow.keras.layers as layers",
         ),
-        placeholder_import="from tensorflow.keras import %s",
         class_bases=("layers.Layer", "keras.Model"),
         method_name="call",
     ),
     "MXNet": _Profile(
         label="MXNet",
         import_lines=("from mxnet.gluon import nn", "import mxnet.gluon.nn as nn"),
-        placeholder_import="import mxnet.gluon.nn as %s",
         class_bases=("nn.Block", "nn.HybridBlock"),
         method_name="forward",
     ),
 }
 
 
-def _build_rules(src: _Profile, tgt: _Profile) -> list[tuple[re.Pattern, object]]:
-    rules: list[tuple[re.Pattern, object]] = []
-    placeholder_pat = re.escape(src.placeholder_import) % r"(PLACEHOLDER_[0-9]+)"
-
-    def keep_alias(match: re.Match) -> str:
-        return tgt.placeholder_import % match.group(1)
-
-    rules.append((re.compile(f"^{placeholder_pat}$"), keep_alias))
+def _build_rules(src: _Profile, tgt: _Profile) -> list[tuple[re.Pattern, str]]:
+    rules: list[tuple[re.Pattern, str]] = []
     for line in src.import_lines:
         rules.append((re.compile(f"^{re.escape(line)}$"), tgt.import_lines[0]))
     for base in src.class_bases:

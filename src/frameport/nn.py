@@ -134,7 +134,6 @@ class ForwardCache:
     inputs: list[np.ndarray]  # input to each layer (post-dropout)
     act_grads: list[np.ndarray]  # activation derivative per hidden layer
     masks: list[np.ndarray | None]  # dropout mask per hidden layer
-    train_mode: bool
 
 
 def _activate(mlp: Mlp, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +183,7 @@ def forward(
                 masks.append(mask)
             else:
                 masks.append(None)
-    cache = ForwardCache(
-        mlp=mlp, inputs=inputs, act_grads=act_grads, masks=masks, train_mode=train_mode
-    )
-    return a, cache
+    return a, ForwardCache(mlp=mlp, inputs=inputs, act_grads=act_grads, masks=masks)
 
 
 def backward(

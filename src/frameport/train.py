@@ -81,10 +81,6 @@ class TrainConfig:
             warmup_fraction=self.warmup_fraction,
         )
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(**doc)
-
 
 @dataclass
 class AlignmentModel:
@@ -377,17 +373,18 @@ def train(
     H2: np.ndarray,
     y2: np.ndarray,
     cfg: TrainConfig,
+    vocab_sizes: tuple[int, int],
     selector: Callable[[AlignmentModel], float] | None = None,
     on_record: Callable[[dict], None] | None = None,
     resume: TrainState | None = None,
-    vocab_sizes: tuple[int, int] | None = None,
     stop: Callable[[], bool] | None = None,
 ) -> TrainResult:
     """Full training loop with checkpoint-time model selection.
 
-    ``selector`` scores a model snapshot (typically average cosine
-    similarity of the dictionary it induces); the best-scoring snapshot
-    is kept alongside the final state. Each step's losses and each
+    ``vocab_sizes`` gives the keyword count of each side, the widths of
+    the output embeddings. ``selector`` scores a model snapshot (typically
+    average cosine similarity of the dictionary it induces); the
+    best-scoring snapshot is kept alongside the final state. Each step's losses and each
     checkpoint's score go to ``on_record``. ``resume`` continues a saved
     ``TrainState`` under ``cfg``. ``stop`` is polled before each step so
     callers can end training early at a step boundary and still get a
@@ -397,11 +394,6 @@ def train(
     d_b = H1.shape[1]
     if H2.shape[1] != d_b:
         raise DimensionMismatch("both sides must share the provider dimension d_b")
-    if vocab_sizes is not None:
-        m1, m2 = vocab_sizes
-    else:
-        m1 = int(y1.max()) + 1 if len(y1) else 0
-        m2 = int(y2.max()) + 1 if len(y2) else 0
     if resume is not None:
         model, opt = resume.model, resume.opt
         sampler = BatchSampler(H1, y1, H2, y2, cfg.batch_size, seed=cfg.seed)
@@ -413,7 +405,7 @@ def train(
         ss = np.random.SeedSequence(cfg.seed)
         s_batch, s_drop, s_init = ss.spawn(3)
         model = AlignmentModel.create(
-            cfg, d_b, [m1, m2], np.random.default_rng(s_init)
+            cfg, d_b, vocab_sizes, np.random.default_rng(s_init)
         )
         opt = Optimizers.init(model)
         sampler = BatchSampler(H1, y1, H2, y2, cfg.batch_size, seed=s_batch)
@@ -486,10 +478,10 @@ def grid_search(
     y2: np.ndarray,
     base_cfg: TrainConfig,
     selector: Callable[[AlignmentModel], float],
+    vocab_sizes: tuple[int, int],
     lrs: Sequence[float] = LR_GRID,
     batch_sizes: Sequence[int] = BATCH_GRID,
     on_cell: Callable[[GridCell], None] | None = None,
-    vocab_sizes: tuple[int, int] | None = None,
 ) -> GridResult:
     """Train every (lr, N) cell; pick the best unsupervised-criterion score.
 
@@ -503,9 +495,7 @@ def grid_search(
     for lr in sorted(lrs):
         for n in sorted(batch_sizes):
             cfg = replace(base_cfg, peak_lr=lr, batch_size=n)
-            result = train(
-                H1, y1, H2, y2, cfg, selector=selector, vocab_sizes=vocab_sizes
-            )
+            result = train(H1, y1, H2, y2, cfg, vocab_sizes, selector=selector)
             cell = GridCell(peak_lr=lr, batch_size=n, score=result.best_score)
             cells.append(cell)
             if on_cell:
@@ -540,7 +530,7 @@ def load_checkpoint(path: str | Path) -> TrainState:
             model=AlignmentModel.from_dict(doc["model"]),
             opt=Optimizers.from_dict(doc["optimizers"]),
             step=int(doc["step"]),
-            cfg=TrainConfig.from_dict(doc["config"]),
+            cfg=TrainConfig(**doc["config"]),
             sampler_state=doc["sampler_state"],
             dropout_state=doc["dropout_state"],
         )

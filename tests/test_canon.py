@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ def test_extract_module_classes_parses_once_per_patterned_framework(monkeypatch)
     assert len(extract_module_classes(text, dbs)) == 1
     assert len(calls) == 2
     calls.clear()
-    extract_module_classes(text, dbs, base_classes={"pytorch": ("nn.Module",)})
+    extract_module_classes(text, {"pytorch": PT})
     assert len(calls) == 1
 
 
@@ -261,9 +262,17 @@ def test_signature_database_validation_and_round_trip(tmp_path):
     with pytest.raises(ConfigError):
         SignatureDatabase("x", {"a.b": "s", "c.d": "s"}, [])
     path = tmp_path / "db.json"
-    PT.save(path)
+    path.write_text(json.dumps({
+        "framework": "x",
+        "import_aliases": {"x.nn": "nn"},
+        "signatures": [{"canonical_name": "nn.F", "aliases": ["nn.G"],
+                        "parameters": ["a", "b"], "required_count": 1, "variadic": True}],
+    }))
     back = SignatureDatabase.load(path)
-    assert back.to_dict() == PT.to_dict()
+    assert (back.framework, dict(back.import_aliases)) == ("x", {"x.nn": "nn"})
+    assert back.signature_for("nn.G") == ApiSignature(
+        "nn.F", ("a", "b"), 1, frozenset({"nn.G"}), variadic=True
+    )
     with pytest.raises(ConfigError):
         SignatureDatabase.load(tmp_path / "missing.json")
 

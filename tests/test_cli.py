@@ -580,6 +580,25 @@ def test_train_grid_with_resume_fails_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_resume_from_a_snapshot_fails_before_any_work(
+    run_dir, corpus, tmp_path, capsys
+):
+    grid = tmp_path / "grid"
+    assert main(_train_argv(
+        corpus, grid, "--grid", "--lrs", "0.001", "--batch-sizes", "8",
+        "--total-samples", "16",
+    )) == 0
+    for snapshot in (run_dir / "checkpoint_best.json", grid / "checkpoint.json"):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(_train_argv(corpus, out, "--resume", str(snapshot))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {snapshot} is a snapshot without sampler state; "
+            "--resume needs the run's checkpoint.json\n"
+        )
+        assert not out.exists()
+
+
 def _assert_snapshot(path, step: int) -> None:
     """A snapshot checkpoint: the run's step, fresh Adam moments, and no
     sampler or dropout state."""
@@ -654,6 +673,23 @@ def test_dict_induces_and_saves_a_dictionary(run_dir, corpus, tmp_path, capsys):
     assert payload["params"] == sum(len(g.params) for g in dictionary.groups)
     srcs = {g.src_callable for g in dictionary.groups}
     assert srcs <= {"nn.Linear", "nn.ReLU", "nn.Flatten"}
+
+
+def test_dict_unwritable_output_names_only_the_output_path(
+    run_dir, corpus, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    rc = main([
+        "dict", "--checkpoint", str(run_dir / "checkpoint_best.json"),
+        "--corpus", str(corpus),
+        "--src-framework", "pytorch", "--tgt-framework", "keras",
+        "--out", "nodir/d.json",
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No such file or directory: 'nodir/d.json'\n"
+    )
 
 
 def test_dict_non_finite_embeddings_exit_3_with_one_line(run_dir, corpus, tmp_path, capsys):

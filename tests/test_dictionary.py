@@ -109,13 +109,12 @@ def test_build_groups_and_validation():
         _kw("a", PARAMETER, "q", owner="f", id=2),
         _kw("a", CALLABLE, "g", id=3),
     ]
-    db = SignatureDatabase("a", {}, [])
-    groups = build_groups(db, vocab)
+    groups = build_groups(vocab)
     assert [g.callable_kw.text for g in groups] == ["f", "g"]
     assert [p.text for p in groups[0].parameters] == ["p", "q"]
     assert groups[1].parameters == ()
     with pytest.raises(ConfigError):
-        build_groups(db, [ApiKeyword("a", CALLABLE, "f")])  # no id assigned
+        build_groups([ApiKeyword("a", CALLABLE, "f")])  # no id assigned
     with pytest.raises(ConfigError):
         KeywordGroup(callable_kw=vocab[1])  # head must be a callable
     with pytest.raises(ConfigError):
@@ -300,16 +299,13 @@ def test_dictionary_serialization_round_trip(tmp_path):
 def test_lookup_resolves_each_translation_kind():
     d = _sample_dictionary()
     t = lookup(d, ApiKeyword("a", CALLABLE, "f"))
-    assert (t.kind, t.new_name, t.score) == (RENAME, "F", 9.0)
+    assert (t.kind, t.new_name) == (RENAME, "F")
     t = lookup(d, ApiKeyword("a", PARAMETER, "keep", owner="f"))
     assert (t.kind, t.new_name) == (RENAME, "kept")
     t = lookup(d, ApiKeyword("a", PARAMETER, "gone", owner="f"))
     assert t.kind == DROP and t.new_name is None
     t = lookup(d, ApiKeyword("a", PARAMETER, "act", owner="f"))
-    assert (t.kind, t.new_call, t.score) == (EXPAND, "R()", 6.0)
-    # explicit owner overrides the keyword's own owner field
-    t = lookup(d, ApiKeyword("a", PARAMETER, "keep", owner="elsewhere"), owner="f")
-    assert t.new_name == "kept"
+    assert (t.kind, t.new_call) == (EXPAND, "R()")
 
 
 def test_lookup_unmapped_paths():
@@ -320,9 +316,6 @@ def test_lookup_unmapped_paths():
         lookup(d, ApiKeyword("a", PARAMETER, "keep", owner="mystery"))
     with pytest.raises(UnmappedKeyword):
         lookup(d, ApiKeyword("a", PARAMETER, "unknown", owner="f"))
-    with pytest.raises(UnmappedKeyword):
-        # empty owner override leaves no group to search
-        lookup(d, ApiKeyword("a", PARAMETER, "keep", owner="f"), owner="")
 
 
 def _reference_generate_dictionary(
@@ -330,8 +323,8 @@ def _reference_generate_dictionary(
     drop_floor=-math.inf, csls_k=None,
 ):
     """The per-group-pair loop generate_dictionary replaced, kept as its oracle."""
-    groups1 = build_groups(db1, vocab1)
-    groups2 = build_groups(db2, vocab2)
+    groups1 = build_groups(vocab1)
+    groups2 = build_groups(vocab2)
     s = score_matrix(E1, E2, measure)
     if csls_k is not None:
         s = csls_rescale(s, csls_k)

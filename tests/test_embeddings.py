@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 
 import numpy as np
@@ -71,10 +72,9 @@ def test_file_backed_round_trip_and_lookup(tmp_path):
     path = tmp_path / "emb.txt"
     write_embedding_file(path, 5, vecs.items())
     provider = FileBackedProvider(path)
-    assert provider.dim == 5 and len(provider) == 4
-    occ = _occ("abc", span=(2, 5), unit_ref="pytorch:0")
-    got = embed_batch(provider, [occ])[0]
-    assert np.array_equal(got, vecs["pytorch:0:2:5"])
+    assert provider.dim == 5
+    occs = [_occ("abc", span=(i, i + 3), unit_ref="pytorch:0") for i in range(4)]
+    assert np.array_equal(embed_batch(provider, occs), np.stack(list(vecs.values())))
     with pytest.raises(MissingVectorError):
         embed_batch(provider, [_occ("abc", span=(90, 93))])
 
@@ -87,6 +87,16 @@ def test_file_backed_accepts_hex_payloads(tmp_path):
     assert np.array_equal(
         embed_batch(provider, [_occ("abc", span=(0, 3))])[0], vec
     )
+
+
+@pytest.mark.parametrize("dim", [3, 768])
+def test_file_backed_reads_written_zero_vectors(tmp_path, dim):
+    # base64 of zero bytes is all "A", which is also a string of hex digits
+    path = tmp_path / "zeros.txt"
+    write_embedding_file(path, dim, [("pytorch:0:0:3", np.zeros(dim))])
+    provider = FileBackedProvider(path)
+    got = embed_batch(provider, [_occ("abc", span=(0, 3))])[0]
+    assert np.array_equal(got, np.zeros(dim, np.float32))
 
 
 def test_file_backed_format_errors(tmp_path):
@@ -103,21 +113,26 @@ def test_file_backed_format_errors(tmp_path):
         with pytest.raises(ConfigError):
             FileBackedProvider(p)
     wrong = tmp_path / "wrong_width.txt"
-    vec = np.arange(2, dtype="<f4")
-    wrong.write_text(f"d_b=3\nk\t{vec.tobytes().hex()}\n")
-    with pytest.raises(DimensionMismatch):
-        FileBackedProvider(wrong)
+    # 2 floats as base64; 4 floats as hex, which is not 8 * d_b digits long
+    # and so decodes as base64 to 6 floats
+    for payload in (
+        base64.b64encode(np.arange(2, dtype="<f4").tobytes()).decode(),
+        np.arange(4, dtype="<f4").tobytes().hex(),
+    ):
+        wrong.write_text(f"d_b=3\nk\t{payload}\n")
+        with pytest.raises(DimensionMismatch):
+            FileBackedProvider(wrong)
     with pytest.raises(DimensionMismatch):
         write_embedding_file(tmp_path / "w.txt", 3, [("k", np.zeros(2))])
 
 
-def _trained_provider(**kwargs):
+def _trained_provider():
     texts = [
         "fc = nn.Linear(in_features=4, out_features=2)\n" * 3,
         "act = nn.ReLU()\npool = nn.MaxPool2d(kernel_size=2)\n" * 2,
     ]
     vocab = bpe_train(texts, 40)
-    return texts, vocab, ContextWindowProvider.train(texts, vocab, dim=12, **kwargs)
+    return texts, vocab, ContextWindowProvider.train(texts, vocab, dim=12)
 
 
 def test_context_window_provider_separates_contexts():

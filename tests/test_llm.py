@@ -33,7 +33,8 @@ def test_all_bundled_templates_load_and_parse():
         assert tmpl.source_label == FRAMEWORK_LABELS[src]
         assert tmpl.target_label == FRAMEWORK_LABELS[tgt]
         assert len(tmpl.demonstrations) >= 4
-        assert tmpl.instruction.startswith("# Translate from ")
+        # the line the mock backend reads its two labels from
+        assert tmpl.raw.split("\n", 1)[0].startswith("# Translate from ")
         assert "{{SKELETON}}" in tmpl.raw
 
 
@@ -69,14 +70,14 @@ def test_render_prompt_substitutes_all_slots():
 def test_mock_backend_translates_skeletal_lines():
     tmpl = default_template("pytorch", "keras")
     skel = (
-        "import torch.nn as PLACEHOLDER_9\n\n"
+        "import torch.nn as nn\n\n"
         "class Net(nn.Module):\n\n"
         "    def forward(self, x):\n"
         "        return x"
     )
     out = transpile_skeleton(skel, tmpl, BackendConfig())
     assert out == (
-        "from tensorflow.keras import PLACEHOLDER_9\n\n"
+        "from tensorflow.keras import layers\n\n"
         "class Net(layers.Layer):\n\n"
         "    def call(self, x):\n"
         "        return x"
