@@ -101,27 +101,32 @@ def bpe_train(texts: Iterable[str], merge_count: int) -> BpeVocab:
         best_count = max(pair_counts.values())
         best = min(p for p, c in pair_counts.items() if c == best_count)
         merges.append(best)
-        merged = best[0] + best[1]
         new_words: dict[tuple[str, ...], int] = {}
         for word, count in words.items():
-            out: list[str] = []
-            i = 0
-            while i < len(word):
-                if i + 1 < len(word) and (word[i], word[i + 1]) == best:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(word[i])
-                    i += 1
-            key = tuple(out)
+            key = _join_pair(word, best)
             new_words[key] = new_words.get(key, 0) + count
         words = new_words
     return BpeVocab(merges=tuple(merges))
 
 
+def _join_pair(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
+    """Join each occurrence of ``pair`` in ``symbols``, scanning left to right."""
+    a, b = pair
+    out: list[str] = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
+            out.append(a + b)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return tuple(out)
+
+
 def _merge_word(vocab: BpeVocab, word: tuple[str, ...]) -> tuple[str, ...]:
     ranks = vocab._ranks
-    symbols = list(word)
+    symbols = word
     while len(symbols) > 1:
         best_rank = None
         for pair in zip(symbols, symbols[1:]):
@@ -131,19 +136,8 @@ def _merge_word(vocab: BpeVocab, word: tuple[str, ...]) -> tuple[str, ...]:
                 best_pair = pair
         if best_rank is None:
             break
-        a, b = best_pair
-        merged = a + b
-        out: list[str] = []
-        i = 0
-        while i < len(symbols):
-            if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
-                out.append(merged)
-                i += 2
-            else:
-                out.append(symbols[i])
-                i += 1
-        symbols = out
-    return tuple(symbols)
+        symbols = _join_pair(symbols, best_pair)
+    return symbols
 
 
 def bpe_encode(vocab: BpeVocab, text: str) -> list[int]:

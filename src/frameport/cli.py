@@ -30,6 +30,8 @@ from .corpus import (
     DEFAULT_INCLUDE,
     DEFAULT_MARKERS,
     DEFAULT_SIZE_CAP,
+    VocabEntry,
+    _vocab_record,
     extract_occurrences,
     ingest,
     load_corpus,
@@ -56,8 +58,6 @@ from .errors import (
     ConfigError,
     EmptyVocabularyError,
     FrameportError,
-    KOutOfRange,
-    StopMarkerMissing,
 )
 from .evaluate import EvalExample, load_eval_set, run_suite
 from .llm import BackendConfig, load_template
@@ -71,6 +71,7 @@ from .pipeline import (
 from .train import (
     BATCH_GRID,
     LR_GRID,
+    GridCell,
     Optimizers,
     TrainConfig,
     TrainState,
@@ -95,16 +96,17 @@ def _load_databases(frameworks: Sequence[str]) -> dict[str, SignatureDatabase]:
     return {fw: default_database(fw) for fw in frameworks}
 
 
+def _vocabulary(corpus, fw: str) -> list[VocabEntry]:
+    if fw not in corpus.manifest.frameworks:
+        raise ConfigError(f"corpus has no framework {fw!r}")
+    return corpus.manifest.frameworks[fw].vocabulary
+
+
 def _load_pair(args: argparse.Namespace):
     """The corpus plus both sides' vocabularies and signature databases."""
     corpus = load_corpus(args.corpus)
     src, tgt = args.src_framework, args.tgt_framework
-    for fw in (src, tgt):
-        if fw not in corpus.manifest.frameworks:
-            raise ConfigError(f"corpus has no framework {fw!r}")
-    vocabs = tuple(
-        vocab_keywords(corpus.manifest.frameworks[fw].vocabulary) for fw in (src, tgt)
-    )
+    vocabs = tuple(vocab_keywords(_vocabulary(corpus, fw)) for fw in (src, tgt))
     return corpus, vocabs, (default_database(src), default_database(tgt))
 
 
@@ -182,13 +184,19 @@ def _framework_arrays(occs, vocab, provider) -> tuple[np.ndarray, np.ndarray]:
     return embed_batch(provider, kept), np.asarray(labels, dtype=np.int64)
 
 
-def _train_inputs(args: argparse.Namespace):
+def _train_inputs(args: argparse.Namespace, resume: TrainState | None):
     corpus, (vocab1, vocab2), (db1, db2) = _load_pair(args)
     src, tgt = args.src_framework, args.tgt_framework
     occs1 = extract_occurrences(corpus.units[src], db1, src)
     occs2 = extract_occurrences(corpus.units[tgt], db2, tgt)
     texts = [u.text for u in corpus.units[src]] + [u.text for u in corpus.units[tgt]]
     provider = _build_provider(args, texts)
+    if resume is not None and resume.model.generator.dims[0] != provider.dim:
+        raise ConfigError(
+            f"{args.resume} expects embeddings of width "
+            f"{resume.model.generator.dims[0]}, but the provider gives width "
+            f"{provider.dim}"
+        )
     H1, y1 = _framework_arrays(occs1, vocab1, provider)
     H2, y2 = _framework_arrays(occs2, vocab2, provider)
     return (H1, y1, H2, y2), (vocab1, vocab2), (db1, db2)
@@ -235,7 +243,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.total_samples is not None:
         cfg = replace(cfg, total_samples=args.total_samples)
 
-    (H1, y1, H2, y2), (vocab1, vocab2), (db1, db2) = _train_inputs(args)
+    (H1, y1, H2, y2), (vocab1, vocab2), (db1, db2) = _train_inputs(args, resume)
     sizes = (len(vocab1), len(vocab2))
     selector = _make_selector(vocab1, vocab2, db1, db2, args.tau)
 
@@ -271,11 +279,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "cells": [_cell_record(cell) for cell in result.cells],
-                    "best": {
-                        "peak_lr": best.peak_lr,
-                        "batch_size": best.batch_size,
-                        "avg_cos_sim": result.best_score,
-                    },
+                    "best": _cell_record(
+                        GridCell(best.peak_lr, best.batch_size, result.best_score)
+                    ),
                 },
                 indent=2,
             )
@@ -436,17 +442,12 @@ def cmd_transpile(args: argparse.Namespace) -> int:
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "output": result.output.text,
-                    "skeleton": result.skeleton.text,
-                    "warnings": list(result.warnings),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        payload = {
+            "output": result.output.text,
+            "skeleton": result.skeleton.text,
+            "warnings": list(result.warnings),
+        }
+        _emit(args, payload, ())
     else:
         _write_output(args.output, result.output.text)
     return 0
@@ -543,31 +544,17 @@ def _find_keyword(
 
 
 def cmd_inspect_vocab(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
-    if args.framework not in corpus.manifest.frameworks:
-        raise ConfigError(f"corpus has no framework {args.framework!r}")
-    entries = corpus.manifest.frameworks[args.framework].vocabulary
+    entries = _vocabulary(load_corpus(args.corpus), args.framework)
+    records = [_vocab_record(e) for e in entries]
     if args.kind:
-        entries = [e for e in entries if e.keyword.kind == args.kind]
-    entries = entries[: args.limit] if args.limit else entries
-    payload = {
-        "framework": args.framework,
-        "entries": [
-            {
-                "id": e.keyword.id,
-                "kind": e.keyword.kind,
-                "text": e.keyword.text,
-                "owner": e.keyword.owner,
-                "count": e.count,
-            }
-            for e in entries
-        ],
-    }
+        records = [r for r in records if r["kind"] == args.kind]
+    records = records[: args.limit] if args.limit else records
+    payload = {"framework": args.framework, "entries": records}
     lines = [
-        f"{e.keyword.id:>4}  {e.count:>6}  {e.keyword.kind:<9} "
-        + (f"{e.keyword.owner}." if e.keyword.owner else "")
-        + e.keyword.text
-        for e in entries
+        f"{r['id']:>4}  {r['count']:>6}  {r['kind']:<9} "
+        + (f"{r['owner']}." if r["owner"] else "")
+        + r["text"]
+        for r in records
     ]
     _emit(args, payload, lines)
     return 0
@@ -659,18 +646,18 @@ def cmd_inspect_diff(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _csv_ints(raw: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {raw!r}")
+def _csv(cast):
+    """An argparse type for a comma list of ``cast`` values."""
 
+    def parse(raw: str) -> list:
+        try:
+            return [cast(part) for part in raw.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {cast.__name__} list: {raw!r}"
+            )
 
-def _csv_floats(raw: str) -> list[float]:
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {raw!r}")
+    return parse
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -738,9 +725,9 @@ def _train_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=10)
     p.add_argument("--grid", action="store_true",
                    help="Search the (peak_lr, batch_size) grid instead of one cell.")
-    p.add_argument("--lrs", type=_csv_floats, default=list(LR_GRID),
+    p.add_argument("--lrs", type=_csv(float), default=list(LR_GRID),
                    help="Grid learning rates as a comma list.")
-    p.add_argument("--batch-sizes", type=_csv_ints, default=list(BATCH_GRID),
+    p.add_argument("--batch-sizes", type=_csv(int), default=list(BATCH_GRID),
                    help="Grid batch sizes as a comma list.")
     p.add_argument("--resume", default=None, help="Checkpoint file to continue from.")
     _add_format(p)
@@ -785,7 +772,7 @@ def _transpile_arguments(p: argparse.ArgumentParser) -> None:
 def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-set", required=True, help="JSONL examples file.")
     p.add_argument("--out", required=True, help="Directory for report and artifacts.")
-    p.add_argument("--seeds", type=_csv_ints, default=[10, 20, 30, 40, 50],
+    p.add_argument("--seeds", type=_csv(int), default=[10, 20, 30, 40, 50],
                    help="Run seeds as a comma list.")
     p.add_argument("--dictionary-dir", default=None,
                    help="Directory of dict_<src>_<tgt>.json files (default: bundled).")
@@ -888,10 +875,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except (ConfigError, KOutOfRange) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BackendUnavailable, StopMarkerMissing) as exc:
+    except BackendUnavailable as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 4
     except FrameportError as exc:

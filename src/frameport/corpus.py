@@ -49,6 +49,17 @@ class FrameworkStats:
     bpe_vocab: str | None = None
 
 
+def _vocab_record(e: VocabEntry) -> dict:
+    kw = e.keyword
+    return {
+        "id": kw.id,
+        "kind": kw.kind,
+        "text": kw.text,
+        "owner": kw.owner,
+        "count": e.count,
+    }
+
+
 @dataclass
 class CorpusManifest:
     frameworks: dict[str, FrameworkStats] = field(default_factory=dict)
@@ -61,16 +72,7 @@ class CorpusManifest:
                     "unit_count": st.unit_count,
                     "content_hash": st.content_hash,
                     "bpe_vocab": st.bpe_vocab,
-                    "vocabulary": [
-                        {
-                            "id": e.keyword.id,
-                            "kind": e.keyword.kind,
-                            "text": e.keyword.text,
-                            "owner": e.keyword.owner,
-                            "count": e.count,
-                        }
-                        for e in st.vocabulary
-                    ],
+                    "vocabulary": [_vocab_record(e) for e in st.vocabulary],
                 }
                 for fw, st in sorted(self.frameworks.items())
             },

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -204,32 +204,7 @@ class KeywordDictionary:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "src_framework": self.src_framework,
-            "tgt_framework": self.tgt_framework,
-            "tau": self.tau,
-            "groups": [
-                {
-                    "src_callable": g.src_callable,
-                    "tgt_callable": g.tgt_callable,
-                    "score": g.score,
-                    "params": [
-                        {"src": p.src, "tgt": p.tgt, "score": p.score}
-                        for p in g.params
-                    ],
-                    "expansions": [
-                        {
-                            "src_param": e.src_param,
-                            "new_call": e.new_call,
-                            "score": e.score,
-                        }
-                        for e in g.expansions
-                    ],
-                }
-                for g in self.groups
-            ],
-        }
+        return {"version": 1, **asdict(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KeywordDictionary":

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The class decides the CLI exit code: ``ConfigError`` and its subclasses
+exit 2, ``BackendUnavailable`` and its subclasses 4, and every other
+``FrameportError`` 3.
+"""
 
 from __future__ import annotations
 
@@ -64,7 +69,7 @@ class BackendUnavailable(FrameportError):
     """Completion backend unreachable after retries."""
 
 
-class StopMarkerMissing(FrameportError):
+class StopMarkerMissing(BackendUnavailable):
     """Backend completion did not terminate at the template's stop marker."""
 
 
@@ -88,10 +93,6 @@ class ZeroVectorError(FrameportError):
     """Cosine similarity requested for a zero-norm embedding."""
 
 
-class KOutOfRange(FrameportError):
-    """CSLS neighborhood size is not in [1, min(m1, m2)]."""
-
-
 class EmptyVocabularyError(FrameportError):
     """Dictionary generation requires at least one keyword per framework."""
 
@@ -110,6 +111,10 @@ class UnmappedKeyword(FrameportError):
 
 class ConfigError(FrameportError):
     """Invalid configuration file or flag combination."""
+
+
+class KOutOfRange(ConfigError):
+    """CSLS neighborhood size is not in [1, min(m1, m2)]."""
 
 
 @contextmanager

@@ -28,7 +28,7 @@ from frameport.canon import (
     SourceUnit,
     canonical_tree,
 )
-from frameport.dictionary import ScoreMatrix, _values
+from frameport.dictionary import ScoreMatrix, _values, vocab_index
 from frameport.errors import ConfigError, FrameportError, ParseError, loading
 
 import ast
@@ -158,8 +158,7 @@ def _gold_ranks(
     if not gold_pairs:
         raise ConfigError("no gold pairs to score")
     values = _values(scores)
-    idx1 = {(kw.kind, kw.text, kw.owner): kw.id for kw in vocab1}
-    idx2 = {(kw.kind, kw.text, kw.owner): kw.id for kw in vocab2}
+    idx1, idx2 = vocab_index(vocab1), vocab_index(vocab2)
     kind_ids: dict[str, list[int]] = {}
     for kw in vocab2:
         kind_ids.setdefault(kw.kind, []).append(kw.id)

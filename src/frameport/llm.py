@@ -17,12 +17,11 @@ import logging
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from frameport.canon import DEFAULT_BASE_CLASSES
 from frameport.errors import (
     BackendUnavailable,
     ConfigError,
@@ -180,53 +179,49 @@ class Completion:
 
 @dataclass(frozen=True)
 class _Profile:
-    label: str
     import_lines: tuple[str, ...]
-    class_bases: tuple[str, ...]
     method_name: str
 
 
+# keyed by framework; the class-header rules come from DEFAULT_BASE_CLASSES
 _PROFILES = {
-    "PyTorch": _Profile(
-        label="PyTorch",
+    "pytorch": _Profile(
         import_lines=("import torch.nn as nn", "from torch import nn"),
-        class_bases=("nn.Module",),
         method_name="forward",
     ),
-    "Keras": _Profile(
-        label="Keras",
+    "keras": _Profile(
         import_lines=(
             "from tensorflow.keras import layers",
             "import tensorflow.keras.layers as layers",
         ),
-        class_bases=("layers.Layer", "keras.Model"),
         method_name="call",
     ),
-    "MXNet": _Profile(
-        label="MXNet",
+    "mxnet": _Profile(
         import_lines=("from mxnet.gluon import nn", "import mxnet.gluon.nn as nn"),
-        class_bases=("nn.Block", "nn.HybridBlock"),
         method_name="forward",
     ),
 }
+_LABEL_FRAMEWORKS = {label: fw for fw, label in FRAMEWORK_LABELS.items()}
 
 
-def _build_rules(src: _Profile, tgt: _Profile) -> list[tuple[re.Pattern, str]]:
+def _build_rules(src: str, tgt: str) -> list[tuple[re.Pattern, str]]:
+    """Line rules from framework ``src`` to ``tgt``, first match wins."""
+    src_profile, tgt_profile = _PROFILES[src], _PROFILES[tgt]
     rules: list[tuple[re.Pattern, str]] = []
-    for line in src.import_lines:
-        rules.append((re.compile(f"^{re.escape(line)}$"), tgt.import_lines[0]))
-    for base in src.class_bases:
+    for line in src_profile.import_lines:
+        rules.append((re.compile(f"^{re.escape(line)}$"), tgt_profile.import_lines[0]))
+    for base in DEFAULT_BASE_CLASSES[src]:
         rules.append(
             (
                 re.compile(rf"^class (\w+)\({re.escape(base)}\):$"),
-                rf"class \1({tgt.class_bases[0]}):",
+                rf"class \1({DEFAULT_BASE_CLASSES[tgt][0]}):",
             )
         )
-    if src.method_name != tgt.method_name:
+    if src_profile.method_name != tgt_profile.method_name:
         rules.append(
             (
-                re.compile(rf"^def {src.method_name}\("),
-                f"def {tgt.method_name}(",
+                re.compile(rf"^def {src_profile.method_name}\("),
+                f"def {tgt_profile.method_name}(",
             )
         )
     return rules
@@ -241,8 +236,8 @@ class MockRulesBackend:
         if not match:
             raise ConfigError("mock backend needs a '# Translate from X to Y' header")
         src_label, tgt_label = match.group(1), match.group(2)
-        src = _PROFILES.get(src_label)
-        tgt = _PROFILES.get(tgt_label)
+        src = _LABEL_FRAMEWORKS.get(src_label)
+        tgt = _LABEL_FRAMEWORKS.get(tgt_label)
         if src is None or tgt is None:
             raise ConfigError(f"mock backend has no rules for {first!r}")
         src_header = f"# {src_label}\n"
@@ -258,7 +253,7 @@ class MockRulesBackend:
         )
 
     @staticmethod
-    def _translate(skeleton: str, src: _Profile, tgt: _Profile) -> str:
+    def _translate(skeleton: str, src: str, tgt: str) -> str:
         rules = _build_rules(src, tgt)
         out_lines = []
         for line in skeleton.split("\n"):
@@ -307,6 +302,11 @@ class HttpBackend:
             raise BackendUnavailable(f"malformed backend response: {exc}") from None
 
     def complete(self, prompt: str, stop: str, cfg: BackendConfig) -> Completion:
+        # imported here: the offline mock, and so every command by default,
+        # never needs the HTTP stack
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(self._payload(prompt, stop, cfg)).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if cfg.auth_env:

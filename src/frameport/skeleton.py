@@ -64,7 +64,7 @@ class PlaceholderReport:
 def _placeholder_index(name: str | None) -> int | None:
     if name is None:
         return None
-    match = re.fullmatch(r"PLACEHOLDER_([0-9]+)", name)
+    match = PLACEHOLDER_RE.fullmatch(name)
     return int(match.group(1)) if match else None
 
 

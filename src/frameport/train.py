@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -172,6 +172,15 @@ class TrainBatch:
             raise DimensionMismatch("labels do not match embeddings")
 
 
+def _role_params(model: AlignmentModel) -> dict[str, list[np.ndarray]]:
+    """The parameters each optimizer role updates, in update order."""
+    return {
+        "joint": model.generator.parameters() + list(model.output_embeddings),
+        "disc": model.discriminator.parameters(),
+        "gen_adv": model.generator.parameters(),
+    }
+
+
 @dataclass
 class Optimizers:
     joint: nn.AdamState
@@ -181,26 +190,16 @@ class Optimizers:
     @classmethod
     def init(cls, model: AlignmentModel) -> "Optimizers":
         return cls(
-            joint=nn.AdamState.init(
-                model.generator.parameters() + list(model.output_embeddings)
-            ),
-            disc=nn.AdamState.init(model.discriminator.parameters()),
-            gen_adv=nn.AdamState.init(model.generator.parameters()),
+            **{role: nn.AdamState.init(p) for role, p in _role_params(model).items()}
         )
 
     def to_dict(self) -> dict:
-        return {
-            "joint": self.joint.to_dict(),
-            "disc": self.disc.to_dict(),
-            "gen_adv": self.gen_adv.to_dict(),
-        }
+        return {f.name: getattr(self, f.name).to_dict() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Optimizers":
         return cls(
-            joint=nn.AdamState.from_dict(doc["joint"]),
-            disc=nn.AdamState.from_dict(doc["disc"]),
-            gen_adv=nn.AdamState.from_dict(doc["gen_adv"]),
+            **{f.name: nn.AdamState.from_dict(doc[f.name]) for f in fields(cls)}
         )
 
 
@@ -272,11 +271,8 @@ def train_step(
     grads, step_losses = gradients(
         model, batch, cfg.label_smoothing, train_mode=cfg.dropout > 0, rng=rng
     )
-    E1, E2 = model.output_embeddings
-    joint_params = model.generator.parameters() + [E1, E2]
-    nn.adam_step(joint_params, grads["joint"], opt.joint, lr)
-    nn.adam_step(model.discriminator.parameters(), grads["disc"], opt.disc, lr)
-    nn.adam_step(model.generator.parameters(), grads["gen_adv"], opt.gen_adv, lr)
+    for role, params in _role_params(model).items():
+        nn.adam_step(params, grads[role], getattr(opt, role), lr)
     return step_losses
 
 

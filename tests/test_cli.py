@@ -599,6 +599,27 @@ def test_train_resume_from_a_snapshot_fails_before_any_work(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [("--total-samples", "128"), ()])
+def test_train_resume_with_another_provider_width_fails_before_any_work(
+    extra, run_dir, corpus, tmp_path, monkeypatch, capsys
+):
+    # with steps left, and with none left (the checkpoint's total is spent)
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("embedded occurrences")
+
+    monkeypatch.setattr(cli, "embed_batch", no_embedding)
+    ckpt = run_dir / "checkpoint.json"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = _train_argv(corpus, out, "--provider-dim", "16", "--resume", str(ckpt))
+    assert main([*argv, *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt} expects embeddings of width 8, "
+        "but the provider gives width 16\n"
+    )
+    assert not out.exists()
+
+
 def _assert_snapshot(path, step: int) -> None:
     """A snapshot checkpoint: the run's step, fresh Adam moments, and no
     sampler or dropout state."""

@@ -42,6 +42,7 @@ from frameport.errors import (
     UnmappedKeyword,
     ZeroVectorError,
 )
+from frameport.pipeline import fixture_path
 
 
 def _kw(framework, kind, text, owner=None, id=-1):
@@ -463,3 +464,10 @@ def test_generate_dictionary_skips_non_finite_groups_and_names_a_hopeless_callab
     E1[:, 3] = np.nan
     with pytest.raises(NonFiniteScoreError, match="'g1'"):
         generate_dictionary(E1, E2, vocab1, vocab2, db1, db2, measure=DOT)
+
+
+@pytest.mark.parametrize("name", ["dict_pytorch_keras.json", "dict_keras_pytorch.json"])
+def test_saving_a_bundled_dictionary_reproduces_its_file(name, tmp_path):
+    bundled = fixture_path(name)
+    KeywordDictionary.load(bundled).save(tmp_path / name)
+    assert (tmp_path / name).read_bytes() == bundled.read_bytes()

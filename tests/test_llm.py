@@ -6,12 +6,17 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import frameport
 from frameport.errors import BackendUnavailable, ConfigError, StopMarkerMissing
 from frameport.llm import (
     FRAMEWORK_LABELS,
@@ -82,6 +87,102 @@ def test_mock_backend_translates_skeletal_lines():
         "    def call(self, x):\n"
         "        return x"
     )
+
+
+# both import spellings and a class on every base of each framework
+MOCK_SKELETONS = {
+    "pytorch": (
+        "import torch.nn as nn\n"
+        "from torch import nn\n\n"
+        "class A(nn.Module):\n\n"
+        "    def forward(self, x):\n"
+        "        return x"
+    ),
+    "keras": (
+        "from tensorflow.keras import layers\n"
+        "import tensorflow.keras.layers as layers\n\n"
+        "class A(layers.Layer):\n\n"
+        "    def call(self, x):\n"
+        "        return x\n\n"
+        "class B(keras.Model):\n\n"
+        "    def call(self, x):\n"
+        "        return x"
+    ),
+    "mxnet": (
+        "from mxnet.gluon import nn\n"
+        "import mxnet.gluon.nn as nn\n\n"
+        "class A(nn.Block):\n\n"
+        "    def forward(self, x):\n"
+        "        return x\n\n"
+        "class B(nn.HybridBlock):\n\n"
+        "    def forward(self, x):\n"
+        "        return x"
+    ),
+}
+MOCK_TRANSLATIONS = {
+    ("pytorch", "keras"): (
+        "from tensorflow.keras import layers\n"
+        "from tensorflow.keras import layers\n\n"
+        "class A(layers.Layer):\n\n"
+        "    def call(self, x):\n"
+        "        return x"
+    ),
+    ("pytorch", "mxnet"): (
+        "from mxnet.gluon import nn\n"
+        "from mxnet.gluon import nn\n\n"
+        "class A(nn.Block):\n\n"
+        "    def forward(self, x):\n"
+        "        return x"
+    ),
+    ("keras", "pytorch"): (
+        "import torch.nn as nn\n"
+        "import torch.nn as nn\n\n"
+        "class A(nn.Module):\n\n"
+        "    def forward(self, x):\n"
+        "        return x\n\n"
+        "class B(nn.Module):\n\n"
+        "    def forward(self, x):\n"
+        "        return x"
+    ),
+    ("keras", "mxnet"): (
+        "from mxnet.gluon import nn\n"
+        "from mxnet.gluon import nn\n\n"
+        "class A(nn.Block):\n\n"
+        "    def forward(self, x):\n"
+        "        return x\n\n"
+        "class B(nn.Block):\n\n"
+        "    def forward(self, x):\n"
+        "        return x"
+    ),
+    ("mxnet", "pytorch"): (
+        "import torch.nn as nn\n"
+        "import torch.nn as nn\n\n"
+        "class A(nn.Module):\n\n"
+        "    def forward(self, x):\n"
+        "        return x\n\n"
+        "class B(nn.Module):\n\n"
+        "    def forward(self, x):\n"
+        "        return x"
+    ),
+    ("mxnet", "keras"): (
+        "from tensorflow.keras import layers\n"
+        "from tensorflow.keras import layers\n\n"
+        "class A(layers.Layer):\n\n"
+        "    def call(self, x):\n"
+        "        return x\n\n"
+        "class B(layers.Layer):\n\n"
+        "    def call(self, x):\n"
+        "        return x"
+    ),
+}
+
+
+@pytest.mark.parametrize("src, tgt", sorted(MOCK_TRANSLATIONS))
+def test_mock_backend_translates_every_direction(src, tgt):
+    out = transpile_skeleton(
+        MOCK_SKELETONS[src], default_template(src, tgt), BackendConfig()
+    )
+    assert out == MOCK_TRANSLATIONS[src, tgt]
 
 
 def test_mock_backend_is_deterministic_and_ends_with_stop_marker():
@@ -281,3 +382,17 @@ def test_stop_marker_truncation_and_absence(monkeypatch):
     monkeypatch.setattr("frameport.llm.make_backend", lambda cfg: NoStop())
     with pytest.raises(StopMarkerMissing):
         transpile_skeleton("x", tmpl, BackendConfig())
+
+
+def test_importing_the_cli_leaves_the_http_stack_unloaded():
+    # only an HTTP backend's completion needs urllib.request
+    src = Path(frameport.__file__).resolve().parents[1]
+    code = "import sys, frameport.cli; print('urllib.request' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
