@@ -14,6 +14,7 @@ failure, 4 completion-backend failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import signal
 import sys
@@ -21,45 +22,15 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .atomic import write_text_atomic
-from .bpe import bpe_train
 from .canon import CALLABLE, PARAMETER, ApiKeyword, SignatureDatabase, SourceUnit
-from .corpus import (
-    DEFAULT_INCLUDE,
-    DEFAULT_MARKERS,
-    DEFAULT_SIZE_CAP,
-    VocabEntry,
-    _vocab_record,
-    extract_occurrences,
-    ingest,
-    load_corpus,
-    save_corpus,
-    vocab_keywords,
-)
-from .dictionary import (
-    COSINE,
-    DOT,
-    KeywordDictionary,
-    generate_dictionary,
-    score_matrix,
-    csls_rescale,
-    vocab_index,
-)
-from .embeddings import (
-    ContextWindowProvider,
-    FileBackedProvider,
-    HashProvider,
-    embed_batch,
-)
 from .errors import (
     BackendUnavailable,
     ConfigError,
     EmptyVocabularyError,
     FrameportError,
 )
-from .evaluate import EvalExample, load_eval_set, run_suite
+from .keyword_dictionary import KeywordDictionary, vocab_index
 from .llm import BackendConfig, load_template
 from .pipeline import (
     FRAMEWORKS,
@@ -68,19 +39,73 @@ from .pipeline import (
     default_template,
     transpile_unit,
 )
-from .train import (
-    BATCH_GRID,
-    LR_GRID,
-    GridCell,
-    Optimizers,
-    TrainConfig,
-    TrainState,
-    avg_cosine_similarity,
-    grid_search,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+
+# The modules only some commands use, with the names this module takes
+# from each. A command imports its own when argparse dispatches to it (the
+# last column of _COMMANDS), so ``transpile`` loads none of them, nor
+# numpy. Each name is also a module attribute from the start: reading it
+# imports its module (PEP 562). Either way a name already bound, say
+# replaced by a test, keeps its value.
+_DEFERRED = {
+    "frameport.bpe": ("bpe_train",),
+    "frameport.corpus": (
+        "DEFAULT_INCLUDE",
+        "DEFAULT_MARKERS",
+        "DEFAULT_SIZE_CAP",
+        "VocabEntry",
+        "_vocab_record",
+        "extract_occurrences",
+        "ingest",
+        "load_corpus",
+        "save_corpus",
+        "vocab_keywords",
+    ),
+    "frameport.dictionary": (
+        "COSINE",
+        "DOT",
+        "csls_rescale",
+        "generate_dictionary",
+        "score_matrix",
+    ),
+    "frameport.embeddings": (
+        "ContextWindowProvider",
+        "FileBackedProvider",
+        "HashProvider",
+        "embed_batch",
+    ),
+    "frameport.evaluate": ("EvalExample", "load_eval_set", "run_suite"),
+    "frameport.train": (
+        "BATCH_GRID",
+        "LR_GRID",
+        "GridCell",
+        "Optimizers",
+        "TrainConfig",
+        "TrainState",
+        "avg_cosine_similarity",
+        "grid_search",
+        "load_checkpoint",
+        "save_checkpoint",
+        "train",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _import_deferred(modules: Sequence[str]) -> None:
+    """Bind the ``_DEFERRED`` names of ``modules`` that are not yet bound."""
+    namespace = globals()
+    for module in modules:
+        loaded = importlib.import_module(module)
+        for name in _DEFERRED[module]:
+            namespace.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    # called only for a name that is not (yet) a global
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _import_deferred((_MODULE_OF[name],))
+    return globals()[name]
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None:
@@ -170,6 +195,8 @@ def _build_provider(args: argparse.Namespace, texts: Sequence[str]):
 
 def _framework_arrays(occs, vocab, provider) -> tuple[np.ndarray, np.ndarray]:
     """Stack occurrence embeddings and vocabulary-id labels for one side."""
+    import numpy as np
+
     index = vocab_index(vocab)
     kept, labels = [], []
     for occ in occs:
@@ -651,11 +678,14 @@ def _csv(cast):
 
     def parse(raw: str) -> list:
         try:
-            return [cast(part) for part in raw.split(",") if part.strip()]
+            values = [cast(part) for part in raw.split(",") if part.strip()]
         except ValueError:
+            values = []
+        if not values:
             raise argparse.ArgumentTypeError(
                 f"not a comma-separated {cast.__name__} list: {raw!r}"
             )
+        return values
 
     return parse
 
@@ -817,40 +847,55 @@ def _inspect_arguments(p: argparse.ArgumentParser) -> None:
     _add_commands(p.add_subparsers(dest="what", required=True), _INSPECT)
 
 
-# (name, help, add-arguments function) of each command, in usage order
+_CORPUS = "frameport.corpus"
+_DICTIONARY = "frameport.dictionary"
+_TRAIN = "frameport.train"
+
+# (name, help, add-arguments function, _DEFERRED modules) of each command,
+# in usage order
 _COMMANDS = (
-    ("ingest", "Scan file trees into a training corpus.", _ingest_arguments),
-    ("train", "Align keyword embeddings adversarially.", _train_arguments),
-    ("dict", "Induce a keyword dictionary from a checkpoint.", _dict_arguments),
-    ("transpile", "Translate one file or stdin.", _transpile_arguments),
-    ("eval", "Score a transpilation example suite.", _eval_arguments),
-    ("inspect", "Examine corpora, rankings, and dictionaries.", _inspect_arguments),
+    ("ingest", "Scan file trees into a training corpus.", _ingest_arguments,
+     (_CORPUS,)),
+    ("train", "Align keyword embeddings adversarially.", _train_arguments,
+     (_CORPUS, "frameport.bpe", "frameport.embeddings", _DICTIONARY, _TRAIN)),
+    ("dict", "Induce a keyword dictionary from a checkpoint.", _dict_arguments,
+     (_CORPUS, _DICTIONARY, _TRAIN)),
+    ("transpile", "Translate one file or stdin.", _transpile_arguments, ()),
+    ("eval", "Score a transpilation example suite.", _eval_arguments,
+     ("frameport.evaluate",)),
+    ("inspect", "Examine corpora, rankings, and dictionaries.", _inspect_arguments,
+     ()),
 )
 _INSPECT = (
-    ("vocab", "List a framework's keyword vocabulary.", _vocab_arguments),
-    ("neighbors", "Top-scoring candidates for one keyword.", _neighbors_arguments),
-    ("diff", "Compare the mappings of two dictionaries.", _diff_arguments),
+    ("vocab", "List a framework's keyword vocabulary.", _vocab_arguments,
+     (_CORPUS,)),
+    ("neighbors", "Top-scoring candidates for one keyword.", _neighbors_arguments,
+     (_CORPUS, _DICTIONARY, _TRAIN)),
+    ("diff", "Compare the mappings of two dictionaries.", _diff_arguments, ()),
 )
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser, which adds its arguments when argparse hands it
-    the rest of the command line: only the command that runs builds them."""
+    """A command's parser, which imports the command's modules and adds its
+    arguments when argparse hands it the rest of the command line: only
+    the command that runs loads and builds them."""
 
-    def __init__(self, *args, add_arguments, **kwargs) -> None:
+    def __init__(self, *args, add_arguments, modules, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._add_arguments = add_arguments
+        self._modules = modules
 
     def parse_known_args(self, args=None, namespace=None):
         if self._add_arguments is not None:
             add, self._add_arguments = self._add_arguments, None
+            _import_deferred(self._modules)
             add(self)
         return super().parse_known_args(args, namespace)
 
 
 def _add_commands(sub: argparse._SubParsersAction, commands) -> None:
-    for name, help, add_arguments in commands:
-        sub.add_parser(name, help=help, add_arguments=add_arguments)
+    for name, help, add_arguments, modules in commands:
+        sub.add_parser(name, help=help, add_arguments=add_arguments, modules=modules)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,11 @@
 """Induce an API keyword dictionary from aligned output embeddings.
 
+This module is the numpy half of the dictionary: keyword-pair scores
+(cosine, dot, CSLS) and induction. The records it builds
+(``KeywordDictionary`` and its entries), their JSON file, and ``lookup``
+live in the numpy-free ``frameport.keyword_dictionary``, which the
+transpile path reads; they are importable from here too.
+
 Matching is hierarchical: callables and their parameters form groups;
 groups pair up greedily by summed similarity, then parameters pair up
 one-to-one inside each matched group. Parameters the target group cannot
@@ -26,15 +32,12 @@ group scores never win; a source callable with no other score is an error.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from frameport.atomic import write_text_atomic
 from frameport.canon import (
     CALLABLE,
     PARAMETER,
@@ -47,17 +50,22 @@ from frameport.errors import (
     EmptyVocabularyError,
     KOutOfRange,
     NonFiniteScoreError,
-    UnmappedKeyword,
     ZeroVectorError,
-    loading,
+)
+from frameport.keyword_dictionary import (
+    DROP,
+    EXPAND,
+    RENAME,
+    Expansion,
+    GroupEntry,
+    KeywordDictionary,
+    ParamEntry,
+    dictionary_pairs,
+    lookup,
 )
 
 COSINE = "cosine"
 DOT = "dot"
-
-RENAME = "rename"
-DROP = "drop"
-EXPAND = "expand"
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,90 +166,6 @@ def group_similarity(
         for p in g1.parameters:
             total += float(values[p.id, cols].max())
     return total
-
-
-@dataclass(frozen=True)
-class ParamEntry:
-    src: str
-    tgt: str | None  # None means the parameter is dropped
-    score: float
-
-
-@dataclass(frozen=True)
-class Expansion:
-    src_param: str
-    new_call: str  # rendered zero-argument call, e.g. "nn.ReLU()"
-    score: float
-
-
-@dataclass(frozen=True)
-class GroupEntry:
-    src_callable: str
-    tgt_callable: str
-    score: float
-    params: tuple[ParamEntry, ...] = ()
-    expansions: tuple[Expansion, ...] = ()
-
-
-@dataclass(frozen=True)
-class KeywordDictionary:
-    src_framework: str
-    tgt_framework: str
-    tau: float
-    groups: tuple[GroupEntry, ...] = ()
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for g in self.groups:
-            if g.src_callable in seen:
-                raise ConfigError(f"duplicate source callable {g.src_callable!r}")
-            seen.add(g.src_callable)
-
-    def group_for(self, src_callable: str) -> GroupEntry | None:
-        for g in self.groups:
-            if g.src_callable == src_callable:
-                return g
-        return None
-
-    def to_dict(self) -> dict:
-        return {"version": 1, **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "KeywordDictionary":
-        groups = tuple(
-            GroupEntry(
-                src_callable=g["src_callable"],
-                tgt_callable=g["tgt_callable"],
-                score=float(g["score"]),
-                params=tuple(
-                    ParamEntry(src=p["src"], tgt=p["tgt"], score=float(p["score"]))
-                    for p in g.get("params", [])
-                ),
-                expansions=tuple(
-                    Expansion(
-                        src_param=e["src_param"],
-                        new_call=e["new_call"],
-                        score=float(e["score"]),
-                    )
-                    for e in g.get("expansions", [])
-                ),
-            )
-            for g in doc["groups"]
-        )
-        return cls(
-            src_framework=doc["src_framework"],
-            tgt_framework=doc["tgt_framework"],
-            tau=float(doc["tau"]),
-            groups=groups,
-        )
-
-    def save(self, path: str | Path) -> None:
-        write_text_atomic(path, json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KeywordDictionary":
-        with loading("keyword dictionary", path):
-            return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def _group_similarities(
@@ -404,60 +328,3 @@ def generate_dictionary(
         tau=tau,
         groups=tuple(entries),
     )
-
-
-@dataclass(frozen=True)
-class Translation:
-    """What the pipeline should do with one keyword occurrence."""
-
-    kind: str  # rename | drop | expand
-    new_name: str | None = None
-    new_call: str | None = None
-
-
-def lookup(dictionary: KeywordDictionary, kw: ApiKeyword) -> Translation:
-    """Resolve a keyword; parameters resolve inside their owner's group."""
-    if kw.kind == CALLABLE:
-        g = dictionary.group_for(kw.text)
-        if g is None:
-            raise UnmappedKeyword(f"callable {kw.text!r} not in dictionary")
-        return Translation(kind=RENAME, new_name=g.tgt_callable)
-    g = dictionary.group_for(kw.owner)
-    if g is None:
-        raise UnmappedKeyword(f"no group for owner {kw.owner!r}")
-    for e in g.expansions:
-        if e.src_param == kw.text:
-            return Translation(kind=EXPAND, new_call=e.new_call)
-    for p in g.params:
-        if p.src == kw.text:
-            if p.tgt is None:
-                return Translation(kind=DROP)
-            return Translation(kind=RENAME, new_name=p.tgt)
-    raise UnmappedKeyword(f"parameter {kw.text!r} not in group {kw.owner!r}")
-
-
-def dictionary_pairs(
-    dictionary: KeywordDictionary,
-) -> list[tuple[tuple[str, str, str | None], tuple[str, str, str | None]]]:
-    """All (kind, text, owner) rename pairs, callables then parameters."""
-    pairs = []
-    for g in dictionary.groups:
-        pairs.append(
-            ((CALLABLE, g.src_callable, None), (CALLABLE, g.tgt_callable, None))
-        )
-        for p in g.params:
-            if p.tgt is not None:
-                pairs.append(
-                    (
-                        (PARAMETER, p.src, g.src_callable),
-                        (PARAMETER, p.tgt, g.tgt_callable),
-                    )
-                )
-    return pairs
-
-
-def vocab_index(
-    vocab: Sequence[ApiKeyword],
-) -> Mapping[tuple[str, str, str | None], int]:
-    """Map (kind, text, owner) to embedding column id."""
-    return {(kw.kind, kw.text, kw.owner): kw.id for kw in vocab}

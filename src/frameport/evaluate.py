@@ -28,8 +28,9 @@ from frameport.canon import (
     SourceUnit,
     canonical_tree,
 )
-from frameport.dictionary import ScoreMatrix, _values, vocab_index
+from frameport.dictionary import ScoreMatrix, _values
 from frameport.errors import ConfigError, FrameportError, ParseError, loading
+from frameport.keyword_dictionary import vocab_index
 
 import ast
 

@@ -21,7 +21,7 @@ from .canon import (
     canonicalize,
     extract_keywords,
 )
-from .dictionary import DROP, RENAME, KeywordDictionary, lookup
+from .keyword_dictionary import DROP, RENAME, KeywordDictionary, lookup
 from .errors import (
     ConfigError,
     ExpansionContextError,
@@ -68,9 +68,14 @@ def default_template(src_framework: str, tgt_framework: str) -> PromptTemplate:
 
 def default_dictionary(src_framework: str, tgt_framework: str) -> KeywordDictionary:
     """Load the bundled keyword dictionary for a framework pair."""
-    return KeywordDictionary.load(
-        fixture_path(f"dict_{src_framework}_{tgt_framework}.json")
-    )
+    try:
+        path = fixture_path(f"dict_{src_framework}_{tgt_framework}.json")
+    except ConfigError as exc:
+        raise ConfigError(
+            f"{exc}; a pair without a bundled dictionary needs a learned one, "
+            "given with transpile --dictionary or eval --dictionary-dir"
+        ) from None
+    return KeywordDictionary.load(path)
 
 
 @dataclass(frozen=True)

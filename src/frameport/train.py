@@ -33,16 +33,16 @@ import numpy as np
 from frameport import nn
 from frameport.atomic import write_text_atomic
 from frameport.canon import ApiKeyword
-from frameport.dictionary import (
-    KeywordDictionary,
-    dictionary_pairs,
-    vocab_index,
-)
 from frameport.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDictionaryError,
     loading,
+)
+from frameport.keyword_dictionary import (
+    KeywordDictionary,
+    dictionary_pairs,
+    vocab_index,
 )
 
 LR_GRID = (2e-4, 5e-4, 1e-3)

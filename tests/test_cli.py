@@ -848,13 +848,26 @@ def test_transpile_unwritable_output_names_the_output_path(tmp_path, capsys):
     assert not dst.parent.exists()
 
 
-def test_transpile_pair_without_bundled_dictionary_exits_2(tmp_path):
+def test_transpile_pair_without_bundled_dictionary_exits_2(tmp_path, capsys):
+    # the error names the two flags that give a learned dictionary
     src = tmp_path / "net.py"
     src.write_text(FIG_INPUT)
-    rc = main([
-        "transpile", "--from", "pytorch", "--to", "mxnet", "--input", str(src)
-    ])
-    assert rc == 2
+    eval_set = tmp_path / "examples.jsonl"
+    eval_set.write_text(json.dumps({
+        "id": "fig", "src_framework": "pytorch", "tgt_framework": "mxnet",
+        "source": FIG_INPUT, "gold": "",
+    }) + "\n")
+    for argv in (
+        ["transpile", "--from", "pytorch", "--to", "mxnet", "--input", str(src)],
+        ["eval", "--eval-set", str(eval_set), "--out", str(tmp_path / "out")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: no bundled fixture named 'dict_pytorch_mxnet.json'; a pair "
+            "without a bundled dictionary needs a learned one, given with "
+            "transpile --dictionary or eval --dictionary-dir\n"
+        )
 
 
 def test_transpile_unmapped_callable_warns_on_stderr(tmp_path, capsys):
@@ -1077,6 +1090,27 @@ def test_eval_missing_dictionary_dir_pair_exits_2(tmp_path):
         "--dictionary-dir", str(tmp_path / "dicts"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--lrs", "--batch-sizes"])
+def test_empty_comma_list_is_a_usage_error_before_any_work(
+    flag, corpus, tmp_path, capsys
+):
+    # argparse rejects the list before eval runs a suite of no seeds, or
+    # train embeds the corpus and creates --out
+    out = tmp_path / "out"
+    if flag == "--seeds":
+        eval_set = tmp_path / "examples.jsonl"
+        _write_eval_set(eval_set)
+        argv = ["eval", "--eval-set", str(eval_set), "--out", str(out), flag, ","]
+    else:
+        argv = _train_argv(corpus, out, "--grid", "--total-samples", "16", flag, ",")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: not a comma-separated" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # -- malformed input files ------------------------------------------------------
