@@ -21,13 +21,13 @@ from .canon import (
     canonicalize,
     extract_keywords,
 )
-from .keyword_dictionary import DROP, RENAME, KeywordDictionary, lookup
 from .errors import (
     ConfigError,
     ExpansionContextError,
     PlaceholderMismatch,
     UnmappedKeyword,
 )
+from .keyword_dictionary import DROP, RENAME, KeywordDictionary, lookup
 from .llm import BackendConfig, PromptTemplate, load_template, transpile_skeleton
 from .skeleton import (
     CodeSkeleton,
