@@ -40,26 +40,19 @@ class BpeVocab:
     """Ordered merge list plus the token table it induces."""
 
     merges: tuple[tuple[str, str], ...]
-    tokens: tuple[str, ...] = ()
-    token_to_id: dict[str, int] = field(default_factory=dict, compare=False)
-    _ranks: dict[tuple[str, str], int] = field(default_factory=dict, compare=False)
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.tokens:
-            base = list(SPECIAL_TOKENS) + [chr(b) for b in range(256)]
-            base += [a + b for a, b in self.merges]
-            object.__setattr__(self, "tokens", tuple(base))
-        expected = len(SPECIAL_TOKENS) + 256 + len(self.merges)
-        if len(self.tokens) != expected:
-            raise ConfigError(
-                f"token table size {len(self.tokens)} != {expected} implied by merges"
-            )
-        self.token_to_id.clear()
-        self.token_to_id.update({t: i for i, t in enumerate(self.tokens)})
-        if len(self.token_to_id) != len(self.tokens):
+        tokens = SPECIAL_TOKENS + tuple(chr(b) for b in range(256))
+        tokens += tuple(a + b for a, b in self.merges)
+        token_to_id = {t: i for i, t in enumerate(tokens)}
+        if len(token_to_id) != len(tokens):
             raise ConfigError("duplicate tokens in vocabulary")
-        self._ranks.clear()
-        self._ranks.update({pair: r for r, pair in enumerate(self.merges)})
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "token_to_id", token_to_id)
+        object.__setattr__(self, "_ranks", {p: r for r, p in enumerate(self.merges)})
 
     @property
     def size(self) -> int:

@@ -27,7 +27,7 @@ from frameport.errors import (
     DuplicateKeywordError,
     ParseError,
     UnknownCallableError,
-    loading,
+    reading,
 )
 
 log = logging.getLogger(__name__)
@@ -130,6 +130,16 @@ def _split_prefixes(path: str) -> list[str]:
     return [".".join(parts[:n]) for n in range(len(parts), 0, -1)]
 
 
+def _replace_prefix(table: Mapping[str, str], dotted: str) -> str | None:
+    """``dotted`` with its longest dotted prefix that ``table`` holds
+    replaced by that prefix's value, or None when it holds none."""
+    for prefix in _split_prefixes(dotted):
+        value = table.get(prefix)
+        if value is not None:
+            return value + dotted[len(prefix):]
+    return None
+
+
 class SignatureDatabase:
     """Read-only table of a framework's modules, callables, and parameters."""
 
@@ -171,27 +181,15 @@ class SignatureDatabase:
 
     def normalize_path(self, path: str) -> str:
         """Replace the longest known non-canonical module prefix."""
-        for prefix in _split_prefixes(path):
-            target = self.path_aliases.get(prefix)
-            if target is not None:
-                return target + path[len(prefix):]
-        return path
+        return _replace_prefix(self.path_aliases, path) or path
 
     def contract_path(self, path: str) -> str | None:
         """Rewrite the longest known module prefix to its short alias."""
-        for prefix in _split_prefixes(path):
-            short = self.import_aliases.get(prefix)
-            if short is not None:
-                return short + path[len(prefix):]
-        return None
+        return _replace_prefix(self.import_aliases, path)
 
     def resolve_name(self, dotted: str) -> str:
         """Resolve callable aliases on the longest matching prefix."""
-        for prefix in _split_prefixes(dotted):
-            canonical = self._name_index.get(prefix)
-            if canonical is not None:
-                return canonical + dotted[len(prefix):]
-        return dotted
+        return _replace_prefix(self._name_index, dotted) or dotted
 
     def signature_for(self, dotted: str) -> ApiSignature | None:
         canonical = self._name_index.get(dotted)
@@ -225,8 +223,8 @@ class SignatureDatabase:
 
     @classmethod
     def load(cls, path: str | Path) -> "SignatureDatabase":
-        with loading("signature database", path):
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        with reading("signature database", path) as text:
+            return cls.from_dict(json.loads(text))
 
 
 # -- AST helpers ---------------------------------------------------------
@@ -558,34 +556,24 @@ def extract_keywords(
             func_text = _dotted_name(node.func)
             sig = db.signatures.get(func_text) if func_text else None
             if sig is not None:
+                found = [(CALLABLE, func_text, None, _node_span(node.func, starts))]
+                for kw in node.keywords:
+                    if kw.arg in sig.parameters:
+                        start = starts[kw.lineno - 1] + kw.col_offset
+                        end = start + len(kw.arg.encode("utf-8"))
+                        found.append((PARAMETER, kw.arg, func_text, (start, end)))
                 call_id = next(call_ids)
                 context = data[ctx_span[0]:ctx_span[1]].decode("utf-8")
-                keyword = ApiKeyword(unit.framework, CALLABLE, func_text)
-                occurrences.append(
+                occurrences.extend(
                     KeywordOccurrence(
-                        keyword=keyword,
-                        span=_node_span(node.func, starts),
+                        keyword=ApiKeyword(unit.framework, kind, text, owner),
+                        span=span,
                         context=context,
                         context_offset=ctx_span[0],
                         call_id=call_id,
                     )
+                    for kind, text, owner, span in found
                 )
-                params = set(sig.parameters)
-                for kw in node.keywords:
-                    if kw.arg not in params:
-                        continue
-                    start = starts[kw.lineno - 1] + kw.col_offset
-                    occurrences.append(
-                        KeywordOccurrence(
-                            keyword=ApiKeyword(
-                                unit.framework, PARAMETER, kw.arg, owner=func_text
-                            ),
-                            span=(start, start + len(kw.arg.encode("utf-8"))),
-                            context=context,
-                            context_offset=ctx_span[0],
-                            call_id=call_id,
-                        )
-                    )
         for child in ast.iter_child_nodes(node):
             visit(child, ctx_span)
 

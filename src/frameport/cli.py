@@ -29,6 +29,8 @@ from .errors import (
     ConfigError,
     EmptyVocabularyError,
     FrameportError,
+    loading,
+    reading,
 )
 from .keyword_dictionary import KeywordDictionary, vocab_index
 from .llm import BackendConfig, load_template
@@ -430,12 +432,13 @@ def cmd_dict(args: argparse.Namespace) -> int:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read input {path}: {exc}") from None
+    if path != "-":
+        with reading("input", path) as text:
+            return text
+    with loading("input", path):
+        # stdin decodes bytes that are not UTF-8 to lone surrogates, which
+        # do not encode, so such input fails as it does from a file
+        return sys.stdin.read().encode("utf-8").decode("utf-8")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -560,14 +563,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # -- inspect -------------------------------------------------------------------
 
 
-def _find_keyword(
-    vocab: Sequence[ApiKeyword], kind: str, text: str, owner: str | None
-) -> ApiKeyword:
+def _find_keyword(vocab: Sequence[ApiKeyword], wanted: ApiKeyword) -> ApiKeyword:
     for kw in vocab:
-        if kw.kind == kind and kw.text == text and kw.owner == owner:
+        if kw == wanted:
             return kw
-    where = f" of {owner}" if owner else ""
-    raise ConfigError(f"{kind} {text!r}{where} is not in the vocabulary")
+    where = f" of {wanted.owner}" if wanted.owner else ""
+    raise ConfigError(f"{wanted.kind} {wanted.text!r}{where} is not in the vocabulary")
 
 
 def cmd_inspect_vocab(args: argparse.Namespace) -> int:
@@ -588,9 +589,12 @@ def cmd_inspect_vocab(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect_neighbors(args: argparse.Namespace) -> int:
+    # before any file is read: ApiKeyword rejects a parameter without an
+    # owner and a callable with one
+    wanted = ApiKeyword(args.src_framework, args.kind, args.keyword, args.owner)
     state = load_checkpoint(args.checkpoint)
     _, (vocab1, vocab2), _ = _load_pair(args)
-    kw = _find_keyword(vocab1, args.kind, args.keyword, args.owner)
+    kw = _find_keyword(vocab1, wanted)
     E1, E2 = state.model.output_embeddings
     measure, csls_k = _measure_args(args)
     s = score_matrix(E1, E2, measure)

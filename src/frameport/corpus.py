@@ -26,7 +26,7 @@ from frameport.canon import (
     extract_keywords,
     extract_module_classes,
 )
-from frameport.errors import loading
+from frameport.errors import ConfigError, reading
 
 log = logging.getLogger(__name__)
 
@@ -143,6 +143,8 @@ def _iter_files(
     files: list[Path] = []
     for root in roots:
         rootp = Path(root)
+        if not rootp.exists():
+            raise ConfigError(f"ingest root {root} does not exist")
         if rootp.is_file():
             candidates = [rootp]
         else:
@@ -277,15 +279,15 @@ def save_corpus(directory: str | Path, result: IngestResult) -> None:
 def load_corpus(directory: str | Path) -> IngestResult:
     d = Path(directory)
     path = d / "manifest.json"
-    with loading("corpus manifest", path):
-        manifest = CorpusManifest.from_dict(json.loads(path.read_text()))
+    with reading("corpus manifest", path) as text:
+        manifest = CorpusManifest.from_dict(json.loads(text))
     units: dict[str, list[SourceUnit]] = {}
     for fw in manifest.frameworks:
         fw_units: list[SourceUnit] = []
         path = d / f"units_{fw}.jsonl"
         if path.exists():
-            with loading("corpus units", path):
-                for line in path.read_text().splitlines():
+            with reading("corpus units", path) as text:
+                for line in text.splitlines():
                     if not line.strip():
                         continue
                     rec = json.loads(line)

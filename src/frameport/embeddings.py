@@ -40,6 +40,7 @@ from frameport.errors import (
     ConfigError,
     DimensionMismatch,
     MissingVectorError,
+    reading,
 )
 
 # ContextWindowProvider: tokens of context on each side of a keyword (also
@@ -98,29 +99,29 @@ class FileBackedProvider(EmbeddingProvider):
     """
 
     def __init__(self, path: str | Path):
-        lines = Path(path).read_text().splitlines()
-        if not lines or not lines[0].startswith("d_b="):
-            raise ConfigError(f"{path}: missing d_b=<int> header")
-        try:
+        # inside the reader, a bad d_b or a payload that is not whole floats
+        # fails as a malformed file
+        with reading("embedding file", path) as text:
+            lines = text.splitlines()
+            if not lines or not lines[0].startswith("d_b="):
+                raise ConfigError(f"{path}: missing d_b=<int> header")
             self._dim = int(lines[0][4:])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad d_b header") from exc
-        if self._dim <= 0:
-            raise ConfigError(f"{path}: d_b must be positive")
-        self._table: dict[str, np.ndarray] = {}
-        for ln, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            key, _, payload = line.partition("\t")
-            if not payload:
-                raise ConfigError(f"{path}:{ln}: expected key<TAB>payload")
-            raw = _decode_payload(payload.strip(), self._dim, path, ln)
-            vec = np.frombuffer(raw, dtype="<f4")
-            if vec.shape != (self._dim,):
-                raise DimensionMismatch(
-                    f"{path}:{ln}: {vec.shape[0]} floats, expected {self._dim}"
-                )
-            self._table[key] = vec.astype(np.float32)
+            if self._dim <= 0:
+                raise ConfigError(f"{path}: d_b must be positive")
+            self._table: dict[str, np.ndarray] = {}
+            for ln, line in enumerate(lines[1:], start=2):
+                if not line.strip():
+                    continue
+                key, _, payload = line.partition("\t")
+                if not payload:
+                    raise ConfigError(f"{path}:{ln}: expected key<TAB>payload")
+                raw = _decode_payload(payload.strip(), self._dim, path, ln)
+                vec = np.frombuffer(raw, dtype="<f4")
+                if vec.shape != (self._dim,):
+                    raise DimensionMismatch(
+                        f"{path}:{ln}: {vec.shape[0]} floats, expected {self._dim}"
+                    )
+                self._table[key] = vec.astype(np.float32)
 
     @property
     def dim(self) -> int:

@@ -3,6 +3,12 @@
 The class decides the CLI exit code: ``ConfigError`` and its subclasses
 exit 2, ``BackendUnavailable`` and its subclasses 4, and every other
 ``FrameportError`` 3.
+
+Every input file is read through ``reading``, which decodes it as UTF-8
+inside ``loading``: a file that cannot be opened, read or decoded, or
+whose text does not parse, ends in one ``ConfigError`` naming it. Only
+the source files ``ingest`` scans are read apart, leniently, since an
+unreadable one is skipped rather than fatal.
 """
 
 from __future__ import annotations
@@ -131,3 +137,11 @@ def loading(what: str, path: str | Path) -> Iterator[None]:
         raise ConfigError(f"cannot load {what} {path}: missing field {exc}") from None
     except (OSError, ValueError, TypeError, AttributeError, IndexError) as exc:
         raise ConfigError(f"cannot load {what} {path}: {exc}") from None
+
+
+@contextmanager
+def reading(what: str, path: str | Path) -> Iterator[str]:
+    """Yield the UTF-8 text of a file inside ``loading(what, path)``, so
+    reading, decoding and parsing it fail as one ``ConfigError``."""
+    with loading(what, path):
+        yield Path(path).read_text(encoding="utf-8")

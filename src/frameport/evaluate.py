@@ -29,7 +29,7 @@ from frameport.canon import (
     canonical_tree,
 )
 from frameport.dictionary import ScoreMatrix, _values
-from frameport.errors import ConfigError, FrameportError, ParseError, loading
+from frameport.errors import ConfigError, FrameportError, ParseError, loading, reading
 from frameport.keyword_dictionary import vocab_index
 
 import ast
@@ -47,20 +47,21 @@ class EvalExample:
 def load_eval_set(path: str | Path) -> list[EvalExample]:
     """Parse the JSONL eval-set format."""
     examples = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        with loading("eval set", f"{path}:{ln}"):
-            rec = json.loads(line)
-            examples.append(
-                EvalExample(
-                    id=str(rec["id"]),
-                    src_framework=rec["src_framework"],
-                    tgt_framework=rec["tgt_framework"],
-                    source=rec["source"],
-                    gold=rec["gold"],
+    with reading("eval set", path) as text:
+        for ln, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            with loading("eval set", f"{path}:{ln}"):
+                rec = json.loads(line)
+                examples.append(
+                    EvalExample(
+                        id=str(rec["id"]),
+                        src_framework=rec["src_framework"],
+                        tgt_framework=rec["tgt_framework"],
+                        source=rec["source"],
+                        gold=rec["gold"],
+                    )
                 )
-            )
     return examples
 
 

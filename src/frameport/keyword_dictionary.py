@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from frameport.atomic import write_text_atomic
 from frameport.canon import CALLABLE, PARAMETER, ApiKeyword
-from frameport.errors import ConfigError, UnmappedKeyword, loading
+from frameport.errors import ConfigError, UnmappedKeyword, reading
 
 RENAME = "rename"
 DROP = "drop"
@@ -55,17 +55,16 @@ class KeywordDictionary:
     groups: tuple[GroupEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        seen = set()
+        by_src: dict[str, GroupEntry] = {}
         for g in self.groups:
-            if g.src_callable in seen:
+            if g.src_callable in by_src:
                 raise ConfigError(f"duplicate source callable {g.src_callable!r}")
-            seen.add(g.src_callable)
+            by_src[g.src_callable] = g
+        # an attribute, not a field, so that asdict and == see only the groups
+        object.__setattr__(self, "_by_src", by_src)
 
     def group_for(self, src_callable: str) -> GroupEntry | None:
-        for g in self.groups:
-            if g.src_callable == src_callable:
-                return g
-        return None
+        return self._by_src.get(src_callable)
 
     def to_dict(self) -> dict:
         return {"version": 1, **asdict(self)}
@@ -104,8 +103,8 @@ class KeywordDictionary:
 
     @classmethod
     def load(cls, path: str | Path) -> "KeywordDictionary":
-        with loading("keyword dictionary", path):
-            return cls.from_dict(json.loads(Path(path).read_text()))
+        with reading("keyword dictionary", path) as text:
+            return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

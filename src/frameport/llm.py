@@ -26,7 +26,7 @@ from frameport.errors import (
     BackendUnavailable,
     ConfigError,
     StopMarkerMissing,
-    loading,
+    reading,
 )
 from frameport.skeleton import CodeSkeleton, PLACEHOLDER_RE
 
@@ -110,16 +110,12 @@ def _split_blocks(raw: str) -> list[tuple[str, str]]:
 def load_template(
     path: str | Path, src_framework: str, tgt_framework: str
 ) -> PromptTemplate:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read template {path}: {exc}") from None
-    raw = raw.replace("\r\n", "\n")
-    return PromptTemplate(
-        raw=raw,
-        source_label=FRAMEWORK_LABELS.get(src_framework, src_framework),
-        target_label=FRAMEWORK_LABELS.get(tgt_framework, tgt_framework),
-    )
+    with reading("template", path) as raw:
+        return PromptTemplate(
+            raw=raw.replace("\r\n", "\n"),
+            source_label=FRAMEWORK_LABELS.get(src_framework, src_framework),
+            target_label=FRAMEWORK_LABELS.get(tgt_framework, tgt_framework),
+        )
 
 
 def render_prompt(skel: CodeSkeleton | str, tmpl: PromptTemplate) -> str:
@@ -164,8 +160,8 @@ class BackendConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "BackendConfig":
-        with loading("backend config", path):
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        with reading("backend config", path) as text:
+            return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from frameport.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDictionaryError,
-    loading,
+    reading,
 )
 from frameport.keyword_dictionary import (
     KeywordDictionary,
@@ -390,22 +390,18 @@ def train(
     d_b = H1.shape[1]
     if H2.shape[1] != d_b:
         raise DimensionMismatch("both sides must share the provider dimension d_b")
+    s_batch, s_drop, s_init = np.random.SeedSequence(cfg.seed).spawn(3)
+    sampler = BatchSampler(H1, y1, H2, y2, cfg.batch_size, seed=s_batch)
+    rng_drop = np.random.default_rng(s_drop)
     if resume is not None:
-        model, opt = resume.model, resume.opt
-        sampler = BatchSampler(H1, y1, H2, y2, cfg.batch_size, seed=cfg.seed)
+        model, opt, start_step = resume.model, resume.opt, resume.step
         sampler.set_state(resume.sampler_state)
-        rng_drop = np.random.default_rng(0)
         rng_drop.bit_generator.state = resume.dropout_state
-        start_step = resume.step
     else:
-        ss = np.random.SeedSequence(cfg.seed)
-        s_batch, s_drop, s_init = ss.spawn(3)
         model = AlignmentModel.create(
             cfg, d_b, vocab_sizes, np.random.default_rng(s_init)
         )
         opt = Optimizers.init(model)
-        sampler = BatchSampler(H1, y1, H2, y2, cfg.batch_size, seed=s_batch)
-        rng_drop = np.random.default_rng(s_drop)
         start_step = 0
 
     schedule = cfg.schedule
@@ -518,8 +514,8 @@ def save_checkpoint(path: str | Path, state: TrainState) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
-    with loading("checkpoint", path):
-        doc = json.loads(Path(path).read_text())
+    with reading("checkpoint", path) as text:
+        doc = json.loads(text)
         if doc.get("version") != 1:
             raise ConfigError(f"{path}: unsupported checkpoint version")
         return TrainState(

@@ -471,6 +471,15 @@ def test_ingest_dry_run_writes_nothing(tree, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_root_that_does_not_exist_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    missing = tmp_path / "no_such_tree"
+    capsys.readouterr()
+    assert main(["ingest", "--root", str(missing), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: ingest root {missing} does not exist\n"
+    assert not out.exists()
+
+
 # -- train -----------------------------------------------------------------------
 
 
@@ -1150,18 +1159,69 @@ def _broken_eval_set(tmp_path, corpus):
     return ["eval", "--eval-set", str(path), "--out", str(tmp_path / "out")], f"{path}:2"
 
 
+def _not_utf8(path):
+    # a Latin-1 "é" is the byte 0xE9, which starts no UTF-8 sequence
+    path.write_bytes(b"# caf\xe9\n")
+    return path
+
+
+_TRANSPILE = ["transpile", "--from", "pytorch", "--to", "keras"]
+
+
+def _not_utf8_input(tmp_path, corpus):
+    path = _not_utf8(tmp_path / "net.py")
+    return [*_TRANSPILE, "--input", str(path)], path
+
+
+def _not_utf8_stdin(tmp_path, corpus):
+    # the test feeds stdin NOT_UTF8_STDIN
+    return [*_TRANSPILE, "--input", "-"], "-"
+
+
+def _not_utf8_template(tmp_path, corpus):
+    source = tmp_path / "net.py"
+    source.write_text(FIG_INPUT)
+    path = _not_utf8(tmp_path / "template.txt")
+    return [*_TRANSPILE, "--input", str(source), "--template", str(path)], path
+
+
+def _not_utf8_eval_set(tmp_path, corpus):
+    path = _not_utf8(tmp_path / "examples.jsonl")
+    return ["eval", "--eval-set", str(path), "--out", str(tmp_path / "out")], path
+
+
+def _not_utf8_embedding_file(tmp_path, corpus):
+    path = _not_utf8(tmp_path / "vectors.txt")
+    return _train_argv(corpus, tmp_path / "out", "--provider", f"file:{path}"), path
+
+
+def _partial_float_embedding_file(tmp_path, corpus):
+    path = tmp_path / "vectors.txt"
+    # a 5-byte payload is not a whole number of float32 values
+    path.write_text("d_b=3\nk\tMTIzNDU=\n")
+    return _train_argv(corpus, tmp_path / "out", "--provider", f"file:{path}"), path
+
+
+# stdin decodes a byte that is not UTF-8 to a lone surrogate
+NOT_UTF8_STDIN = b"# caf\xe9\n".decode("utf-8", "surrogateescape")
+
+
 @pytest.mark.parametrize("make", [
     _broken_checkpoint, _broken_manifest, _broken_dictionary, _broken_eval_set,
+    _not_utf8_input, _not_utf8_stdin, _not_utf8_template, _not_utf8_eval_set,
+    _not_utf8_embedding_file, _partial_float_embedding_file,
 ])
 def test_malformed_input_file_exits_2_with_one_line_naming_it(
-    make, corpus, tmp_path, capsys
+    make, corpus, tmp_path, capsys, monkeypatch
 ):
     argv, path = make(tmp_path, corpus)
+    monkeypatch.setattr("sys.stdin", io.StringIO(NOT_UTF8_STDIN))
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load ") and err.count("\n") == 1
     assert f" {path}: " in err
+    assert not (tmp_path / "out").exists()
 
 
 # -- inspect ---------------------------------------------------------------------
@@ -1242,6 +1302,26 @@ def test_inspect_neighbors_unknown_keyword_exits_2(run_dir, corpus):
         "--keyword", "nn.Transformer",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--keyword", "in_features", "--kind", "parameter"],
+     "parameter keyword 'in_features' needs an owner"),
+    (["--keyword", "nn.Linear", "--owner", "nn.Conv2d"],
+     "callable keyword 'nn.Linear' cannot have an owner"),
+])
+def test_inspect_neighbors_owner_rule_exits_2_before_loading(
+    flags, message, corpus, tmp_path, capsys
+):
+    # the checkpoint does not exist: the keyword is rejected before it is read
+    capsys.readouterr()
+    rc = main([
+        "inspect", "neighbors", "--checkpoint", str(tmp_path / "missing.json"),
+        "--corpus", str(corpus),
+        "--src-framework", "pytorch", "--tgt-framework", "keras", *flags,
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_inspect_diff_reports_changes(tmp_path, capsys):

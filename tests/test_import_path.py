@@ -3,7 +3,8 @@
 Every ``frameport transpile`` is a fresh interpreter, so an import it does
 not need is paid on every file translated. The learning modules, numpy and
 the HTTP stack must stay out of ``sys.modules``, and the README's quick
-start must run, byte for byte, with numpy made unimportable.
+start must run, byte for byte, with numpy made unimportable. ``ingest``,
+``inspect vocab`` and ``inspect diff`` import no numpy either.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from frameport.pipeline import fixture_path
+from helpers import KS_FILE, PT_FILE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,3 +91,27 @@ def test_importing_the_package_loads_only_the_transpile_path(tmp_path, mode):
     out, loaded = _child(tmp_path, mode, "import frameport")
     assert out == ""
     assert loaded == []
+
+
+@pytest.mark.parametrize("mode", ["load", "block"])
+def test_ingest_and_inspect_vocab_and_diff_import_no_numpy(tmp_path, mode):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "pt.py").write_text(PT_FILE, encoding="utf-8")
+    (tree / "ks.py").write_text(KS_FILE, encoding="utf-8")
+    bundled = str(fixture_path("dict_pytorch_keras.json"))
+    commands = [
+        ["ingest", "--root", "tree", "--out", "corpus",
+         "--framework", "pytorch", "--framework", "keras"],
+        ["inspect", "vocab", "--corpus", "corpus", "--framework", "pytorch"],
+        ["inspect", "diff", "--old", bundled, "--new", bundled],
+    ]
+    statement = (
+        "from frameport.cli import main\n"
+        f"rc = max(main(argv) for argv in {commands!r})"
+    )
+    out, loaded = _child(tmp_path, mode, statement)
+    assert "corpus written to corpus" in out
+    assert "parameter nn.Linear.in_features" in out
+    assert (tmp_path / "corpus" / "manifest.json").is_file()
+    assert "numpy" not in loaded
