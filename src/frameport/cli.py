@@ -271,6 +271,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         cfg = resume.cfg
     if args.total_samples is not None:
         cfg = replace(cfg, total_samples=args.total_samples)
+    if args.grid:
+        # every cell's config is checked before any work, as a single run's is
+        for lr in args.lrs:
+            for n in args.batch_sizes:
+                replace(cfg, peak_lr=lr, batch_size=n)
 
     (H1, y1, H2, y2), (vocab1, vocab2), (db1, db2) = _train_inputs(args, resume)
     sizes = (len(vocab1), len(vocab2))

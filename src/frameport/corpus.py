@@ -146,16 +146,18 @@ def _iter_files(
         if not rootp.exists():
             raise ConfigError(f"ingest root {root} does not exist")
         if rootp.is_file():
+            # a file named as a root is a candidate whatever its name (as in
+            # ripgrep): the include globs pick among the files a walk finds
             candidates = [rootp]
         else:
-            candidates = sorted(p for p in rootp.rglob("*") if p.is_file())
+            candidates = sorted(
+                p
+                for p in rootp.rglob("*")
+                if p.is_file() and any(fnmatch.fnmatch(p.name, g) for g in include)
+            )
         for p in candidates:
-            name = p.name
-            if not any(fnmatch.fnmatch(name, g) for g in include):
-                continue
-            if any(fnmatch.fnmatch(str(p), g) for g in exclude):
-                continue
-            files.append(p)
+            if not any(fnmatch.fnmatch(str(p), g) for g in exclude):
+                files.append(p)
     return files
 
 

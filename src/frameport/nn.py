@@ -51,6 +51,9 @@ class Mlp:
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise DimensionMismatch(f"bad layer shapes {w.shape} / {b.shape}")
+            if b.dtype != w.dtype:
+                # forward adds the bias in place, in the dtype of x @ W
+                raise ConfigError(f"layer dtypes differ: {w.dtype} / {b.dtype}")
         for prev, nxt in zip(self.weights, self.weights[1:]):
             if prev.shape[1] != nxt.shape[0]:
                 raise DimensionMismatch(
@@ -157,7 +160,10 @@ def forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Batch forward pass; the cache feeds :func:`backward`."""
+    """Batch forward pass; the cache feeds :func:`backward`.
+
+    The bias add and dropout work in place on each layer's fresh product.
+    """
     if x.ndim != 2 or x.shape[1] != mlp.dims[0]:
         raise DimensionMismatch(f"input {x.shape} does not match dims {mlp.dims}")
     use_dropout = train_mode and mlp.dropout > 0.0
@@ -171,7 +177,8 @@ def forward(
     last = len(mlp.weights) - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         inputs.append(a)
-        z = a @ w + b
+        z = a @ w
+        z += b
         if l == last:
             a = z
         else:
@@ -179,7 +186,8 @@ def forward(
             act_grads.append(grad)
             if use_dropout:
                 mask = (rng.random(a.shape) < keep).astype(a.dtype)
-                a = a * mask / keep
+                a *= mask
+                a /= keep
                 masks.append(mask)
             else:
                 masks.append(None)
@@ -200,7 +208,9 @@ def backward(
     in their place; ``input_grad=False`` skips the input gradient (the first
     layer's ``dz @ W.T``) and returns None for it. The activation
     derivatives come from the forward pass. Skipping one part leaves the
-    other bit for bit unchanged.
+    other bit for bit unchanged. The dropout and derivative products work
+    in place, in the dtype of ``upstream @ W.T``, so ``upstream`` should
+    have the dtype of the forward output.
     """
     if cache.mlp is not mlp:
         raise CacheMismatch("cache was produced by a different model")
@@ -217,8 +227,10 @@ def backward(
             da = dz @ mlp.weights[l].T
             mask = cache.masks[l - 1]
             if mask is not None:
-                da = da * mask / keep
-            dz = da * cache.act_grads[l - 1]
+                da *= mask
+                da /= keep
+            da *= cache.act_grads[l - 1]
+            dz = da
         elif input_grad:
             dx = dz @ mlp.weights[0].T
     return (reversed_grads[::-1] if param_grads else None), dx

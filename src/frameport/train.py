@@ -12,7 +12,9 @@ updates from gradients taken at the step's starting point:
 
 The three roles keep separate Adam states because the two generator
 losses run at different scales. Contextual embeddings are inputs only;
-no gradient ever reaches the provider.
+no gradient ever reaches the provider. A run keeps every trained tensor
+in one flat arena laid out so that each role is one slice (``_Arena``),
+and each role's update is one whole-vector Adam step.
 
 A run is one ``TrainState``: model, optimizers, step, config, and the
 sampler and dropout generator states. ``train`` resumes from one and
@@ -68,6 +70,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.total_samples < 0:
             raise ConfigError("need batch_size >= 1 and total_samples >= 0")
+        if self.d < 1:
+            raise ConfigError(f"need d >= 1, got {self.d}")
+        if not 0.0 < self.peak_lr < float("inf"):
+            raise ConfigError(f"need a finite peak_lr > 0, got {self.peak_lr}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(
+                f"need checkpoint_every >= 0, got {self.checkpoint_every}"
+            )
 
     @property
     def total_steps(self) -> int:
@@ -229,6 +239,19 @@ def gradients(
     gen_adv: dL_G over generator params, through the forward-time
     discriminator.
     """
+    return _gradients(model, batch, label_smoothing, train_mode, rng)
+
+
+def _gradients(
+    model: AlignmentModel,
+    batch: TrainBatch,
+    label_smoothing: float,
+    train_mode: bool,
+    rng: np.random.Generator | None,
+    dE: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+) -> tuple[dict[str, list[np.ndarray]], dict[str, float]]:
+    """:func:`gradients`, writing the E1 and E2 gradients into ``dE`` when
+    it holds arrays (the arena's gradient buffer) instead of new ones."""
     E1, E2 = model.output_embeddings
     n1, n2 = len(batch.h1), len(batch.h2)
     h = np.concatenate([batch.h1, batch.h2], axis=0)
@@ -245,7 +268,10 @@ def gradients(
 
     dz_ce = np.concatenate([dlogits1 @ E1.T, dlogits2 @ E2.T], axis=0)
     g_gen, _ = nn.backward(model.generator, gen_cache, dz_ce, input_grad=False)
-    joint_grads = g_gen + [z1.T @ dlogits1, z2.T @ dlogits2]
+    joint_grads = g_gen + [
+        np.matmul(z1.T, dlogits1, out=dE[0]),
+        np.matmul(z2.T, dlogits2, out=dE[1]),
+    ]
 
     g_disc, _ = nn.backward(model.discriminator, disc_cache, g_true, input_grad=False)
 
@@ -258,6 +284,98 @@ def gradients(
     )
 
 
+def _tile(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Views of consecutive pieces of ``flat``, shaped like ``like``."""
+    views = []
+    start = 0
+    for a in like:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
+
+
+def _pack(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A flat copy of ``arrays`` in order, and a view of it per array."""
+    flat = np.empty(sum(a.size for a in arrays), dtype=np.result_type(*arrays))
+    views = _tile(flat, arrays)
+    for view, a in zip(views, arrays):
+        view[...] = a
+    return flat, views
+
+
+class _Arena(Optimizers):
+    """The run's optimizers with the model bound to one parameter arena.
+
+    Binding copies every trained tensor into one flat buffer, in the order
+    generator | E1 | E2 | discriminator, and rebinds the model's arrays to
+    views of it, so that each role in ``_role_params`` is one slice: joint
+    ``[0:g+e]``, gen_adv ``[0:g]`` and disc ``[g+e:]``. Each role's Adam
+    moments are likewise copied into one flat pair, and its ``AdamState``
+    keeps per-tensor views of them (the form a checkpoint stores). A step
+    writes each role's gradient into one flat buffer, in the dtype the
+    gradients have for inputs of ``input_dtype``, and updates the role with
+    one ``nn.adam_step`` over whole vectors, which applies the same
+    operations to the same elements as one call per tensor.
+    """
+
+    def __init__(
+        self, model: AlignmentModel, opt: Optimizers, input_dtype: np.dtype
+    ) -> None:
+        super().__init__(opt.joint, opt.disc, opt.gen_adv)
+        gen, embeds, disc = model.generator, model.output_embeddings, model.discriminator
+        gen_end = 2 * len(gen.weights)
+        embeds_end = gen_end + len(embeds)
+        params, views = _pack(gen.parameters() + list(embeds) + disc.parameters())
+        for mlp, mlp_views in ((gen, views[:gen_end]), (disc, views[embeds_end:])):
+            mlp.weights[:] = mlp_views[0::2]
+            mlp.biases[:] = mlp_views[1::2]
+        embeds[:] = views[gen_end:embeds_end]
+        offsets = np.cumsum([0] + [v.size for v in views])
+        start = {id(view): int(offset) for view, offset in zip(views, offsets)}
+        self.grad_dtype = np.result_type(params, input_dtype)
+        # role -> (parameter slice, flat first and second moments, the
+        # role's parameters, which its gradient views are shaped like)
+        self.roles = {}
+        for role, role_params in _role_params(model).items():
+            lo = start[id(role_params[0])]
+            theta = params[lo : lo + sum(p.size for p in role_params)]
+            state = getattr(self, role)
+            m, state.m[:] = _pack(state.m)
+            v, state.v[:] = _pack(state.v)
+            self.roles[role] = (theta, m, v, role_params)
+
+    def step(
+        self,
+        model: AlignmentModel,
+        batch: TrainBatch,
+        cfg: TrainConfig,
+        lr: float,
+        rng: np.random.Generator | None,
+    ) -> dict[str, float]:
+        # the gradient buffers live for one step: kept for the run, they
+        # would also be resident through checkpoint selection, which sets
+        # the peak memory
+        flat, views = {}, {}
+        for role, (theta, _, _, params) in self.roles.items():
+            flat[role] = np.empty(theta.size, self.grad_dtype)
+            views[role] = _tile(flat[role], params)
+        # the joint role lists E1 and E2 last: their gradients are written
+        # straight into its buffer and the smaller ones are copied in
+        grads, step_losses = _gradients(
+            model, batch, cfg.label_smoothing, cfg.dropout > 0, rng,
+            tuple(views["joint"][-2:]),
+        )
+        for role, (theta, m, v, _) in self.roles.items():
+            for view, g in zip(views[role], grads[role]):
+                if g is not view:
+                    view[...] = g
+            state = getattr(self, role)
+            whole = replace(state, m=[m], v=[v])
+            nn.adam_step([theta], [flat[role]], whole, lr)
+            state.step = whole.step
+        return step_losses
+
+
 def train_step(
     model: AlignmentModel,
     batch: TrainBatch,
@@ -267,13 +385,11 @@ def train_step(
     rng: np.random.Generator | None = None,
 ) -> dict[str, float]:
     """One step: gradients at the starting parameters, then the three
-    role updates in order."""
-    grads, step_losses = gradients(
-        model, batch, cfg.label_smoothing, train_mode=cfg.dropout > 0, rng=rng
-    )
-    for role, params in _role_params(model).items():
-        nn.adam_step(params, grads[role], getattr(opt, role), lr)
-    return step_losses
+    role updates in order. ``train`` passes the arena it bound the model
+    to; other optimizers are bound to a fresh arena for this step."""
+    if not isinstance(opt, _Arena):
+        opt = _Arena(model, opt, np.result_type(batch.h1, batch.h2))
+    return opt.step(model, batch, cfg, lr, rng)
 
 
 class BatchSampler:
@@ -325,20 +441,29 @@ def avg_cosine_similarity(
     vocab1: Sequence[ApiKeyword],
     vocab2: Sequence[ApiKeyword],
 ) -> float:
-    """Mean cosine between output-embedding pairs the dictionary maps."""
+    """Mean cosine between output-embedding pairs the dictionary maps.
+
+    Each pair's dot product and norms are single ``dot`` calls on float64
+    copies of its two columns, and the cosines are summed left to right in
+    pair order.
+    """
     pairs = dictionary_pairs(dictionary)
     if not pairs:
         raise EmptyDictionaryError("dictionary induced no keyword pairs")
     idx1 = vocab_index(vocab1)
     idx2 = vocab_index(vocab2)
     E1, E2 = model.output_embeddings
-    total = 0.0
-    for src_key, tgt_key in pairs:
-        a = E1[:, idx1[src_key]].astype(np.float64)
-        b = E2[:, idx2[tgt_key]].astype(np.float64)
-        denom = np.linalg.norm(a) * np.linalg.norm(b)
-        total += float(a @ b / denom) if denom > 0 else 0.0
-    return total / len(pairs)
+    # row k of A and B is pair k's column, contiguous; a batch of (1, d) @
+    # (d, 1) products runs numpy's vector dot once per row, the same call
+    # as ``a @ b`` and ``np.linalg.norm`` on one pair
+    A = E1.T[[idx1[src] for src, _ in pairs]].astype(np.float64)
+    B = E2.T[[idx2[tgt] for _, tgt in pairs]].astype(np.float64)
+    rows, cols = A[:, None, :], B[:, :, None]
+    dots = np.matmul(rows, cols).ravel()
+    denom = np.sqrt(np.matmul(rows, A[:, :, None]).ravel())
+    denom *= np.sqrt(np.matmul(B[:, None, :], cols).ravel())
+    cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    return float(np.cumsum(cos)[-1]) / len(pairs)
 
 
 @dataclass
@@ -403,6 +528,7 @@ def train(
         )
         opt = Optimizers.init(model)
         start_step = 0
+    arena = _Arena(model, opt, np.result_type(H1, H2))
 
     schedule = cfg.schedule
     checkpoint_scores: list[tuple[int, float]] = []
@@ -428,7 +554,7 @@ def train(
         step = next_step
         batch = sampler.next_batch()
         lr = schedule.lr_at(step)
-        loss_rec = train_step(model, batch, opt, cfg, lr, rng=rng_drop)
+        loss_rec = train_step(model, batch, arena, cfg, lr, rng=rng_drop)
         if on_record:
             on_record({"step": step, "lr": lr, **loss_rec})
         if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:

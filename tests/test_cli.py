@@ -480,6 +480,19 @@ def test_ingest_root_that_does_not_exist_exits_2_before_writing(tmp_path, capsys
     assert not out.exists()
 
 
+def test_ingest_root_that_is_a_file_is_read_whatever_its_name(tmp_path, capsys):
+    notes = tmp_path / "notes.txt"
+    notes.write_text(PT_FILE)
+    argv = ["ingest", "--root", str(notes), "--framework", "pytorch", "--format", "json"]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "corpus")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["units"] == {"pytorch": 1} and payload["skipped"] == 0
+    # --exclude still applies to a file root
+    assert main([*argv, "--out", str(tmp_path / "none"), "--exclude", "*notes*"]) == 0
+    assert json.loads(capsys.readouterr().out)["units"] == {"pytorch": 0}
+
+
 # -- train -----------------------------------------------------------------------
 
 
@@ -586,6 +599,26 @@ def test_train_grid_with_resume_fails_before_any_work(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "--resume" in err and "--grid" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--d", "0"], "need d >= 1, got 0"),
+        (["--checkpoint-every", "-3"], "need checkpoint_every >= 0, got -3"),
+        (["--peak-lr", "-1"], "need a finite peak_lr > 0, got -1.0"),
+        (["--grid", "--lrs", "1e-3,0"], "need a finite peak_lr > 0, got 0.0"),
+    ],
+    ids=["d-0", "checkpoint-every-negative", "peak-lr-negative", "grid-lr-0"],
+)
+def test_train_config_that_breaks_training_fails_before_any_work(
+    corpus, tmp_path, capsys, extra, message
+):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_train_argv(corpus, out, "--total-samples", "64", *extra)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -32,6 +32,12 @@ def test_create_shapes_and_chaining():
         )
 
 
+
+def test_layer_with_a_bias_of_another_dtype_is_rejected():
+    # forward adds each bias in place in the dtype of x @ W
+    with pytest.raises(ConfigError):
+        fnn.Mlp(weights=[np.zeros((4, 3), np.float32)], biases=[np.zeros(3, np.float64)])
+
 def test_forward_shapes_and_dropout_gating():
     rng = np.random.default_rng(1)
     mlp = fnn.Mlp.create([5, 7, 2], dropout=0.5, rng=rng)

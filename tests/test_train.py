@@ -15,6 +15,7 @@ from frameport import train as ft
 from frameport.canon import CALLABLE, PARAMETER, ApiKeyword
 from frameport.dictionary import KeywordDictionary, GroupEntry, ParamEntry
 from frameport.errors import ConfigError, EmptyDictionaryError
+from frameport.keyword_dictionary import dictionary_pairs, vocab_index
 from helpers import check_model_gradients, random_alignment_model, to_f64
 
 
@@ -459,3 +460,142 @@ def test_one_step_makes_two_forward_and_four_backward_calls(monkeypatch):
     ft.gradients(model, batch, cfg.label_smoothing, train_mode=True,
                  rng=np.random.default_rng(0))
     assert calls == {"forward": 2, "backward": 4}
+
+
+def _per_tensor_train_step(model, batch, opt, cfg, lr, rng=None):
+    """The step with one ``adam_step`` call per role over its list of
+    tensors, so each Adam operation runs once per tensor."""
+    grads, step_losses = ft.gradients(
+        model, batch, cfg.label_smoothing, train_mode=cfg.dropout > 0, rng=rng
+    )
+    for role, params in ft._role_params(model).items():
+        fnn.adam_step(params, grads[role], getattr(opt, role), lr)
+    return step_losses
+
+
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _assert_same_run(got, ref, got_records, ref_records, tmp_path):
+    assert got_records == ref_records
+    assert got.checkpoint_scores == ref.checkpoint_scores
+    assert got.state.step == ref.state.step
+    pairs = [
+        (got.state.model.parameters(), ref.state.model.parameters()),
+        (got.best_model.parameters(), ref.best_model.parameters()),
+    ]
+    for role in ("joint", "disc", "gen_adv"):
+        a, b = getattr(got.state.opt, role), getattr(ref.state.opt, role)
+        assert a.step == b.step
+        pairs += [(a.m, b.m), (a.v, b.v)]
+    for xs, ys in pairs:
+        for x, y in zip(xs, ys, strict=True):
+            assert x.dtype == y.dtype and np.array_equal(_bits(x), _bits(y))
+    ft.save_checkpoint(tmp_path / "got.json", got.state)
+    ft.save_checkpoint(tmp_path / "ref.json", ref.state)
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_arena_run_equals_the_per_tensor_step_bitwise(tmp_path, monkeypatch):
+    rng = np.random.default_rng(24)
+    H1, y1, H2, y2 = _toy_data(rng, m1=9, m2=7)
+    cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=16 * 12, dropout=0.2,
+                         checkpoint_every=4, seed=31, peak_lr=5e-2)
+    arenas = []
+
+    def selector(model):
+        params = model.parameters()
+        arena = params[0].base
+        # every model tensor is a view of one buffer while the run trains
+        assert arena is not None and arena.ndim == 1
+        assert all(p.base is arena and np.shares_memory(p, arena) for p in params)
+        arenas.append(arena)
+        E1, E2 = model.output_embeddings
+        return float(np.sum(E1, dtype=np.float64) - np.sum(E2, dtype=np.float64))
+
+    def run(step, stop_at=None, resume=None):
+        monkeypatch.setattr(ft, "train_step", step)
+        records = []
+
+        def stop():
+            return stop_at is not None and sum("lr" in r for r in records) >= stop_at
+
+        result = ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(9, 7), selector=selector,
+                          on_record=records.append, stop=stop, resume=resume)
+        return result, records
+
+    real_step = ft.train_step
+    got, got_records = run(real_step)
+    ref, ref_records = run(_per_tensor_train_step)
+    assert got.state.step == 12 and len(got.checkpoint_scores) == 3
+    _assert_same_run(got, ref, got_records, ref_records, tmp_path)
+    # the best snapshot is a copy: it shares no memory with the arena
+    arena = got.state.model.parameters()[0].base
+    assert arena is arenas[0]
+    for p in got.best_model.parameters():
+        assert not np.shares_memory(p, arena)
+
+    # stopped at step 5, saved, loaded and resumed to step 12
+    resumed = []
+    for step in (real_step, _per_tensor_train_step):
+        part, records = run(step, stop_at=5)
+        assert part.state.step == 5
+        ft.save_checkpoint(tmp_path / "part.json", part.state)
+        state = ft.load_checkpoint(tmp_path / "part.json")
+        rest, more = run(step, resume=state)
+        resumed.append((rest, records + more))
+    (got, got_records), (ref, ref_records) = resumed
+    assert got.state.step == 12
+    _assert_same_run(got, ref, got_records, ref_records, tmp_path)
+
+
+def _per_pair_avg_cosine_similarity(model, dictionary, vocab1, vocab2):
+    """One float64 dot product and two norms per pair, summed in a loop."""
+    pairs = dictionary_pairs(dictionary)
+    idx1 = vocab_index(vocab1)
+    idx2 = vocab_index(vocab2)
+    E1, E2 = model.output_embeddings
+    total = 0.0
+    for src_key, tgt_key in pairs:
+        a = E1[:, idx1[src_key]].astype(np.float64)
+        b = E2[:, idx2[tgt_key]].astype(np.float64)
+        denom = np.linalg.norm(a) * np.linalg.norm(b)
+        total += float(a @ b / denom) if denom > 0 else 0.0
+    return total / len(pairs)
+
+
+def test_avg_cosine_similarity_matches_the_per_pair_loop_bitwise():
+    rng = np.random.default_rng(25)
+    for trial in range(40):
+        d = int(rng.choice([1, 2, 7, 32, 64, 65]))
+        n1, n2 = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        v1 = [ApiKeyword("a", CALLABLE, f"f{i}").with_id(i) for i in range(n1)]
+        v2 = [ApiKeyword("b", CALLABLE, f"g{i}").with_id(i) for i in range(n2)]
+        p1 = [ApiKeyword("a", PARAMETER, "p", owner=f"f{i}").with_id(n1 + i)
+              for i in range(n1)]
+        p2 = [ApiKeyword("b", PARAMETER, "q", owner=f"g{i}").with_id(n2 + i)
+              for i in range(n2)]
+        scale = 10.0 ** rng.integers(-3, 4)
+        E1 = (rng.standard_normal((d, 2 * n1)) * scale).astype(np.float32)
+        E2 = (rng.standard_normal((d, 2 * n2)) * scale).astype(np.float32)
+        E1[:, rng.integers(0, 2 * n1, 2)] = 0.0
+        E2[:, rng.integers(0, 2 * n2, 2)] = 0.0
+        model = ft.AlignmentModel.create(
+            ft.TrainConfig(d=d, total_samples=0), 4, [2 * n1, 2 * n2], rng
+        )
+        model.output_embeddings[:] = [E1, E2]
+        # a one-pair dictionary every fourth trial; otherwise targets repeat
+        # across groups and a repeated parameter entry repeats a pair
+        n_groups = 1 if trial % 4 == 0 else int(rng.integers(1, n1 + 1))
+        renamed, dropped = ParamEntry("p", "q", 1.0), ParamEntry("p", None, 1.0)
+        groups = []
+        for i in rng.permutation(n1)[:n_groups]:
+            params = () if trial % 4 == 0 else ((renamed, dropped, renamed),
+                                               (renamed,), ())[int(rng.integers(0, 3))]
+            groups.append(GroupEntry(f"f{i}", f"g{rng.integers(0, n2)}", 1.0, params))
+        dictionary = KeywordDictionary("a", "b", 5.0, tuple(groups))
+        got = ft.avg_cosine_similarity(model, dictionary, v1 + p1, v2 + p2)
+        ref = _per_pair_avg_cosine_similarity(model, dictionary, v1 + p1, v2 + p2)
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64), trial
