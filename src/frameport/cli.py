@@ -699,6 +699,17 @@ def _csv(cast):
     return parse
 
 
+def _count(raw: str) -> int:
+    """An argparse type for an integer that is not negative."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not an integer >= 0: {raw!r}")
+    return value
+
+
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
@@ -733,7 +744,7 @@ def _ingest_arguments(p: argparse.ArgumentParser) -> None:
                    help="Path glob to exclude; repeatable.")
     p.add_argument("--marker", dest="markers", action="append", default=None,
                    help="Substring a file must mention; repeatable (default: torch, keras, mxnet).")
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
+    p.add_argument("--size-cap", type=_count, default=DEFAULT_SIZE_CAP,
                    help="Skip files larger than this many bytes.")
     p.add_argument("--dry-run", action="store_true",
                    help="Report counts without writing the corpus.")
@@ -825,7 +836,7 @@ def _vocab_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--framework", required=True, choices=FRAMEWORKS)
     p.add_argument("--kind", choices=(CALLABLE, PARAMETER), default=None)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_count, default=None)
     _add_format(p)
     p.set_defaults(func=cmd_inspect_vocab)
 
@@ -839,7 +850,7 @@ def _neighbors_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=(CALLABLE, PARAMETER), default=CALLABLE)
     p.add_argument("--owner", default=None,
                    help="Owning callable (required for parameters).")
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_count, default=5)
     _add_measure(p)
     _add_format(p)
     p.set_defaults(func=cmd_inspect_neighbors)

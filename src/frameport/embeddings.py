@@ -3,7 +3,10 @@
 A provider turns a KeywordOccurrence into one d_b-dimensional vector by
 average-pooling the subword vectors of the keyword's tokens inside its
 context, and ``embed_batch`` stacks a sequence of occurrences into one
-float32 ``(n, d_b)`` matrix. Three providers share that interface:
+float32 ``(n, d_b)`` matrix. A provider is any object with a ``dim``
+property, its width d_b, and a ``_vector(occ)`` method that returns one
+vector of that width; ``embed_batch`` checks the shape and finiteness of
+each. Three providers keep that contract:
 
 - ``FileBackedProvider``: vectors precomputed offline, keyed per
   occurrence, with hex or base64 payloads;
@@ -57,19 +60,9 @@ def occurrence_key(occ: KeywordOccurrence) -> str:
     return f"{occ.unit_ref}:{occ.span[0]}:{occ.span[1]}"
 
 
-class EmbeddingProvider:
-    """Interface: subclasses define dim and _vector()."""
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def _vector(self, occ: KeywordOccurrence) -> np.ndarray:
-        raise NotImplementedError
-
-
 def embed_batch(
-    provider: EmbeddingProvider, occs: Sequence[KeywordOccurrence]
+    provider: FileBackedProvider | HashProvider | ContextWindowProvider,
+    occs: Sequence[KeywordOccurrence],
 ) -> np.ndarray:
     """Row i is occurrence i's vector; a failure names the occurrence."""
     out = np.empty((len(occs), provider.dim), dtype=np.float32)
@@ -88,7 +81,7 @@ def embed_batch(
     return out
 
 
-class FileBackedProvider(EmbeddingProvider):
+class FileBackedProvider:
     """Vectors loaded from a text file.
 
     Format: header line ``d_b=<int>``, then one record per occurrence:
@@ -157,7 +150,7 @@ def write_embedding_file(
             fh.write(f"{key}\t{base64.b64encode(arr.tobytes()).decode('ascii')}\n")
 
 
-class HashProvider(EmbeddingProvider):
+class HashProvider:
     """Content-hashed static vectors; reproducible across processes.
 
     Each pre-token of the keyword text gets a unit-free gaussian vector
@@ -196,7 +189,7 @@ class HashProvider(EmbeddingProvider):
         return stack.mean(axis=0)
 
 
-class ContextWindowProvider(EmbeddingProvider):
+class ContextWindowProvider:
     """Skip-gram token vectors plus a projected local-context average.
 
     The occurrence vector is mean(keyword-token vectors) + _CONTEXT_WEIGHT

@@ -34,8 +34,8 @@ log = logging.getLogger(__name__)
 
 FRAMEWORK_LABELS = {"pytorch": "PyTorch", "keras": "Keras", "mxnet": "MXNet"}
 
-_SOURCE_HEADER = "# {{SOURCE}}"
-_TARGET_HEADER = "# {{TARGET}}"
+_SOURCE_LINE = re.compile(r"^# \{\{SOURCE\}\}$", re.MULTILINE)
+_TARGET_LINE = re.compile(r"^# \{\{TARGET\}\}$", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -78,32 +78,13 @@ class PromptTemplate:
 
 
 def _split_blocks(raw: str) -> list[tuple[str, str]]:
-    """Parse (input, output) blocks delimited by the slot header lines."""
-    lines = raw.split("\n")
-    blocks: list[tuple[str, str]] = []
-    current_in: list[str] | None = None
-    current_out: list[str] | None = None
-
-    def flush() -> None:
-        nonlocal current_in, current_out
-        if current_in is not None:
-            src = "\n".join(current_in).strip("\n")
-            tgt = "\n".join(current_out or []).strip("\n")
-            blocks.append((src, tgt))
-        current_in = None
-        current_out = None
-
-    for line in lines:
-        if line == _SOURCE_HEADER:
-            flush()
-            current_in = []
-        elif line == _TARGET_HEADER and current_in is not None:
-            current_out = []
-        elif current_out is not None:
-            current_out.append(line)
-        elif current_in is not None:
-            current_in.append(line)
-    flush()
+    """(input, output) per block. A source header line opens a block, its
+    input ends at its first target header line and its output is what
+    follows its last one; text before the first block is not in any."""
+    blocks = []
+    for block in _SOURCE_LINE.split(raw)[1:]:
+        src, *outputs = _TARGET_LINE.split(block)
+        blocks.append((src.strip("\n"), outputs[-1].strip("\n") if outputs else ""))
     return blocks
 
 

@@ -142,10 +142,11 @@ class AlignmentModel:
         return cls(generator=gen, discriminator=disc, output_embeddings=embeds)
 
     def parameters(self) -> list[np.ndarray]:
+        """Generator | E1 | E2 | discriminator: the training arena's order."""
         return (
             self.generator.parameters()
-            + self.discriminator.parameters()
             + list(self.output_embeddings)
+            + self.discriminator.parameters()
         )
 
     def to_dict(self) -> dict:
@@ -224,6 +225,7 @@ def gradients(
     label_smoothing: float = 0.0,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    out: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
 ) -> tuple[dict[str, list[np.ndarray]], dict[str, float]]:
     """Per-role gradients and all four losses from one shared forward pass.
 
@@ -238,20 +240,10 @@ def gradients(
     disc: dL_D over discriminator params (hidden states constant);
     gen_adv: dL_G over generator params, through the forward-time
     discriminator.
+
+    The E1 and E2 gradients are written into ``out`` where it holds
+    arrays (the arena's gradient buffer) instead of into new ones.
     """
-    return _gradients(model, batch, label_smoothing, train_mode, rng)
-
-
-def _gradients(
-    model: AlignmentModel,
-    batch: TrainBatch,
-    label_smoothing: float,
-    train_mode: bool,
-    rng: np.random.Generator | None,
-    dE: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-) -> tuple[dict[str, list[np.ndarray]], dict[str, float]]:
-    """:func:`gradients`, writing the E1 and E2 gradients into ``dE`` when
-    it holds arrays (the arena's gradient buffer) instead of new ones."""
     E1, E2 = model.output_embeddings
     n1, n2 = len(batch.h1), len(batch.h2)
     h = np.concatenate([batch.h1, batch.h2], axis=0)
@@ -269,8 +261,8 @@ def _gradients(
     dz_ce = np.concatenate([dlogits1 @ E1.T, dlogits2 @ E2.T], axis=0)
     g_gen, _ = nn.backward(model.generator, gen_cache, dz_ce, input_grad=False)
     joint_grads = g_gen + [
-        np.matmul(z1.T, dlogits1, out=dE[0]),
-        np.matmul(z2.T, dlogits2, out=dE[1]),
+        np.matmul(z1.T, dlogits1, out=out[0]),
+        np.matmul(z2.T, dlogits2, out=out[1]),
     ]
 
     g_disc, _ = nn.backward(model.discriminator, disc_cache, g_true, input_grad=False)
@@ -296,43 +288,36 @@ def _tile(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def _pack(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """A flat copy of ``arrays`` in order, and a view of it per array."""
-    flat = np.empty(sum(a.size for a in arrays), dtype=np.result_type(*arrays))
-    views = _tile(flat, arrays)
-    for view, a in zip(views, arrays):
-        view[...] = a
-    return flat, views
+    flat = np.concatenate(arrays, axis=None)
+    return flat, _tile(flat, arrays)
 
 
 class _Arena(Optimizers):
     """The run's optimizers with the model bound to one parameter arena.
 
-    Binding copies every trained tensor into one flat buffer, in the order
-    generator | E1 | E2 | discriminator, and rebinds the model's arrays to
+    Binding copies ``model.parameters()`` (generator | E1 | E2 |
+    discriminator) into one flat buffer and rebinds the model's arrays to
     views of it, so that each role in ``_role_params`` is one slice: joint
     ``[0:g+e]``, gen_adv ``[0:g]`` and disc ``[g+e:]``. Each role's Adam
     moments are likewise copied into one flat pair, and its ``AdamState``
     keeps per-tensor views of them (the form a checkpoint stores). A step
     writes each role's gradient into one flat buffer, in the dtype the
-    gradients have for inputs of ``input_dtype``, and updates the role with
+    gradients have for the arena and the batch, and updates the role with
     one ``nn.adam_step`` over whole vectors, which applies the same
     operations to the same elements as one call per tensor.
     """
 
-    def __init__(
-        self, model: AlignmentModel, opt: Optimizers, input_dtype: np.dtype
-    ) -> None:
+    def __init__(self, model: AlignmentModel, opt: Optimizers) -> None:
         super().__init__(opt.joint, opt.disc, opt.gen_adv)
-        gen, embeds, disc = model.generator, model.output_embeddings, model.discriminator
+        gen, disc = model.generator, model.discriminator
+        params, views = _pack(model.parameters())
         gen_end = 2 * len(gen.weights)
-        embeds_end = gen_end + len(embeds)
-        params, views = _pack(gen.parameters() + list(embeds) + disc.parameters())
+        embeds_end = gen_end + len(model.output_embeddings)
         for mlp, mlp_views in ((gen, views[:gen_end]), (disc, views[embeds_end:])):
-            mlp.weights[:] = mlp_views[0::2]
-            mlp.biases[:] = mlp_views[1::2]
-        embeds[:] = views[gen_end:embeds_end]
+            mlp.weights[:], mlp.biases[:] = mlp_views[0::2], mlp_views[1::2]
+        model.output_embeddings[:] = views[gen_end:embeds_end]
         offsets = np.cumsum([0] + [v.size for v in views])
         start = {id(view): int(offset) for view, offset in zip(views, offsets)}
-        self.grad_dtype = np.result_type(params, input_dtype)
         # role -> (parameter slice, flat first and second moments, the
         # role's parameters, which its gradient views are shaped like)
         self.roles = {}
@@ -357,13 +342,13 @@ class _Arena(Optimizers):
         # the peak memory
         flat, views = {}, {}
         for role, (theta, _, _, params) in self.roles.items():
-            flat[role] = np.empty(theta.size, self.grad_dtype)
+            flat[role] = np.empty(theta.size, np.result_type(theta, batch.h1, batch.h2))
             views[role] = _tile(flat[role], params)
         # the joint role lists E1 and E2 last: their gradients are written
         # straight into its buffer and the smaller ones are copied in
-        grads, step_losses = _gradients(
+        grads, step_losses = gradients(
             model, batch, cfg.label_smoothing, cfg.dropout > 0, rng,
-            tuple(views["joint"][-2:]),
+            out=tuple(views["joint"][-2:]),
         )
         for role, (theta, m, v, _) in self.roles.items():
             for view, g in zip(views[role], grads[role]):
@@ -388,7 +373,7 @@ def train_step(
     role updates in order. ``train`` passes the arena it bound the model
     to; other optimizers are bound to a fresh arena for this step."""
     if not isinstance(opt, _Arena):
-        opt = _Arena(model, opt, np.result_type(batch.h1, batch.h2))
+        opt = _Arena(model, opt)
     return opt.step(model, batch, cfg, lr, rng)
 
 
@@ -528,7 +513,7 @@ def train(
         )
         opt = Optimizers.init(model)
         start_step = 0
-    arena = _Arena(model, opt, np.result_type(H1, H2))
+    arena = _Arena(model, opt)
 
     schedule = cfg.schedule
     checkpoint_scores: list[tuple[int, float]] = []

@@ -70,6 +70,11 @@ def test_from_import_is_rewritten_to_canonical_module_import():
     )
 
 
+def test_aliased_bare_module_import_becomes_the_plain_import():
+    out = canon("import torch as th\nx = th.zeros(3)\n")
+    assert out == "import torch\nx = torch.zeros(3)"
+
+
 def test_canonical_import_spelling_is_preserved():
     src = "from torch import nn\nx = nn.ReLU()"
     assert canon(src) == src

@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.server
 import io
 import json
+import socket
 import threading
 from dataclasses import replace
 
@@ -1110,6 +1111,30 @@ def test_eval_sends_each_seed_to_an_http_backend(tmp_path, capsys, monkeypatch):
     assert [s["f1"] for s in payload["seeds"]] == [1.0] * 5
 
 
+def test_unreachable_backend_exits_4(tmp_path, capsys, monkeypatch):
+    # a localhost port just bound and closed refuses the connection
+    monkeypatch.setenv("no_proxy", "*")
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps({
+        "kind": "http-completion",
+        "endpoint": f"http://127.0.0.1:{port}/v1",
+        "retries": 0,
+    }))
+    source, output = tmp_path / "net.py", tmp_path / "out.py"
+    source.write_text(FIG_INPUT)
+    capsys.readouterr()
+    rc = main([*_TRANSPILE, "--input", str(source), "--output", str(output),
+               "--backend", str(backend)])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("backend error: backend unreachable after retries: ")
+    assert not output.exists()
+
+
 def test_eval_empty_set_reports_no_examples(tmp_path, capsys):
     eval_set = tmp_path / "examples.jsonl"
     eval_set.write_text("\n\n")
@@ -1153,6 +1178,39 @@ def test_empty_comma_list_is_a_usage_error_before_any_work(
     assert f"error: argument {flag}: not a comma-separated" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _count_argv(flag, value, tree, corpus, run_dir, out):
+    if flag == "--size-cap":
+        return ["ingest", "--root", str(tree), "--out", str(out), flag, value]
+    if flag == "--limit":
+        return ["inspect", "vocab", "--corpus", str(corpus),
+                "--framework", "pytorch", flag, value]
+    return [
+        "inspect", "neighbors", "--checkpoint", str(run_dir / "checkpoint.json"),
+        "--corpus", str(corpus), "--src-framework", "pytorch",
+        "--tgt-framework", "keras", "--keyword", "nn.Linear", flag, value,
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--size-cap", "-1"), ("--limit", "-2"), ("--top", "-1")]
+)
+def test_negative_count_is_a_usage_error_before_any_work(
+    flag, value, tree, corpus, run_dir, tmp_path, capsys
+):
+    # ingest would skip every file and write an empty corpus, and inspect
+    # would drop entries from the end of its list
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_count_argv(flag, value, tree, corpus, run_dir, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: not an integer >= 0: '{value}'" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+    # zero is still a count
+    assert main(_count_argv(flag, "0", tree, corpus, run_dir, out)) == 0
 
 
 # -- malformed input files ------------------------------------------------------
@@ -1384,6 +1442,22 @@ def test_inspect_diff_reports_changes(tmp_path, capsys):
     assert kinds[original.groups[0].src_callable] == "changed"
     assert kinds[original.groups[-1].src_callable] == "removed"
     assert len(changes) == 2
+
+
+def test_inspect_diff_reports_an_added_group(tmp_path, capsys):
+    bundled = fixture_path("dict_pytorch_keras.json")
+    original = KeywordDictionary.load(bundled)
+    old_path = tmp_path / "old.json"
+    replace(original, groups=original.groups[1:]).save(old_path)
+    added = original.groups[0].src_callable
+    argv = ["inspect", "diff", "--old", str(old_path), "--new", str(bundled)]
+    capsys.readouterr()
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "changes": [{"src_callable": added, "change": "added"}]
+    }
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"added    {added}\n"
 
 
 def test_inspect_diff_names_the_parts_that_changed(tmp_path, capsys):

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import urllib.error
@@ -24,6 +25,7 @@ from frameport.llm import (
     HttpBackend,
     MockRulesBackend,
     PromptTemplate,
+    _split_blocks,
     load_template,
     make_backend,
     render_prompt,
@@ -59,6 +61,80 @@ def test_template_validation_rules():
         )
     ok = PromptTemplate(raw="head\n" + demo * 4 + slot, source_label="A", target_label="B")
     assert ok.stop_marker == "\n# A"
+
+
+def _line_by_line_blocks(raw):
+    """The line state machine ``_split_blocks`` replaced, kept as its oracle."""
+    lines = raw.split("\n")
+    blocks = []
+    current_in = None
+    current_out = None
+
+    def flush():
+        nonlocal current_in, current_out
+        if current_in is not None:
+            src = "\n".join(current_in).strip("\n")
+            tgt = "\n".join(current_out or []).strip("\n")
+            blocks.append((src, tgt))
+        current_in = None
+        current_out = None
+
+    for line in lines:
+        if line == "# {{SOURCE}}":
+            flush()
+            current_in = []
+        elif line == "# {{TARGET}}" and current_in is not None:
+            current_out = []
+        elif current_out is not None:
+            current_out.append(line)
+        elif current_in is not None:
+            current_in.append(line)
+    flush()
+    return blocks
+
+
+SRC, TGT = "# {{SOURCE}}", "# {{TARGET}}"
+SPLIT_CASES = {
+    "empty output, then a block": f"{SRC}\na\n{TGT}\n{SRC}\nb\n{TGT}\nc\n",
+    "two target headers": f"{SRC}\na\n{TGT}\nlost\n{TGT}\nkept\n",
+    "consecutive source headers": f"{SRC}\n{SRC}\n{SRC}\na\n{TGT}\nb\n",
+    "text before the first header": f"head\n{TGT}\nx\n\n{SRC}\na\n{TGT}\nb\n",
+    "header with a trailing space": f"{SRC} \na\n{SRC}\nb\n{TGT} \nc\n{TGT}\nd\n",
+    "header with a leading space": f"{SRC}\na\n {TGT}\nb\n {SRC}\n",
+    "no trailing newline": f"{SRC}\na\n\n{TGT}\n\nb\n\n{SRC}\nc\n{TGT}\nd",
+    "header as the last line": f"{SRC}\na\n{TGT}",
+    "no header": "text only\n",
+    "empty": "",
+}
+
+
+def test_split_blocks_matches_the_line_by_line_parser():
+    for src, tgt in itertools.permutations(FRAMEWORKS, 2):
+        raw = default_template(src, tgt).raw
+        assert _split_blocks(raw) == _line_by_line_blocks(raw), (src, tgt)
+    for name, raw in SPLIT_CASES.items():
+        assert _split_blocks(raw) == _line_by_line_blocks(raw), name
+    assert _split_blocks(SPLIT_CASES["empty output, then a block"]) == [
+        ("a", ""), ("b", "c")
+    ]
+    assert _split_blocks(SPLIT_CASES["two target headers"]) == [("a", "kept")]
+    assert _split_blocks(SPLIT_CASES["consecutive source headers"]) == [
+        ("", ""), ("", ""), ("a", "b")
+    ]
+    # a near-miss header is plain text: before the first block it is
+    # dropped, inside a block it is part of the input
+    assert _split_blocks(SPLIT_CASES["header with a trailing space"]) == [
+        (f"b\n{TGT} \nc", "d")
+    ]
+
+
+def test_split_blocks_matches_the_line_by_line_parser_on_random_templates():
+    rng = random.Random(15)
+    pieces = [SRC, TGT, f"{SRC} ", f" {TGT}", "", "x = 1", "PLACEHOLDER_1", "\r"]
+    for _ in range(2000):
+        lines = rng.choices(pieces, k=rng.randint(0, 12))
+        raw = "\n".join(lines) + "\n" * rng.randint(0, 2)
+        assert _split_blocks(raw) == _line_by_line_blocks(raw), raw
 
 
 def test_render_prompt_substitutes_all_slots():

@@ -170,6 +170,24 @@ def test_parameter_cannot_expand():
         reinsert(skel.text, {1: ["layers.Dense"], 2: ["a", "b()"]}, KS)
 
 
+def test_import_alias_placeholders_are_renamed():
+    # a bound alias, a dotted module of ``import`` and a ``from`` import name
+    cases = [
+        ("import numpy as PLACEHOLDER_1\nx = PLACEHOLDER_1.zeros(3)\n", "np",
+         "import numpy as np\nx = np.zeros(3)"),
+        ("import PLACEHOLDER_1 as m\nx = m.norm(v)\n", "numpy.linalg",
+         "import numpy.linalg as m\nx = m.norm(v)"),
+        ("from os import PLACEHOLDER_1\n", "path", "from os import path"),
+    ]
+    for text, name, expected in cases:
+        assert reinsert(text, {1: [name]}, PT).text == expected
+
+
+def test_import_alias_placeholder_cannot_expand():
+    with pytest.raises(ExpansionContextError, match="must map to one name"):
+        reinsert("import numpy as PLACEHOLDER_1\n", {1: ["np", "onp"]}, PT)
+
+
 def test_missing_translation_is_reported_with_indices():
     _, _, skel = _skeleton("import torch.nn as nn\nx = nn.ReLU()\n")
     with pytest.raises(MissingTranslationError) as exc:
