@@ -257,10 +257,12 @@ def _has_star_args(call: ast.Call) -> bool:
 
 
 def _line_starts(data: bytes) -> list[int]:
+    """The byte offset of each line's start: 0, and one past each newline."""
     starts = [0]
-    for i, byte in enumerate(data):
-        if byte == 0x0A:
-            starts.append(i + 1)
+    end = data.find(b"\n")
+    while end >= 0:
+        starts.append(end + 1)
+        end = data.find(b"\n", end + 1)
     return starts
 
 
@@ -315,6 +317,8 @@ def _scan_imports(
     return bindings, preserved
 
 
+_AST = ast.AST
+
 # forwards the deprecated ``visit_Num``, ``visit_Str``, ... handlers, which no
 # pass defines; newer Pythons have no such method
 _VISIT_CONSTANT = getattr(ast.NodeVisitor, "visit_Constant", None)
@@ -325,7 +329,13 @@ class _DispatchTransformer(ast.NodeTransformer):
     table keyed by node type, built once per class, instead of building the
     ``visit_<Type>`` name and calling ``getattr`` for every node. A type with
     no handler of the class, ``Constant`` included, goes straight to
-    ``generic_visit``, as it does in ``ast.NodeTransformer``."""
+    ``generic_visit``, as it does in ``ast.NodeTransformer``.
+
+    ``generic_visit`` is one loop over the node's ``_fields`` in place of
+    ``ast.iter_fields``' generator. It visits the children
+    ``ast.NodeTransformer.generic_visit`` visits, in its order, and applies
+    its rules: a list result is spliced into a list field, ``None`` deletes
+    the child, any other result replaces it."""
 
     _handlers: dict[type, Callable] = {}
 
@@ -345,6 +355,32 @@ class _DispatchTransformer(ast.NodeTransformer):
         if handler is None:
             return self.generic_visit(node)
         return handler(self, node)
+
+    def generic_visit(self, node: ast.AST) -> ast.AST:
+        visit = self.visit
+        for field in node._fields:
+            child = getattr(node, field, None)
+            if isinstance(child, list):
+                if not child:
+                    continue
+                kept = []
+                for item in child:
+                    if isinstance(item, _AST):
+                        item = visit(item)
+                        if item is None:
+                            continue
+                        if not isinstance(item, _AST):
+                            kept.extend(item)
+                            continue
+                    kept.append(item)
+                child[:] = kept
+            elif isinstance(child, _AST):
+                new = visit(child)
+                if new is None:
+                    delattr(node, field)
+                elif new is not child:
+                    setattr(node, field, new)
+        return node
 
 
 class _Rewriter(_DispatchTransformer):
@@ -538,19 +574,30 @@ def canonicalize(
     return replace(unit, text=ast.unparse(canonical_tree(unit, db, strict)))
 
 
+# node types that hold no call; the keyword walk does not enter them
+_NO_CALLS = frozenset((ast.Constant, ast.Name, *ast.expr_context.__subclasses__()))
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def extract_keywords(
     unit: SourceUnit, db: SignatureDatabase
 ) -> list[KeywordOccurrence]:
-    """List keyword occurrences of a canonicalized unit in source order."""
+    """List keyword occurrences of a canonicalized unit in source order.
+
+    Calls are numbered in the pre-order of ``ast.iter_child_nodes``; the
+    walk loops over each node's ``_fields`` and does not enter a node that
+    holds no call (``Constant``, ``Name``, an ``expr_context``). An
+    occurrence's context is the innermost enclosing function or class,
+    or the whole unit, decoded once per scope."""
     tree = parse_source(unit.text, unit.origin or "<unit>")
     data = unit.text.encode("utf-8")
     starts = _line_starts(data)
-    whole = (0, len(data))
     occurrences: list[KeywordOccurrence] = []
     call_ids = itertools.count()
+    contexts: dict[tuple[int, int], str] = {}
 
     def visit(node: ast.AST, ctx_span: tuple[int, int]) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, _SCOPES):
             ctx_span = _node_span(node, starts)
         if isinstance(node, ast.Call) and not _has_star_args(node):
             func_text = _dotted_name(node.func)
@@ -563,7 +610,10 @@ def extract_keywords(
                         end = start + len(kw.arg.encode("utf-8"))
                         found.append((PARAMETER, kw.arg, func_text, (start, end)))
                 call_id = next(call_ids)
-                context = data[ctx_span[0]:ctx_span[1]].decode("utf-8")
+                context = contexts.get(ctx_span)
+                if context is None:
+                    context = data[ctx_span[0]:ctx_span[1]].decode("utf-8")
+                    contexts[ctx_span] = context
                 occurrences.extend(
                     KeywordOccurrence(
                         keyword=ApiKeyword(unit.framework, kind, text, owner),
@@ -574,10 +624,16 @@ def extract_keywords(
                     )
                     for kind, text, owner, span in found
                 )
-        for child in ast.iter_child_nodes(node):
-            visit(child, ctx_span)
+        for field in node._fields:
+            child = getattr(node, field, None)
+            if isinstance(child, list):
+                for item in child:
+                    if type(item) not in _NO_CALLS and isinstance(item, _AST):
+                        visit(item, ctx_span)
+            elif type(child) not in _NO_CALLS and isinstance(child, _AST):
+                visit(child, ctx_span)
 
-    visit(tree, whole)
+    visit(tree, (0, len(data)))
     occurrences.sort(key=lambda occ: occ.span)
     return occurrences
 

@@ -43,11 +43,11 @@ from .pipeline import (
 )
 
 # The modules only some commands use, with the names this module takes
-# from each. A command imports its own when argparse dispatches to it (the
-# last column of _COMMANDS), so ``transpile`` loads none of them, nor
-# numpy. Each name is also a module attribute from the start: reading it
-# imports its module (PEP 562). Either way a name already bound, say
-# replaced by a test, keeps its value.
+# from each. A command imports its own (the last column of _COMMANDS) when
+# argparse dispatches to it and _CommandParser builds its parser, so
+# ``transpile`` loads none of them, nor numpy. Each name is also a module
+# attribute from the start: reading it imports its module (PEP 562).
+# Either way a name already bound, say replaced by a test, keeps its value.
 _DEFERRED = {
     "frameport.bpe": ("bpe_train",),
     "frameport.corpus": (
@@ -476,6 +476,9 @@ def cmd_transpile(args: argparse.Namespace) -> int:
     )
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    # a JSON summary takes stdout; the output still goes to a named file
+    if args.format == "text" or args.output != "-":
+        _write_output(args.output, result.output.text)
     if args.format == "json":
         payload = {
             "output": result.output.text,
@@ -483,8 +486,6 @@ def cmd_transpile(args: argparse.Namespace) -> int:
             "warnings": list(result.warnings),
         }
         _emit(args, payload, ())
-    else:
-        _write_output(args.output, result.output.text)
     return 0
 
 
@@ -896,20 +897,22 @@ _INSPECT = (
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser, which imports the command's modules and adds its
-    arguments when argparse hands it the rest of the command line: only
-    the command that runs loads and builds them."""
+    """A command's parser, built when argparse hands it the rest of the
+    command line: only then does it run ``ArgumentParser.__init__`` with
+    the keyword arguments ``add_parser`` gave, import the command's modules
+    and add its arguments. So only the command that runs pays for them;
+    argparse reads nothing else of a command's parser until it dispatches."""
 
-    def __init__(self, *args, add_arguments, modules, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._add_arguments = add_arguments
-        self._modules = modules
+    def __init__(self, *, add_arguments, modules, **kwargs) -> None:
+        self._pending = (kwargs, add_arguments, modules)
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            add, self._add_arguments = self._add_arguments, None
-            _import_deferred(self._modules)
-            add(self)
+        if self._pending is not None:
+            kwargs, add_arguments, modules = self._pending
+            self._pending = None
+            super().__init__(**kwargs)
+            _import_deferred(modules)
+            add_arguments(self)
         return super().parse_known_args(args, namespace)
 
 

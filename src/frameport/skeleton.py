@@ -219,6 +219,8 @@ class _RenamePass(_DispatchTransformer):
 
     def generic_visit(self, node: ast.AST) -> ast.AST:
         super().generic_visit(node)
+        if not self.unplaced:  # no expansion waits for a sequence to take it
+            return node
         for field in ("elts", "args"):
             elements = getattr(node, field, None)
             if isinstance(elements, list):

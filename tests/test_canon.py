@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 import json
 
 import numpy as np
@@ -15,9 +16,15 @@ from frameport.canon import (
     PARAMETER,
     ApiKeyword,
     ApiSignature,
+    KeywordOccurrence,
     SignatureDatabase,
     SourceUnit,
+    _DispatchTransformer,
+    _dotted_name,
+    _has_star_args,
     _import_names,
+    _line_starts,
+    _node_span,
     _scan_imports,
     bind_arguments,
     canonicalize,
@@ -201,6 +208,163 @@ def test_extract_keywords_skips_unknown_parameter_names():
     text = "import torch.nn as nn\nfc = nn.Linear(in_features=4, wat=1)\n"
     occs = extract_keywords(SourceUnit(text, "pytorch"), PT)
     assert [o.keyword.text for o in occs] == ["nn.Linear", "in_features"]
+
+
+def _line_starts_by_byte(data: bytes) -> list[int]:
+    starts = [0]
+    for i, byte in enumerate(data):
+        if byte == 0x0A:
+            starts.append(i + 1)
+    return starts
+
+
+def test_line_starts_match_the_per_byte_loop():
+    for text in ("", "x = 1", "x = 1\n", "\n\n", "é = 'ü'\n€\n\n  ✓ ñ"):
+        data = text.encode("utf-8")
+        assert _line_starts(data) == _line_starts_by_byte(data), text
+
+
+def _extract_keywords_by_iter_child_nodes(unit, db):
+    """The keyword walk over every child ``ast.iter_child_nodes`` yields,
+    decoding a context per call."""
+    data = unit.text.encode("utf-8")
+    starts = _line_starts_by_byte(data)
+    occurrences = []
+    call_ids = itertools.count()
+
+    def visit(node, ctx_span):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            ctx_span = _node_span(node, starts)
+        if isinstance(node, ast.Call) and not _has_star_args(node):
+            func_text = _dotted_name(node.func)
+            sig = db.signatures.get(func_text) if func_text else None
+            if sig is not None:
+                found = [(CALLABLE, func_text, None, _node_span(node.func, starts))]
+                for kw in node.keywords:
+                    if kw.arg in sig.parameters:
+                        start = starts[kw.lineno - 1] + kw.col_offset
+                        end = start + len(kw.arg.encode("utf-8"))
+                        found.append((PARAMETER, kw.arg, func_text, (start, end)))
+                call_id = next(call_ids)
+                context = data[ctx_span[0]:ctx_span[1]].decode("utf-8")
+                occurrences.extend(
+                    KeywordOccurrence(
+                        ApiKeyword(unit.framework, kind, text, owner),
+                        span, context, ctx_span[0], call_id,
+                    )
+                    for kind, text, owner, span in found
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, ctx_span)
+
+    visit(ast.parse(unit.text), (0, len(data)))
+    occurrences.sort(key=lambda occ: occ.span)
+    return occurrences
+
+
+# every construct that nests a call somewhere the walk must enter
+HAND_WRITTEN_UNIT = """\
+import torch.nn as nn
+
+
+@nn.utils.wrap(nn.Flatten(start_dim=1, end_dim=-1))
+class Net(nn.Module):
+
+    def __init__(self, act=lambda x=nn.ReLU(inplace=True): x, n=3):
+        super().__init__()
+        self.fc = nn.Linear(in_features=4, out_features=2) if act else nn.Dropout(p=0.5)
+        self.layers = [nn.Linear(in_features=k, out_features=k) for k in range(n) if nn.Dropout(p=0.1)]
+        self.tag = f"é {nn.Conv2d(in_channels=1, out_channels=2, kernel_size=3)!r} ü"
+        self.seq = nn.Sequential(*[nn.ReLU(inplace=False)], nn.Tanh())
+        self.w = nn.Linear(in_features=1, out_features=1).weight
+        self.head = nn.Linear(in_features=nn.Linear(in_features=2, out_features=2), out_features=nn.ReLU())
+
+    async def forward(self, x: nn.Linear(in_features=1, out_features=1)):
+        match x:
+            case nn.Linear(in_features=4):
+                return nn.Dropout(p=0.2)(x)
+            case [_, *rest] if nn.ReLU(inplace=True):
+                return [nn.Linear(in_features=y, out_features=2) for y in rest]
+        return {k: nn.BatchNorm2d(num_features=k) for k in x}
+"""
+
+
+def _occurrence_fields(occs) -> list[tuple]:
+    return [
+        (o.keyword, o.span, o.context, o.context_offset, o.call_id, o.unit_ref)
+        for o in occs
+    ]
+
+
+def test_extract_keywords_matches_the_walk_over_every_child():
+    rng = np.random.default_rng(47)
+    units = [
+        canonicalize(SourceUnit(fuzz_pytorch_unit(rng), "pytorch"), PT)
+        for _ in range(1000)
+    ]
+    hand = SourceUnit(HAND_WRITTEN_UNIT, "pytorch")
+    for unit in units + [hand]:
+        got = extract_keywords(unit, PT)
+        want = _extract_keywords_by_iter_child_nodes(unit, PT)
+        assert _occurrence_fields(got) == _occurrence_fields(want), unit.text
+    # every known call of the hand-written unit is found (``nn.Tanh`` is
+    # unknown, the starred ``nn.Sequential`` call is skipped), in 3 scopes
+    hand_occs = extract_keywords(hand, PT)
+    assert len({o.call_id for o in hand_occs}) == 17
+    assert len({o.context_offset for o in hand_occs}) == 3
+
+
+class _Edits:
+    """Handlers that use every rule of ``generic_visit``: a list result is
+    spliced in, ``None`` deletes the child, a node replaces it."""
+
+    def visit(self, node):
+        self.log.append(type(node).__name__)
+        return super().visit(node)
+
+    def visit_Pass(self, node):
+        return [node, ast.Pass()]
+
+    def visit_Expr(self, node):
+        if isinstance(node.value, ast.Constant):
+            return None
+        return self.generic_visit(node)
+
+    def visit_keyword(self, node):
+        return None if node.arg == "bias" else self.generic_visit(node)
+
+    def visit_Starred(self, node):
+        return None  # deletes from a list
+
+    def visit_Await(self, node):
+        return None  # deletes a field
+
+    def visit_Name(self, node):
+        return ast.Name(id=node.id.upper(), ctx=node.ctx)
+
+
+class _NodeTransformerEdits(_Edits, ast.NodeTransformer):
+    pass
+
+
+class _DispatchEdits(_Edits, _DispatchTransformer):
+    pass
+
+
+def test_generic_visit_matches_node_transformer():
+    rng = np.random.default_rng(53)
+    texts = [fuzz_pytorch_unit(rng) for _ in range(300)] + [
+        HAND_WRITTEN_UNIT,
+        "global a, b\nif x:\n    pass\n'doc'\nf(*a, bias=1, c=2)\nfor *a, b in c: pass\n"
+        "async def h():\n    await g()\n    return await k()\n",
+    ]
+    for text in texts:
+        results = []
+        for transformer in (_NodeTransformerEdits(), _DispatchEdits()):
+            transformer.log = []
+            tree = transformer.visit(ast.parse(text))
+            results.append((transformer.log, ast.dump(tree)))
+        assert results[0] == results[1], text
 
 
 def test_extract_module_classes_splits_by_framework():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import http.server
 import io
 import json
@@ -843,6 +844,22 @@ def test_transpile_json_exposes_the_skeleton(tmp_path, capsys):
     assert payload["warnings"] == []
 
 
+def test_transpile_json_still_writes_the_output_file(tmp_path, capsys):
+    src = tmp_path / "net.py"
+    dst = tmp_path / "net_keras.py"
+    src.write_text(FIG_INPUT)
+    capsys.readouterr()
+    rc = main([
+        "transpile", "--from", "pytorch", "--to", "keras",
+        "--input", str(src), "--output", str(dst), "--format", "json",
+    ])
+    assert rc == 0
+    assert dst.read_text() == FIG_OUTPUT + "\n"
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["output"] == FIG_OUTPUT
+    assert "PLACEHOLDER_1" in payload["skeleton"]
+
+
 def test_transpile_explicit_dictionary_flag(tmp_path, capsys):
     src = tmp_path / "net.py"
     src.write_text(FIG_INPUT)
@@ -1487,3 +1504,58 @@ def test_inspect_diff_names_the_parts_that_changed(tmp_path, capsys):
         "changed  nn.Conv2d (params)",
         "changed  nn.ReLU (target layers.ReLU -> layers.Activation, expansions)",
     ]
+
+
+# -- parsers built on dispatch ----------------------------------------------------
+
+
+def _counting_parser_inits(monkeypatch) -> list:
+    """The ``prog`` of every ``ArgumentParser.__init__`` that runs from now on."""
+    progs = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    return progs
+
+
+def test_only_the_dispatched_parsers_are_initialised(monkeypatch, capsys):
+    progs = _counting_parser_inits(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(FIG_INPUT))
+    capsys.readouterr()
+    assert main(["transpile", "--from", "pytorch", "--to", "keras"]) == 0
+    assert capsys.readouterr().out == FIG_OUTPUT + "\n"
+    assert progs == ["frameport", "frameport transpile"]
+
+    progs.clear()
+    bundled = str(fixture_path("dict_pytorch_keras.json"))
+    assert main(["inspect", "diff", "--old", bundled, "--new", bundled]) == 0
+    assert progs == ["frameport", "frameport inspect", "frameport inspect diff"]
+
+
+@pytest.mark.parametrize(
+    "argv, prog, dest, choices",
+    [
+        (["transpil"], "frameport", "command",
+         ["ingest", "train", "dict", "transpile", "eval", "inspect"]),
+        (["inspect", "difff", "--old", "a"], "frameport inspect", "what",
+         ["vocab", "neighbors", "diff"]),
+    ],
+)
+def test_unknown_command_is_a_usage_error_listing_every_choice(
+    argv, prog, dest, choices, capsys
+):
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, message = err.splitlines()
+    assert usage.startswith(f"usage: {prog} [-h] {{{','.join(choices)}}}")
+    bad = argv[prog.count(" ")]
+    head = f"{prog}: error: argument {dest}: invalid choice: {bad!r} (choose from "
+    assert message.startswith(head)
+    listed = message[len(head):].rstrip(")").split(", ")
+    assert [name.strip("'") for name in listed] == choices
