@@ -502,8 +502,6 @@ class _Rewriter(_DispatchTransformer):
                     self._emit(target, synthesized)
                     continue
             kept.append(alias)
-            if path in self.db.import_aliases:
-                self.emitted_modules.add(path)
         node.names = kept
         return [node] + synthesized if kept else synthesized
 
@@ -648,7 +646,7 @@ def extract_module_classes(
 ) -> list[SourceUnit]:
     """Extract framework module classes from one source file.
 
-    Files that fail to parse yield no units (the caller reports skips).
+    A file that does not parse raises ``ParseError("<origin>: ...")``.
     Alias unification runs before classes are cut out so each unit
     canonicalizes standalone.
     """
@@ -657,13 +655,8 @@ def extract_module_classes(
         patterns = set(DEFAULT_BASE_CLASSES.get(framework, ()))
         if not patterns:
             continue
-        # the ParseError text is "<origin>: <SyntaxError>", as the warning wants
         whole = SourceUnit(file_text, framework, origin or "<text>")
-        try:
-            tree = canonical_tree(whole, dbs[framework])
-        except ParseError as exc:
-            log.warning("skipping unparseable file %s", exc)
-            return []
+        tree = canonical_tree(whole, dbs[framework])
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue

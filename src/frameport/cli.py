@@ -18,7 +18,7 @@ import importlib
 import json
 import signal
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -54,7 +54,6 @@ _DEFERRED = {
         "DEFAULT_INCLUDE",
         "DEFAULT_MARKERS",
         "DEFAULT_SIZE_CAP",
-        "VocabEntry",
         "_vocab_record",
         "extract_occurrences",
         "ingest",
@@ -75,7 +74,7 @@ _DEFERRED = {
         "HashProvider",
         "embed_batch",
     ),
-    "frameport.evaluate": ("EvalExample", "load_eval_set", "run_suite"),
+    "frameport.evaluate": ("load_eval_set", "run_suite"),
     "frameport.train": (
         "BATCH_GRID",
         "LR_GRID",
@@ -240,14 +239,6 @@ def _make_selector(vocab1, vocab2, db1, db2, tau: float):
     return selector
 
 
-def _cell_record(cell) -> dict:
-    return {
-        "peak_lr": cell.peak_lr,
-        "batch_size": cell.batch_size,
-        "avg_cos_sim": cell.score,
-    }
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     if args.resume and args.grid:
         raise ConfigError("--resume cannot be combined with --grid")
@@ -281,106 +272,101 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    metrics_path = out / "metrics.jsonl"
     ckpt = out / "checkpoint.json"
+    interrupted = False
 
+    def _on_sigint(signum, frame) -> None:
+        nonlocal interrupted
+        interrupted = True
+
+    def stop() -> bool:
+        return interrupted
+
+    previous = signal.signal(signal.SIGINT, _on_sigint)
+    try:
+        with open(out / "metrics.jsonl", "a" if args.resume else "w") as fh:
+
+            def write(rec: dict) -> None:
+                fh.write(json.dumps(rec) + "\n")
+
+            if args.grid:
+                grid = grid_search(
+                    H1,
+                    y1,
+                    H2,
+                    y2,
+                    cfg,
+                    selector,
+                    lrs=args.lrs,
+                    batch_sizes=args.batch_sizes,
+                    on_cell=lambda cell: write(asdict(cell)),
+                    vocab_sizes=sizes,
+                    stop=stop,
+                )
+                result = grid.best
+            else:
+                result = train(
+                    H1,
+                    y1,
+                    H2,
+                    y2,
+                    cfg,
+                    selector=selector,
+                    on_record=write,
+                    resume=resume,
+                    vocab_sizes=sizes,
+                    stop=stop,
+                )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+    state = result.state
+    model = result.best_model
+    snapshot = TrainState(model, Optimizers.init(model), state.step, state.cfg)
     if args.grid:
-        with open(metrics_path, "w") as fh:
-
-            def on_cell(cell) -> None:
-                fh.write(json.dumps(_cell_record(cell)) + "\n")
-
-            result = grid_search(
-                H1,
-                y1,
-                H2,
-                y2,
-                cfg,
-                selector,
-                lrs=args.lrs,
-                batch_sizes=args.batch_sizes,
-                on_cell=on_cell,
-                vocab_sizes=sizes,
-            )
-        best, model = result.best_cfg, result.best_model
-        save_checkpoint(
-            ckpt, TrainState(model, Optimizers.init(model), best.total_steps, best)
-        )
+        best = GridCell(state.cfg.peak_lr, state.cfg.batch_size, result.best_score)
+        save_checkpoint(ckpt, snapshot)
+        cells = [asdict(cell) for cell in grid.cells]
         write_text_atomic(
             out / "grid.json",
-            json.dumps(
-                {
-                    "cells": [_cell_record(cell) for cell in result.cells],
-                    "best": _cell_record(
-                        GridCell(best.peak_lr, best.batch_size, result.best_score)
-                    ),
-                },
-                indent=2,
-            )
-            + "\n"
+            json.dumps({"cells": cells, "best": asdict(best)}, indent=2) + "\n",
         )
+        if interrupted:
+            total = len(args.lrs) * len(args.batch_sizes)
+            print(
+                f"interrupted: grid stopped after {len(cells)} of {total} cells",
+                file=sys.stderr,
+            )
         payload = {
             "mode": "grid",
             "best_peak_lr": best.peak_lr,
             "best_batch_size": best.batch_size,
-            "avg_cos_sim": result.best_score,
+            "avg_cos_sim": best.avg_cos_sim,
             "checkpoint": str(ckpt),
         }
         lines = [
             f"grid best: lr={best.peak_lr} batch={best.batch_size} "
-            f"avg_cos_sim={result.best_score:.4f}",
+            f"avg_cos_sim={best.avg_cos_sim:.4f}",
             f"checkpoint written to {ckpt}",
         ]
-        _emit(args, payload, lines)
-        return 0
-
-    interrupted = {"flag": False}
-
-    def _on_sigint(signum, frame) -> None:
-        interrupted["flag"] = True
-
-    previous = signal.signal(signal.SIGINT, _on_sigint)
-    mode = "a" if args.resume else "w"
-    try:
-        with open(metrics_path, mode) as fh:
-
-            def on_record(rec: dict) -> None:
-                fh.write(json.dumps(rec) + "\n")
-
-            result = train(
-                H1,
-                y1,
-                H2,
-                y2,
-                cfg,
-                selector=selector,
-                on_record=on_record,
-                resume=resume,
-                vocab_sizes=sizes,
-                stop=lambda: interrupted["flag"],
-            )
-    finally:
-        signal.signal(signal.SIGINT, previous)
-
-    step = result.state.step
-    save_checkpoint(ckpt, result.state)
-    best_ckpt = out / "checkpoint_best.json"
-    best = TrainState(result.best_model, Optimizers.init(result.best_model), step, cfg)
-    save_checkpoint(best_ckpt, best)
-    if interrupted["flag"]:
-        print(f"interrupted: checkpoint saved at step {step}", file=sys.stderr)
-    payload = {
-        "mode": "train",
-        "steps": step,
-        "avg_cos_sim": result.best_score,
-        "checkpoint": str(ckpt),
-        "best_checkpoint": str(best_ckpt),
-        "interrupted": interrupted["flag"],
-    }
-    lines = [
-        f"trained to step {step}, best avg_cos_sim={result.best_score:.4f}",
-        f"checkpoint written to {ckpt}",
-    ]
+    else:
+        save_checkpoint(ckpt, state)
+        best_ckpt = out / "checkpoint_best.json"
+        save_checkpoint(best_ckpt, snapshot)
+        if interrupted:
+            print(f"interrupted: checkpoint saved at step {state.step}", file=sys.stderr)
+        payload = {
+            "mode": "train",
+            "steps": state.step,
+            "avg_cos_sim": result.best_score,
+            "checkpoint": str(ckpt),
+            "best_checkpoint": str(best_ckpt),
+            "interrupted": interrupted,
+        }
+        lines = [
+            f"trained to step {state.step}, best avg_cos_sim={result.best_score:.4f}",
+            f"checkpoint written to {ckpt}",
+        ]
     _emit(args, payload, lines)
     return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,9 +25,7 @@ from frameport.canon import (
     extract_keywords,
     extract_module_classes,
 )
-from frameport.errors import ConfigError, reading
-
-log = logging.getLogger(__name__)
+from frameport.errors import ConfigError, ParseError, reading
 
 DEFAULT_MARKERS = ("torch", "keras", "mxnet")
 DEFAULT_INCLUDE = ("*.py", "*.ipynb")
@@ -195,7 +192,11 @@ def ingest(
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 skipped.append((str(path), f"bad notebook: {exc}"))
                 continue
-        extracted = extract_module_classes(text, dbs, origin=str(path))
+        try:
+            extracted = extract_module_classes(text, dbs, origin=str(path))
+        except ParseError as exc:
+            skipped.append((str(path), f"does not parse: {exc}"))
+            continue
         if not extracted:
             skipped.append((str(path), "no framework classes"))
             continue

@@ -54,6 +54,12 @@ class Mlp:
             if b.dtype != w.dtype:
                 # forward adds the bias in place, in the dtype of x @ W
                 raise ConfigError(f"layer dtypes differ: {w.dtype} / {b.dtype}")
+            if self.activation == LEAKY_RELU and w.dtype.type(self.leaky_slope) == 0:
+                # slope * inf would be NaN where the activation is inf
+                raise ConfigError(
+                    f"leaky slope {self.leaky_slope} is 0 in {w.dtype}; "
+                    f"use activation {RELU!r}"
+                )
         for prev, nxt in zip(self.weights, self.weights[1:]):
             if prev.shape[1] != nxt.shape[0]:
                 raise DimensionMismatch(
@@ -72,7 +78,6 @@ class Mlp:
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
         leaky_slope: float = 0.01,
-        dtype=np.float32,
         bias_scale: float = 0.0,
     ) -> "Mlp":
         """Xavier-uniform weights; biases zero, or uniform when bias_scale > 0.
@@ -88,14 +93,14 @@ class Mlp:
         for fan_in, fan_out in zip(dims, dims[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(
-                rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
+                rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
             )
             if bias_scale > 0.0:
                 biases.append(
-                    rng.uniform(-bias_scale, bias_scale, size=fan_out).astype(dtype)
+                    rng.uniform(-bias_scale, bias_scale, size=fan_out).astype(np.float32)
                 )
             else:
-                biases.append(np.zeros(fan_out, dtype=dtype))
+                biases.append(np.zeros(fan_out, dtype=np.float32))
         return cls(
             weights=weights,
             biases=biases,
@@ -142,10 +147,10 @@ class ForwardCache:
 def _activate(mlp: Mlp, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The activation at ``z`` and its derivative there.
 
-    For a slope in [0, 1), ``max(z, slope * z)`` equals ``z if z > 0 else
-    slope * z`` bit for bit, except at ``z = +inf`` with a slope that is 0 in
-    ``z``'s dtype (``0 * inf`` is NaN); ``max(z > 0, slope)`` equals
-    ``1 if z > 0 else slope``.
+    For a leaky slope ``Mlp`` accepts (in [0, 1) and not 0 in the weights'
+    dtype, so not in ``z``'s, which is at least as wide), ``max(z, slope *
+    z)`` equals ``z if z > 0 else slope * z`` bit for bit; ``max(z > 0,
+    slope)`` equals ``1 if z > 0 else slope``.
     """
     grad = (z > 0).astype(z.dtype)
     if mlp.activation == RELU:

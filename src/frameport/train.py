@@ -25,6 +25,7 @@ returns one (with the best snapshot under the selection criterion), and
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -387,18 +388,13 @@ class BatchSampler:
         H2: np.ndarray,
         y2: np.ndarray,
         batch_size: int,
-        seed: int | np.random.SeedSequence = 0,
+        seed: np.random.SeedSequence,
     ):
         if len(H1) == 0 or len(H2) == 0:
             raise ConfigError("cannot sample from an empty corpus side")
         self.H1, self.y1, self.H2, self.y2 = H1, y1, H2, y2
         self.batch_size = batch_size
-        ss = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-        c1, c2 = ss.spawn(2)
+        c1, c2 = seed.spawn(2)
         self._rng1 = np.random.default_rng(c1)
         self._rng2 = np.random.default_rng(c2)
 
@@ -544,11 +540,7 @@ def train(
             on_record({"step": step, "lr": lr, **loss_rec})
         if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             checkpoint(step)
-    if (
-        not cfg.checkpoint_every
-        or step % cfg.checkpoint_every != 0
-        or not checkpoint_scores
-    ):
+    if not checkpoint_scores or checkpoint_scores[-1][0] != step:
         checkpoint(step)
     if selector is None:
         best_model = model
@@ -563,14 +555,12 @@ def train(
 class GridCell:
     peak_lr: float
     batch_size: int
-    score: float
+    avg_cos_sim: float
 
 
 @dataclass
 class GridResult:
-    best_cfg: TrainConfig
-    best_model: AlignmentModel
-    best_score: float
+    best: TrainResult  # the winning cell's run
     cells: list[GridCell]
 
 
@@ -585,30 +575,32 @@ def grid_search(
     lrs: Sequence[float] = LR_GRID,
     batch_sizes: Sequence[int] = BATCH_GRID,
     on_cell: Callable[[GridCell], None] | None = None,
+    stop: Callable[[], bool] | None = None,
 ) -> GridResult:
     """Train every (lr, N) cell; pick the best unsupervised-criterion score.
 
     Cells iterate in ascending (lr, N) order and the argmax keeps only
     strictly larger scores, so ties resolve to smaller lr, then smaller N.
+    ``stop`` goes to each cell's ``train`` and is polled after each cell,
+    so a stopped grid holds the cells that ran, the last one possibly
+    cut short, and at least one.
     """
     if not lrs or not batch_sizes:
         raise ConfigError("empty hyperparameter grid")
     cells: list[GridCell] = []
-    best: tuple[float, TrainConfig, AlignmentModel] | None = None
-    for lr in sorted(lrs):
-        for n in sorted(batch_sizes):
-            cfg = replace(base_cfg, peak_lr=lr, batch_size=n)
-            result = train(H1, y1, H2, y2, cfg, vocab_sizes, selector=selector)
-            cell = GridCell(peak_lr=lr, batch_size=n, score=result.best_score)
-            cells.append(cell)
-            if on_cell:
-                on_cell(cell)
-            if best is None or result.best_score > best[0]:
-                best = (result.best_score, cfg, result.best_model)
-    assert best is not None
-    return GridResult(
-        best_cfg=best[1], best_model=best[2], best_score=best[0], cells=cells
-    )
+    best: TrainResult | None = None
+    for lr, n in itertools.product(sorted(lrs), sorted(batch_sizes)):
+        cfg = replace(base_cfg, peak_lr=lr, batch_size=n)
+        result = train(H1, y1, H2, y2, cfg, vocab_sizes, selector=selector, stop=stop)
+        cell = GridCell(peak_lr=lr, batch_size=n, avg_cos_sim=result.best_score)
+        cells.append(cell)
+        if on_cell:
+            on_cell(cell)
+        if best is None or result.best_score > best.best_score:
+            best = result
+        if stop is not None and stop():
+            break
+    return GridResult(best, cells)
 
 
 def save_checkpoint(path: str | Path, state: TrainState) -> None:

@@ -269,10 +269,10 @@ def test_alignment_recovers_synthetic_keyword_pairing():
     # ran exactly once per cell, on its final model
     assert len(cell_p1) == len(grid.cells)
     by_cell = {
-        (c.peak_lr, c.batch_size): (c.score, cell_p1[i])
+        (c.peak_lr, c.batch_size): (c.avg_cos_sim, cell_p1[i])
         for i, c in enumerate(grid.cells)
     }
-    selected = (grid.best_cfg.peak_lr, grid.best_cfg.batch_size)
+    selected = (grid.best.state.cfg.peak_lr, grid.best.state.cfg.batch_size)
     selected_p1 = by_cell[selected][1]
     best_p1 = max(p for _, p in by_cell.values())
     elapsed = time.monotonic() - t0

@@ -405,14 +405,13 @@ def test_extract_module_classes_splits_by_framework():
         canonicalize(u, PT if u.framework == "pytorch" else KS)
 
 
-def test_extract_module_classes_tolerates_bad_files(caplog):
+def test_extract_module_classes_raises_parse_error_for_bad_files(caplog):
     with pytest.raises(SyntaxError) as err:
         ast.parse("def broken(:\n")
-    with caplog.at_level("WARNING", logger="frameport.canon"):
-        assert extract_module_classes("def broken(:\n", {"pytorch": PT}, origin="m.py") == []
-    assert [r.getMessage() for r in caplog.records] == [
-        f"skipping unparseable file m.py: {err.value}"
-    ]
+    with pytest.raises(ParseError) as raised:
+        extract_module_classes("def broken(:\n", {"pytorch": PT}, origin="m.py")
+    assert str(raised.value) == f"m.py: {err.value}"
+    assert caplog.records == []
 
 
 def test_extract_module_classes_parses_once_per_patterned_framework(monkeypatch):

@@ -6,6 +6,8 @@ import argparse
 import http.server
 import io
 import json
+import os
+import signal
 import socket
 import threading
 from dataclasses import replace
@@ -578,6 +580,69 @@ def test_train_grid_reports_every_cell(corpus, tmp_path, capsys):
     metrics_lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert len(metrics_lines) == 2
     assert load_checkpoint(tmp_path / "checkpoint.json").cfg.batch_size == 8
+
+
+@pytest.fixture
+def sigint_at_first_score(monkeypatch):
+    """Send this process SIGINT from inside the first checkpoint score, as a
+    Ctrl-C during training would; later scores run undisturbed."""
+    real = cli.avg_cosine_similarity
+    sent = []
+
+    def interrupting(*args, **kwargs):
+        if not sent:
+            sent.append(signal.SIGINT)
+            os.kill(os.getpid(), signal.SIGINT)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "avg_cosine_similarity", interrupting)
+
+
+def test_interrupted_train_resumes_to_the_uninterrupted_checkpoint(
+    corpus, tmp_path, sigint_at_first_score, capsys
+):
+    cut, full = tmp_path / "cut", tmp_path / "full"
+    run = ("--checkpoint-every", "2", "--total-samples", "64")
+    capsys.readouterr()
+    assert main(_train_argv(corpus, cut, *run, "--format", "json")) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted: checkpoint saved at step 2\n"
+    payload = json.loads(captured.out)
+    assert payload["interrupted"] is True and payload["steps"] == 2
+    resume = ("--resume", str(cut / "checkpoint.json"))
+    assert main(_train_argv(corpus, cut, *run, *resume)) == 0
+    assert main(_train_argv(corpus, full, *run)) == 0
+    for name in ("checkpoint.json", "metrics.jsonl"):
+        assert (cut / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_interrupted_grid_keeps_the_cells_that_ran(
+    corpus, tmp_path, sigint_at_first_score, capsys
+):
+    argv = _train_argv(
+        corpus, tmp_path,
+        "--grid", "--lrs", "0.0005,0.001", "--batch-sizes", "8",
+        "--checkpoint-every", "2", "--total-samples", "32", "--format", "json",
+    )
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("SIGINT ended the grid run with KeyboardInterrupt")
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted: grid stopped after 1 of 2 cells\n"
+    payload = json.loads(captured.out)
+    assert set(payload) == {
+        "mode", "best_peak_lr", "best_batch_size", "avg_cos_sim", "checkpoint"
+    }
+    grid = json.loads((tmp_path / "grid.json").read_text())
+    assert grid["cells"] == [grid["best"]]
+    assert (grid["best"]["peak_lr"], grid["best"]["batch_size"]) == (0.0005, 8)
+    metrics = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in metrics] == grid["cells"]
+    # the cell stopped after the step its first score came from
+    _assert_snapshot(tmp_path / "checkpoint.json", 2)
 
 
 def test_train_grid_cannot_resume(corpus, tmp_path, run_dir):

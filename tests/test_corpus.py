@@ -3,6 +3,7 @@ and on-disk round trips."""
 
 from __future__ import annotations
 
+import ast
 import json
 
 import pytest
@@ -46,18 +47,25 @@ def _tree(tmp_path):
     (tmp_path / "sub" / "dup.py").write_text(PT_CLASS)  # same class text
     (tmp_path / "plain.py").write_text("x = 1\n")  # no marker
     (tmp_path / "broken.py").write_text("import torch\ndef oops(:\n")
+    (tmp_path / "script.py").write_text("import torch\nx = 1\n")  # no classes
     (tmp_path / "notes.txt").write_text("torch torch torch")
     return tmp_path
 
 
-def test_ingest_collects_filters_and_dedups(tmp_path):
+def test_ingest_collects_filters_and_dedups(tmp_path, caplog):
     root = _tree(tmp_path)
     result = ingest([root], DBS)
     assert [u.origin for u in result.units["pytorch"]] == [f"{root}/a.py:Net"]
     assert len(result.units["keras"]) == 1
     reasons = dict(result.skipped)
     assert reasons[f"{root}/plain.py"] == "no framework marker"
-    assert reasons[f"{root}/broken.py"] == "no framework classes"
+    assert reasons[f"{root}/script.py"] == "no framework classes"
+    with pytest.raises(SyntaxError) as err:
+        ast.parse("import torch\ndef oops(:\n")
+    assert reasons[f"{root}/broken.py"] == (
+        f"does not parse: {root}/broken.py: {err.value}"
+    )
+    assert caplog.records == []
     assert f"{root}/notes.txt" not in reasons  # filtered before reading
     stats = result.manifest.frameworks["pytorch"]
     assert stats.unit_count == 1

@@ -126,7 +126,8 @@ def test_zero_lr_step_changes_nothing():
     model = ft.AlignmentModel.create(cfg, 8, [5, 6], np.random.default_rng(0))
     snapshot = [p.copy() for p in model.parameters()]
     opt = ft.Optimizers.init(model)
-    sampler = ft.BatchSampler(H1, y1, H2, y2, cfg.batch_size, seed=1)
+    sampler = ft.BatchSampler(H1, y1, H2, y2, cfg.batch_size,
+                              seed=np.random.SeedSequence(1))
     ft.train_step(model, sampler.next_batch(), opt, cfg, lr=0.0,
                   rng=np.random.default_rng(1))
     for p, s in zip(model.parameters(), snapshot):
@@ -225,8 +226,8 @@ def test_grid_search_tie_breaks_to_smaller_lr_then_batch():
     result = ft.grid_search(H1, y1, H2, y2, base, selector=lambda m: 1.0,
                             lrs=[1e-3, 2e-4], batch_sizes=[32, 16],
                             vocab_sizes=(5, 6))
-    assert result.best_cfg.peak_lr == 2e-4
-    assert result.best_cfg.batch_size == 16
+    assert result.best.state.cfg.peak_lr == 2e-4
+    assert result.best.state.cfg.batch_size == 16
     assert len(result.cells) == 4
     # cells iterate in ascending (lr, batch) order
     assert [(c.peak_lr, c.batch_size) for c in result.cells] == [
@@ -244,7 +245,7 @@ def test_checkpoint_file_round_trip(tmp_path):
     opt = ft.Optimizers.init(model)
     sampler = ft.BatchSampler(np.ones((3, 6), np.float32), np.zeros(3, int),
                               np.ones((3, 6), np.float32), np.zeros(3, int),
-                              batch_size=4, seed=1)
+                              batch_size=4, seed=np.random.SeedSequence(1))
     path = tmp_path / "state.json"
     drop = np.random.default_rng(3).bit_generator.state
     ft.save_checkpoint(path, ft.TrainState(model, opt, 2, cfg, sampler.state(), drop))
@@ -260,18 +261,19 @@ def test_checkpoint_file_round_trip(tmp_path):
 def test_sampler_sides_are_independent_and_stateful():
     rng = np.random.default_rng(15)
     H1, y1, H2, y2 = _toy_data(rng)
-    a = ft.BatchSampler(H1, y1, H2, y2, 8, seed=42)
-    b = ft.BatchSampler(H1, y1, H2, y2, 8, seed=42)
+    a = ft.BatchSampler(H1, y1, H2, y2, 8, seed=np.random.SeedSequence(42))
+    b = ft.BatchSampler(H1, y1, H2, y2, 8, seed=np.random.SeedSequence(42))
     first = a.next_batch()
     b.set_state(a.state())  # after syncing states the streams coincide
     x, y = a.next_batch(), b.next_batch()
     assert np.array_equal(x.h1, y.h1) and np.array_equal(x.h2, y.h2)
     # side-2 draws do not perturb side-1's stream
-    fresh = ft.BatchSampler(H1, y1, H2, y2, 8, seed=42)
+    fresh = ft.BatchSampler(H1, y1, H2, y2, 8, seed=np.random.SeedSequence(42))
     again = fresh.next_batch()
     assert np.array_equal(first.h1, again.h1)
     with pytest.raises(ConfigError):
-        ft.BatchSampler(H1[:0], y1[:0], H2, y2, 8)
+        ft.BatchSampler(H1[:0], y1[:0], H2, y2, 8,
+                        seed=np.random.SeedSequence(0))
 
 
 def test_metrics_records_have_expected_keys():
