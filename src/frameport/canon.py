@@ -105,23 +105,18 @@ class ApiKeyword:
 class KeywordOccurrence:
     """One use of a keyword in canonicalized source.
 
-    ``span`` is a byte range into the unit text (UTF-8); ``context`` is
-    the enclosing class/function source with ``context_offset`` giving
-    its byte position in the unit. Occurrences of a call and of its
-    keyword arguments share ``call_id``. ``unit_ref`` optionally names
-    the owning corpus unit as ``corpusid:unitid`` for external lookup.
+    ``context`` is the text of the unit the keyword occurs in (the unit's
+    own string, not a copy), and ``span`` is a byte range into its UTF-8
+    encoding. Occurrences of a call and of its keyword arguments share
+    ``call_id``. ``unit_ref`` optionally names the owning corpus unit as
+    ``corpusid:unitid`` for external lookup.
     """
 
     keyword: ApiKeyword
     span: tuple[int, int]
     context: str
-    context_offset: int = 0
     call_id: int = -1
     unit_ref: str = ""
-
-    @property
-    def span_in_context(self) -> tuple[int, int]:
-        return (self.span[0] - self.context_offset, self.span[1] - self.context_offset)
 
 
 def _split_prefixes(path: str) -> list[str]:
@@ -574,7 +569,6 @@ def canonicalize(
 
 # node types that hold no call; the keyword walk does not enter them
 _NO_CALLS = frozenset((ast.Constant, ast.Name, *ast.expr_context.__subclasses__()))
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def extract_keywords(
@@ -584,19 +578,14 @@ def extract_keywords(
 
     Calls are numbered in the pre-order of ``ast.iter_child_nodes``; the
     walk loops over each node's ``_fields`` and does not enter a node that
-    holds no call (``Constant``, ``Name``, an ``expr_context``). An
-    occurrence's context is the innermost enclosing function or class,
-    or the whole unit, decoded once per scope. Decorators are evaluated
-    in the scope around their definition, so that scope is their
-    context."""
+    holds no call (``Constant``, ``Name``, an ``expr_context``). Every
+    occurrence's context is the unit text itself."""
     tree = parse_source(unit.text, unit.origin or "<unit>")
-    data = unit.text.encode("utf-8")
-    starts = _line_starts(data)
+    starts = _line_starts(unit.text.encode("utf-8"))
     occurrences: list[KeywordOccurrence] = []
     call_ids = itertools.count()
-    contexts: dict[tuple[int, int], str] = {}
 
-    def visit(node: ast.AST, ctx_span: tuple[int, int]) -> None:
+    def visit(node: ast.AST) -> None:
         if isinstance(node, ast.Call) and not _has_star_args(node):
             func_text = _dotted_name(node.func)
             sig = db.signatures.get(func_text) if func_text else None
@@ -608,33 +597,25 @@ def extract_keywords(
                         end = start + len(kw.arg.encode("utf-8"))
                         found.append((PARAMETER, kw.arg, func_text, (start, end)))
                 call_id = next(call_ids)
-                context = contexts.get(ctx_span)
-                if context is None:
-                    context = data[ctx_span[0]:ctx_span[1]].decode("utf-8")
-                    contexts[ctx_span] = context
                 occurrences.extend(
                     KeywordOccurrence(
                         keyword=ApiKeyword(unit.framework, kind, text, owner),
                         span=span,
-                        context=context,
-                        context_offset=ctx_span[0],
+                        context=unit.text,
                         call_id=call_id,
                     )
                     for kind, text, owner, span in found
                 )
-        inner = _node_span(node, starts) if isinstance(node, _SCOPES) else ctx_span
         for field in node._fields:
-            # a decorator lies before its definition's span
-            span = ctx_span if field == "decorator_list" else inner
             child = getattr(node, field, None)
             if isinstance(child, list):
                 for item in child:
                     if type(item) not in _NO_CALLS and isinstance(item, _AST):
-                        visit(item, span)
+                        visit(item)
             elif type(child) not in _NO_CALLS and isinstance(child, _AST):
-                visit(child, span)
+                visit(child)
 
-    visit(tree, (0, len(data)))
+    visit(tree)
     occurrences.sort(key=lambda occ: occ.span)
     return occurrences
 

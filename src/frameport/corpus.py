@@ -285,19 +285,16 @@ def load_corpus(directory: str | Path) -> IngestResult:
     with reading("corpus manifest", path) as text:
         manifest = CorpusManifest.from_dict(json.loads(text))
     units: dict[str, list[SourceUnit]] = {}
-    for fw in manifest.frameworks:
-        fw_units: list[SourceUnit] = []
+    for fw, stats in manifest.frameworks.items():
         path = d / f"units_{fw}.jsonl"
-        if path.exists():
-            with reading("corpus units", path) as text:
-                for line in text.splitlines():
-                    if not line.strip():
-                        continue
-                    rec = json.loads(line)
-                    fw_units.append(
-                        SourceUnit(
-                            text=rec["text"], framework=fw, origin=rec.get("origin", "")
-                        )
-                    )
-        units[fw] = fw_units
+        with reading("corpus units", path) as text:
+            records = [json.loads(line) for line in text.splitlines() if line.strip()]
+            if len(records) != stats.unit_count:
+                raise ValueError(
+                    f"{len(records)} units, the manifest counts {stats.unit_count}"
+                )
+            units[fw] = [
+                SourceUnit(text=rec["text"], framework=fw, origin=rec.get("origin", ""))
+                for rec in records
+            ]
     return IngestResult(manifest=manifest, units=units)

@@ -2,7 +2,7 @@
 
 A provider turns a KeywordOccurrence into one d_b-dimensional vector by
 average-pooling the subword vectors of the keyword's tokens inside its
-context, and ``embed_batch`` stacks a sequence of occurrences into one
+unit, and ``embed_batch`` stacks a sequence of occurrences into one
 float32 ``(n, d_b)`` matrix. A provider is any object with a ``dim``
 property, its width d_b, and a ``_vector(occ)`` method that returns one
 vector of that width; ``embed_batch`` checks the shape and finiteness of
@@ -13,12 +13,16 @@ each. Three providers keep that contract:
 - ``HashProvider``: per-token vectors seeded from a content hash, so
   identical keyword text embeds identically across runs;
 - ``ContextWindowProvider``: count-based token vectors (positive PMI over
-  window co-occurrences, then one truncated SVD), mixed with a
-  local-context average so occurrences of the same keyword in different
-  surroundings separate. It is deterministic; its window and context
-  weight are module constants, and only the width varies.
+  window co-occurrences, then one truncated SVD), mixed with the average
+  of the _WINDOW tokens on each side of the keyword in its unit's token
+  stream, the window the counts use, so occurrences of the same keyword
+  in different surroundings separate. It encodes a unit once for a run
+  of consecutive occurrences from that unit, as ``embed_batch`` gets
+  them in unit order. It is deterministic; its window and context weight
+  are module constants, and only the width varies.
 
-Providers are read-only once constructed; training never writes back.
+Provider vectors are read-only once constructed; training never writes
+back.
 """
 
 from __future__ import annotations
@@ -191,8 +195,8 @@ class ContextWindowProvider:
     """Count-based token vectors plus a local-context average.
 
     The occurrence vector is mean(keyword-token vectors) + _CONTEXT_WEIGHT
-    * mean(vectors of the _WINDOW tokens on each side). The context term
-    makes occurrences of one keyword differ by surroundings.
+    * mean(vectors of the _WINDOW tokens on each side in the unit). The
+    context term makes occurrences of one keyword differ by surroundings.
     """
 
     def __init__(self, vocab: BpeVocab, vectors: np.ndarray):
@@ -203,6 +207,9 @@ class ContextWindowProvider:
         self._vocab = vocab
         self._vectors = vectors.astype(np.float32)
         self._vectors.flags.writeable = False
+        # the last unit encoded, reused while its occurrences follow
+        self._unit_text: str | None = None
+        self._encoded: list[tuple[int, tuple[int, int]]] = []
 
     @property
     def dim(self) -> int:
@@ -243,11 +250,14 @@ class ContextWindowProvider:
         return cls(vocab, vectors)
 
     def _vector(self, occ: KeywordOccurrence) -> np.ndarray:
-        encoded = bpe_encode_with_offsets(self._vocab, occ.context)
-        positions = token_spans_overlapping(encoded, occ.span_in_context)
+        if occ.context != self._unit_text:
+            self._encoded = bpe_encode_with_offsets(self._vocab, occ.context)
+            self._unit_text = occ.context
+        encoded = self._encoded
+        positions = token_spans_overlapping(encoded, occ.span)
         if not positions:
             raise MissingVectorError(
-                f"keyword span {occ.span_in_context} matches no tokens in context"
+                f"keyword span {occ.span} matches no tokens in its unit"
             )
         ids = [encoded[k][0] for k in positions]
         kw_mean = self._vectors[ids].mean(axis=0)

@@ -187,12 +187,12 @@ def test_extract_keywords_spans_and_call_ids():
     ]
     for occ in occs:
         assert data[occ.span[0]:occ.span[1]].decode() == occ.keyword.text
-        a, b = occ.span_in_context
+        # the context is the unit text itself, which ``span`` indexes
+        assert occ.context is unit.text
+        a, b = occ.span
         assert occ.context.encode()[a:b].decode() == occ.keyword.text
     assert len({o.call_id for o in occs}) == 1
     assert all(o.keyword.owner == "nn.Linear" for o in occs[1:])
-    # context is the innermost enclosing definition
-    assert occs[0].context.startswith("def __init__")
     assert [o.span for o in occs] == sorted(o.span for o in occs)
 
 
@@ -226,16 +226,12 @@ def test_line_starts_match_the_per_byte_loop():
 
 def _extract_keywords_by_iter_child_nodes(unit, db):
     """The keyword walk over every child ``ast.iter_child_nodes`` yields,
-    decoding a context per call."""
-    data = unit.text.encode("utf-8")
-    starts = _line_starts_by_byte(data)
+    with the unit text as every occurrence's context."""
+    starts = _line_starts_by_byte(unit.text.encode("utf-8"))
     occurrences = []
     call_ids = itertools.count()
 
-    def visit(node, ctx_span):
-        outer = ctx_span
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            ctx_span = _node_span(node, starts)
+    def visit(node):
         if isinstance(node, ast.Call) and not _has_star_args(node):
             func_text = _dotted_name(node.func)
             sig = db.signatures.get(func_text) if func_text else None
@@ -247,20 +243,17 @@ def _extract_keywords_by_iter_child_nodes(unit, db):
                         end = start + len(kw.arg.encode("utf-8"))
                         found.append((PARAMETER, kw.arg, func_text, (start, end)))
                 call_id = next(call_ids)
-                context = data[ctx_span[0]:ctx_span[1]].decode("utf-8")
                 occurrences.extend(
                     KeywordOccurrence(
                         ApiKeyword(unit.framework, kind, text, owner),
-                        span, context, ctx_span[0], call_id,
+                        span, unit.text, call_id,
                     )
                     for kind, text, owner, span in found
                 )
-        decorators = getattr(node, "decorator_list", [])
         for child in ast.iter_child_nodes(node):
-            # decorators are evaluated in the enclosing scope
-            visit(child, outer if any(child is d for d in decorators) else ctx_span)
+            visit(child)
 
-    visit(ast.parse(unit.text), (0, len(data)))
+    visit(ast.parse(unit.text))
     occurrences.sort(key=lambda occ: occ.span)
     return occurrences
 
@@ -294,7 +287,7 @@ class Net(nn.Module):
 
 def _occurrence_fields(occs) -> list[tuple]:
     return [
-        (o.keyword, o.span, o.context, o.context_offset, o.call_id, o.unit_ref)
+        (o.keyword, o.span, o.context, o.call_id, o.unit_ref)
         for o in occs
     ]
 
@@ -311,10 +304,11 @@ def test_extract_keywords_matches_the_walk_over_every_child():
         want = _extract_keywords_by_iter_child_nodes(unit, PT)
         assert _occurrence_fields(got) == _occurrence_fields(want), unit.text
     # every known call of the hand-written unit is found (``nn.Tanh`` is
-    # unknown, the starred ``nn.Sequential`` call is skipped), in 3 scopes
+    # unknown, the starred ``nn.Sequential`` call is skipped), each with
+    # the unit text as its context
     hand_occs = extract_keywords(hand, PT)
     assert len({o.call_id for o in hand_occs}) == 17
-    assert len({o.context_offset for o in hand_occs}) == 3
+    assert all(o.context is hand.text for o in hand_occs)
 
 
 def test_every_keyword_span_lies_inside_its_context():
@@ -327,12 +321,9 @@ def test_every_keyword_span_lies_inside_its_context():
     for unit in units + [hand]:
         for occ in extract_keywords(unit, PT):
             context = occ.context.encode("utf-8")
-            lo, hi = occ.span_in_context
+            lo, hi = occ.span
             assert 0 <= lo < hi <= len(context), (occ, unit.text)
             assert context[lo:hi].decode("utf-8") == occ.keyword.text
-    # the call in the decorator above ``class Net`` has the whole unit as context
-    flatten = [o for o in extract_keywords(hand, PT) if o.keyword.text == "nn.Flatten"]
-    assert [o.context_offset for o in flatten] == [0]
 
 
 class _Edits:

@@ -7,10 +7,13 @@ import http.server
 import io
 import json
 import os
+import shutil
 import signal
 import socket
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -762,6 +765,39 @@ def test_train_missing_corpus_is_a_config_error(tmp_path):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda path: path.unlink(), "No such file or directory"),
+        (
+            lambda path: path.write_text(
+                "".join(path.read_text().splitlines(keepends=True)[:-1])
+            ),
+            "the manifest counts",
+        ),
+    ],
+    ids=["missing", "line-cut"],
+)
+def test_corpus_with_a_damaged_units_file_exits_2(
+    damage, reason, corpus, tmp_path, capsys
+):
+    # it used to load as a corpus without those units
+    damaged = tmp_path / "corpus"
+    shutil.copytree(corpus, damaged)
+    units = damaged / "units_keras.jsonl"
+    damage(units)
+    for argv in (
+        _train_argv(damaged, tmp_path / "run", "--total-samples", "16"),
+        ["inspect", "vocab", "--corpus", str(damaged), "--framework", "keras"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load corpus units {units}: "), err
+        assert reason in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_unknown_provider_is_a_config_error(corpus, tmp_path):
     argv = _train_argv(corpus, tmp_path, "--total-samples", "16")
     argv[argv.index("hash")] = "quantum"
@@ -794,6 +830,38 @@ def test_train_context_window_embeds_a_call_in_a_decorator(tmp_path):
                        "--total-samples", "64")
     argv[argv.index("hash")] = "context-window"
     assert main(argv) == 0
+
+
+def test_context_window_dictionary_finds_the_bundled_callable_pairs(tmp_path):
+    # a quality floor: 7 of the 11 pairs are right, the pre-PPMI provider got 0
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    gen.write_tree(tmp_path / "tree", gen.corpus_files(101, 12))
+    corpus, learned = tmp_path / "corpus", tmp_path / "dict.json"
+    pair = ["--src-framework", "pytorch", "--tgt-framework", "keras"]
+    assert main([
+        "ingest", "--root", str(tmp_path / "tree"), "--out", str(corpus),
+        "--framework", "pytorch", "--framework", "keras",
+    ]) == 0
+    assert main([
+        "train", "--corpus", str(corpus), *pair, "--out", str(tmp_path / "run"),
+        "--provider", "context-window", "--total-samples", "32000",
+        "--checkpoint-every", "100",
+    ]) == 0
+    assert main([
+        "dict", "--checkpoint", str(tmp_path / "run" / "checkpoint_best.json"),
+        "--corpus", str(corpus), *pair, "--out", str(learned),
+    ]) == 0
+    bundled = {
+        (g.src_callable, g.tgt_callable)
+        for g in KeywordDictionary.load(fixture_path("dict_pytorch_keras.json")).groups
+    }
+    assert len(bundled) == 11
+    found = {(g.src_callable, g.tgt_callable) for g in KeywordDictionary.load(learned).groups}
+    assert len(bundled & found) >= 6, sorted(bundled & found)
 
 
 def test_train_framework_missing_from_corpus(corpus, tmp_path):

@@ -11,15 +11,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameport.bpe import bpe_encode, bpe_train
+from frameport import embeddings
+from frameport.bpe import (
+    bpe_encode,
+    bpe_encode_with_offsets,
+    bpe_train,
+    token_spans_overlapping,
+)
 from frameport.canon import (
     CALLABLE,
     PARAMETER,
     ApiKeyword,
     KeywordOccurrence,
+    SourceUnit,
     extract_module_classes,
 )
+from frameport.corpus import extract_occurrences
 from frameport.embeddings import (
+    _CONTEXT_WEIGHT,
     _WINDOW,
     ContextWindowProvider,
     FileBackedProvider,
@@ -33,13 +42,12 @@ from frameport.pipeline import default_database
 
 
 def _occ(text="nn.Linear", kind=CALLABLE, owner=None, context=None, span=(0, 9),
-         unit_ref="pytorch:0", context_offset=0):
+         unit_ref="pytorch:0"):
     kw = ApiKeyword("pytorch", kind, text, owner=owner)
     return KeywordOccurrence(
         keyword=kw,
         span=span,
         context=context if context is not None else text,
-        context_offset=context_offset,
         unit_ref=unit_ref,
     )
 
@@ -168,15 +176,59 @@ def test_context_window_span_outside_context_fails():
         embed_batch(provider, [occ])
 
 
-def test_context_window_honors_context_offset():
+_THREE_UNITS = [
+    "class A(nn.Module):\n"
+    "    def __init__(self):\n"
+    "        self.fc = nn.Linear(in_features=4, out_features=2)\n"
+    "    def forward(self, x):\n"
+    "        return nn.ReLU()(self.fc(x))\n",
+    "class B(nn.Module):\n"
+    "    def __init__(self):\n"
+    "        self.pool = nn.MaxPool2d(kernel_size=2)\n"
+    "        self.act = nn.ReLU()\n",
+    "class C(nn.Module):\n"
+    "    def __init__(self):\n"
+    "        self.fc = nn.Linear(in_features=2, out_features=4)\n",
+]
+
+
+def _three_unit_occurrences():
+    units = [SourceUnit(text, "pytorch") for text in _THREE_UNITS]
+    return extract_occurrences(units, default_database("pytorch"), "pytorch")
+
+
+def test_context_window_encodes_each_unit_once(monkeypatch):
     _, _, provider = _trained_provider()
-    ctx = "fc = nn.Linear(in_features=4)"
-    shifted = _occ("nn.Linear", context=ctx, span=(105, 114), context_offset=100)
-    plain = _occ("nn.Linear", context=ctx, span=(5, 14))
-    assert np.array_equal(
-        embed_batch(provider, [shifted])[0],
-        embed_batch(provider, [plain])[0],
-    )
+    occs = _three_unit_occurrences()
+    assert len(occs) > 3
+    calls = []
+
+    def counting(vocab, text):
+        calls.append(text)
+        return bpe_encode_with_offsets(vocab, text)
+
+    monkeypatch.setattr(embeddings, "bpe_encode_with_offsets", counting)
+    rows = embed_batch(provider, occs)
+    assert calls == _THREE_UNITS
+    # reusing a unit's encoding gives the vectors a fresh encoding gives
+    for occ, row in zip(occs, rows):
+        fresh = ContextWindowProvider(provider._vocab, provider._vectors)
+        assert np.array_equal(embed_batch(fresh, [occ])[0], row)
+
+
+def test_context_window_takes_the_window_across_scope_edges():
+    _, _, provider = _trained_provider()
+    occ = _three_unit_occurrences()[2]  # ``out_features``, last in ``__init__``
+    assert occ.keyword.text == "out_features"
+    encoded = bpe_encode_with_offsets(provider._vocab, occ.context)
+    (k,) = token_spans_overlapping(encoded, occ.span)
+    ids = [tid for tid, _ in encoded]
+    # the right window ends past the end of ``__init__``
+    init_end = occ.context.index(")\n    def forward") + 1
+    assert encoded[k + _WINDOW][1][0] >= init_end
+    window = ids[k - _WINDOW : k] + ids[k + 1 : k + 1 + _WINDOW]
+    want = provider._vectors[ids[k]] + _CONTEXT_WEIGHT * provider._vectors[window].mean(axis=0)
+    assert np.array_equal(embed_batch(provider, [occ])[0], want)
 
 
 def test_context_window_vector_table_validation():
