@@ -12,6 +12,7 @@ human-readable for ASCII while staying a bijection.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -43,6 +44,10 @@ class BpeVocab:
     tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
     token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    # (token id, byte width) of each piece of each pre-token encoded so far
+    _pieces: dict[str, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         tokens = SPECIAL_TOKENS + tuple(chr(b) for b in range(256))
@@ -53,6 +58,7 @@ class BpeVocab:
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "token_to_id", token_to_id)
         object.__setattr__(self, "_ranks", {p: r for r, p in enumerate(self.merges)})
+        object.__setattr__(self, "_pieces", {})
 
     @property
     def size(self) -> int:
@@ -141,13 +147,21 @@ def bpe_encode(vocab: BpeVocab, text: str) -> list[int]:
 def bpe_encode_with_offsets(
     vocab: BpeVocab, text: str
 ) -> list[tuple[int, tuple[int, int]]]:
-    """Encode and report each token's (start, end) byte span in the text."""
+    """Encode and report each token's (start, end) byte span in the text.
+
+    Each distinct pre-token is merged once per vocabulary."""
     out: list[tuple[int, tuple[int, int]]] = []
     pos = 0
+    memo = vocab._pieces
     for pre in pretokenize(text):
-        for sym in _merge_word(vocab, _byte_tokens(pre)):
-            width = len(sym)  # one latin-1 char per byte
-            out.append((vocab.token_to_id[sym], (pos, pos + width)))
+        pieces = memo.get(pre)
+        if pieces is None:
+            pieces = memo[pre] = tuple(
+                (vocab.token_to_id[sym], len(sym))  # one latin-1 char per byte
+                for sym in _merge_word(vocab, _byte_tokens(pre))
+            )
+        for tid, width in pieces:
+            out.append((tid, (pos, pos + width)))
             pos += width
     return out
 
@@ -166,10 +180,11 @@ def bpe_decode(vocab: BpeVocab, ids: Iterable[int]) -> str:
 def token_spans_overlapping(
     encoded: list[tuple[int, tuple[int, int]]], span: tuple[int, int]
 ) -> list[int]:
-    """Positions of encoded tokens whose byte span intersects ``span``."""
+    """Positions of encoded tokens whose byte span intersects ``span``.
+
+    Token spans are sorted (they tile the text), so the tokens that end
+    after ``lo`` and the tokens that start before ``hi`` are a suffix and a
+    prefix, and two bisections find them."""
     lo, hi = span
-    return [
-        k
-        for k, (_, (s, e)) in enumerate(encoded)
-        if s < hi and e > lo
-    ]
+    first = bisect_right(encoded, lo, key=lambda tok: tok[1][1])
+    return list(range(first, bisect_left(encoded, hi, key=lambda tok: tok[1][0])))

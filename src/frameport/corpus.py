@@ -293,6 +293,9 @@ def load_corpus(directory: str | Path) -> IngestResult:
                 raise ValueError(
                     f"{len(records)} units, the manifest counts {stats.unit_count}"
                 )
+            for rec in records:
+                if not isinstance(rec["text"], str):
+                    raise TypeError(f"unit text {rec['text']!r} is not a string")
             units[fw] = [
                 SourceUnit(text=rec["text"], framework=fw, origin=rec.get("origin", ""))
                 for rec in records

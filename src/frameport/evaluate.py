@@ -4,10 +4,10 @@ and the multi-seed evaluation harness.
 Calls compare textually after canonicalization; there is no semantic
 equivalence (``2*2`` never matches ``4``). Both F1 and EM come from one
 canonical tree per side: ``f1`` and ``exact_match`` score one pair the way
-``run_suite`` scores each row, and the harness canonicalizes each distinct
-prediction once and each gold at most once per suite. An eval-set record
-holds ``id``, ``src_framework``, ``tgt_framework``, ``source`` and ``gold``;
-other keys are ignored. Ranking metrics restrict candidates to the
+``run_suite`` scores each row, and the harness canonicalizes each gold at
+most once per suite. An eval-set record holds ``id`` and the strings
+``src_framework``, ``tgt_framework``, ``source`` and ``gold``; other keys
+are ignored. Ranking metrics restrict candidates to the
 keyword's own kind and charge ties at the worst rank.
 """
 
@@ -63,15 +63,13 @@ def load_eval_set(path: str | Path) -> list[EvalExample]:
                 if ex_id in seen:
                     raise ValueError(f"id {ex_id!r} is repeated")
                 seen.add(ex_id)
-                examples.append(
-                    EvalExample(
-                        id=ex_id,
-                        src_framework=rec["src_framework"],
-                        tgt_framework=rec["tgt_framework"],
-                        source=rec["source"],
-                        gold=rec["gold"],
-                    )
-                )
+                fields = {
+                    k: rec[k] for k in ("src_framework", "tgt_framework", "source", "gold")
+                }
+                for key, value in fields.items():
+                    if not isinstance(value, str):
+                        raise TypeError(f"{key} {value!r} is not a string")
+                examples.append(EvalExample(id=ex_id, **fields))
     return examples
 
 
@@ -263,8 +261,6 @@ def run_suite(
     # example's first successful prediction so an unparseable gold raises
     # only where scoring needs it
     golds: dict[int, tuple[str, Counter]] = {}
-    # (F1, EM) per example index and distinct prediction text
-    scores: dict[tuple[int, str], tuple[float, bool]] = {}
     for seed in seeds:
         rows = []
         for n, ex in enumerate(examples):
@@ -278,16 +274,13 @@ def run_suite(
             if seed == seeds[0]:
                 first_preds[ex.id] = pred_text
             row_f1, row_em = 0.0, False
-            if error is None and (n, pred_text) in scores:
-                row_f1, row_em = scores[n, pred_text]
-            elif error is None:
+            if error is None:
                 if n not in golds:
                     golds[n] = _text_and_bag(
                         SourceUnit(ex.gold, ex.tgt_framework, f"{ex.id}:gold"), tgt_db
                     )
                 pred_unit = SourceUnit(pred_text, ex.tgt_framework, f"{ex.id}:pred")
                 row_f1, row_em = _score(pred_unit, golds[n], tgt_db)
-                scores[n, pred_text] = row_f1, row_em
             rows.append(
                 {"id": ex.id, "f1": row_f1, "em": row_em, "error": error}
             )

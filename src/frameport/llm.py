@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import time
@@ -109,6 +110,10 @@ def render_prompt(skel: CodeSkeleton | str, tmpl: PromptTemplate) -> str:
     return prompt
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     """Completion backend selection and decoding parameters."""
@@ -126,10 +131,25 @@ class BackendConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        def need(name: str, ok: bool, what: str) -> None:
+            if not ok:
+                raise ConfigError(f"backend {name} must be {what}, not {getattr(self, name)!r}")
+
         if self.kind not in ("mock-rules", "http-completion", "http-chat"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
+        for name in ("endpoint", "auth_env", "model"):
+            need(name, isinstance(getattr(self, name), str), "a string")
         if self.kind != "mock-rules" and not self.endpoint:
             raise ConfigError(f"backend kind {self.kind!r} needs an endpoint")
+        for name, low in (("retries", 0), ("max_tokens", 1)):
+            value = getattr(self, name)
+            need(name, _is_int(value) and value >= low, f"an int >= {low}")
+        for name, positive in (("backoff", False), ("temperature", False), ("timeout", True)):
+            value = getattr(self, name)
+            finite = _is_int(value) or isinstance(value, float) and math.isfinite(value)
+            in_range = finite and (value > 0 if positive else value >= 0)
+            need(name, in_range, f"a finite number {'>' if positive else '>='} 0")
+        need("seed", self.seed is None or _is_int(self.seed), "an int or null")
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "BackendConfig":

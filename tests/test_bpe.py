@@ -106,6 +106,19 @@ def test_round_trip_is_lossless_on_fuzzed_text():
         assert bpe_decode(vocab, bpe_encode(vocab, text)) == text
 
 
+def test_encoding_through_a_warm_memo_matches_a_fresh_vocabulary():
+    rng = np.random.default_rng(11)
+    alphabet = list("abz019_.,() \n\t") + ["é", "λ", "嗨", "🙂"]
+    merges = bpe_train(["def f(x):\n    return x + 1\n", "λx: é 嗨"], 30).merges
+    warm = BpeVocab(merges=merges)
+    for _ in range(200):
+        n = int(rng.integers(0, 40))
+        text = "".join(rng.choice(alphabet) for _ in range(n))
+        assert bpe_encode_with_offsets(warm, text) == bpe_encode_with_offsets(
+            BpeVocab(merges=merges), text
+        )
+
+
 def test_offsets_tile_the_byte_string():
     vocab = bpe_train(["padding=1, padding=2"], 12)
     text = "x = Conv2d(padding=1) é"
@@ -126,6 +139,30 @@ def test_token_spans_overlapping_selects_intersecting_tokens():
     assert token_spans_overlapping(encoded, (4, 7)) == [4, 5, 6]
     assert token_spans_overlapping(encoded, (0, 1)) == [0]
     assert token_spans_overlapping(encoded, (3, 3)) == []
+
+
+def _overlapping_by_scan(encoded, span):
+    lo, hi = span
+    return [k for k, (_, (s, e)) in enumerate(encoded) if s < hi and e > lo]
+
+
+def test_token_spans_overlapping_matches_a_scan_of_every_token():
+    rng = np.random.default_rng(5)
+    alphabet = list("abz019_.,() \n\t") + ["é", "λ", "嗨", "🙂"]
+    vocab = bpe_train(["def f(x):\n    return x + 1\n", "λx: é 嗨"], 30)
+    for _ in range(100):
+        text = "".join(rng.choice(alphabet) for _ in range(int(rng.integers(0, 40))))
+        encoded = bpe_encode_with_offsets(vocab, text)
+        end = len(text.encode("utf-8"))
+        edges = sorted({0, end, *(s for _, (s, _) in encoded)})
+        spans = [tuple(sorted(rng.integers(0, end + 3, size=2).tolist())) for _ in range(10)]
+        spans += [(x, x) for x in range(end + 2)]  # empty spans, edges or not
+        spans += [(a, b) for a in edges for b in edges if a < b]  # token edges
+        spans += [(end, end + 4), (end + 1, end + 9), (0, end + 5)]  # past the end
+        for span in spans:
+            assert token_spans_overlapping(encoded, span) == _overlapping_by_scan(
+                encoded, span
+            ), (text, span)
 
 
 def test_decode_skips_special_ids():

@@ -798,6 +798,19 @@ def test_corpus_with_a_damaged_units_file_exits_2(
     assert not (tmp_path / "run").exists()
 
 
+def test_corpus_unit_text_that_is_not_a_string_exits_2(corpus, tmp_path, capsys):
+    damaged = tmp_path / "corpus"
+    shutil.copytree(corpus, damaged)
+    units = damaged / "units_keras.jsonl"
+    first, *rest = units.read_text().splitlines(keepends=True)
+    units.write_text("".join([json.dumps({**json.loads(first), "text": 5}) + "\n", *rest]))
+    capsys.readouterr()
+    assert main(_train_argv(damaged, tmp_path / "run", "--total-samples", "16")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load corpus units {units}: "), err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_unknown_provider_is_a_config_error(corpus, tmp_path):
     argv = _train_argv(corpus, tmp_path, "--total-samples", "16")
     argv[argv.index("hash")] = "quantum"
@@ -1163,7 +1176,8 @@ def test_eval_scores_a_suite_and_writes_artifacts(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 1
     assert payload["mean"] == {"f1": 1.0, "em": 1.0, "examples": 2}
-    assert len(payload["seeds"]) == 2
+    # the mock backend ignores the seed, so only the first one runs
+    assert [s["seed"] for s in payload["seeds"]] == [10]
     assert all(r["error"] is None for s in payload["seeds"] for r in s["examples"])
     report = json.loads((out / "report.json").read_text())
     assert report["mean"]["f1"] == 1.0
@@ -1177,7 +1191,7 @@ def test_eval_transpiles_each_example_once_with_the_mock_backend(
 ):
     eval_set = tmp_path / "examples.jsonl"
     _write_eval_set(eval_set)
-    # a third example whose transpile fails: every seed reports its error
+    # a third example whose transpile fails: its row reports the error
     with eval_set.open("a") as fh:
         fh.write(json.dumps({
             "id": "broken", "src_framework": "pytorch", "tgt_framework": "keras",
@@ -1199,9 +1213,40 @@ def test_eval_transpiles_each_example_once_with_the_mock_backend(
     assert rc == 0
     assert calls == ["fig", "conv", "broken"]
     payload = json.loads(capsys.readouterr().out)
-    errors = [s["examples"][2]["error"] for s in payload["seeds"]]
-    assert errors[0].startswith("ParseError: broken:") and errors == errors[:1] * 3
-    assert [s["f1"] for s in payload["seeds"]] == [2 / 3] * 3
+    (only,) = payload["seeds"]
+    assert only["seed"] == 10
+    assert only["examples"][2]["error"].startswith("ParseError: broken:")
+    assert only["f1"] == 2 / 3
+
+
+def test_eval_runs_only_the_first_seed_with_the_mock_backend(
+    tmp_path, capsys, monkeypatch
+):
+    eval_set = tmp_path / "examples.jsonl"
+    _write_eval_set(eval_set)
+    seeds = []
+    real = cli.transpile_unit
+
+    def recording(unit, src_db, tgt_db, dictionary, template, cfg, **kwargs):
+        seeds.append((unit.origin, cfg.seed))
+        return real(unit, src_db, tgt_db, dictionary, template, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "transpile_unit", recording)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main([
+        "eval", "--eval-set", str(eval_set), "--out", str(out), "--seeds", "10,20,30",
+    ])
+    assert rc == 0
+    assert seeds == [("fig", 10), ("conv", 10)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "2 examples x 1 seeds",
+        "the mock-rules backend ignores the seed; ran seed 10 only",
+    ]
+    report = json.loads((out / "report.json").read_text())
+    assert [s["seed"] for s in report["seeds"]] == [10]
+    assert report["mean"] == {"f1": 1.0, "em": 1.0, "examples": 2}
 
 
 def test_eval_calls_an_http_backend_once_per_seed(tmp_path, monkeypatch):
@@ -1303,6 +1348,68 @@ def test_unreachable_backend_exits_4(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("backend error: backend unreachable after retries: ")
     assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("retries", "3"),
+        ("retries", -1),
+        ("retries", True),
+        ("max_tokens", 0),
+        ("timeout", "x"),
+        ("timeout", 0),
+        ("backoff", float("nan")),
+        ("temperature", -0.5),
+        ("endpoint", 5),
+        ("auth_env", 7),
+        ("model", None),
+        ("seed", "7"),
+    ],
+)
+def test_backend_config_field_of_the_wrong_type_or_range_exits_2(
+    key, value, tmp_path, capsys, monkeypatch
+):
+    # these used to end in a traceback, or ("retries": -1) in exit 4 without
+    # a request sent
+    monkeypatch.setenv("no_proxy", "*")
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps({
+        "kind": "http-completion", "endpoint": "http://127.0.0.1:9/v1",
+        "retries": 0, key: value,
+    }))
+    source, output = tmp_path / "net.py", tmp_path / "out.py"
+    source.write_text(FIG_INPUT)
+    eval_set = tmp_path / "examples.jsonl"
+    _write_eval_set(eval_set)
+    for argv in (
+        [*_TRANSPILE, "--input", str(source), "--output", str(output)],
+        ["eval", "--eval-set", str(eval_set), "--out", str(tmp_path / "eval")],
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--backend", str(backend)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: backend {key} must be ")
+    assert not output.exists()
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("source", 5), ("gold", None), ("src_framework", 1), ("tgt_framework", ["keras"])],
+)
+def test_eval_set_field_that_is_not_a_string_exits_2(key, value, tmp_path, capsys):
+    eval_set = tmp_path / "examples.jsonl"
+    _write_eval_set(eval_set)
+    first, second = eval_set.read_text().splitlines()
+    row = json.loads(second)
+    row[key] = value
+    eval_set.write_text(first + "\n" + json.dumps(row) + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "--eval-set", str(eval_set), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load eval set {eval_set}:2: {key} "), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_empty_set_reports_no_examples(tmp_path, capsys):
