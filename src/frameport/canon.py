@@ -401,15 +401,19 @@ class _Rewriter(_DispatchTransformer):
 
     # -- name resolution -------------------------------------------------
 
+    def _contract(self, path: str) -> str | None:
+        """``path`` read through the file's bindings and shortened to the
+        framework's module alias; None outside the framework's modules."""
+        head, sep, rest = path.partition(".")
+        base = self.bindings.get(head)
+        expanded = base + sep + rest if base is not None else path
+        return self.db.contract_path(self.db.normalize_path(expanded))
+
     def _rewrite_path(self, path: str) -> str:
         # memoized: the bindings are fixed once ``_scan_imports`` returns
         new = self._rewritten.get(path)
         if new is None:
-            head, sep, rest = path.partition(".")
-            base = self.bindings.get(head)
-            expanded = base + sep + rest if base is not None else path
-            expanded = self.db.normalize_path(expanded)
-            contracted = self.db.contract_path(expanded)
+            contracted = self._contract(path)
             new = path if contracted is None else self.db.resolve_name(contracted)
             self._rewritten[path] = new
         return new
@@ -445,13 +449,15 @@ class _Rewriter(_DispatchTransformer):
                     f"no signature for {func_text!r} ({self.db.framework})"
                 )
             return node
-        if _has_star_args(node):
+        star = _has_star_args(node)
+        if star and not self.strict:
             log.warning(
                 "call to %s uses star expansion; left uncanonicalized", func_text
             )
             return node
-        if sig.variadic:
+        if sig.variadic and not star:
             return node
+        # under strict, star arguments end in the ArityError of bind_arguments
         return bind_arguments(node, sig)
 
     # -- import statements -------------------------------------------------
@@ -629,24 +635,32 @@ def extract_module_classes(
 
     A file that does not parse raises ``ParseError("<origin>: ...")``.
     Alias unification runs before classes are cut out so each unit
-    canonicalizes standalone.
+    canonicalizes standalone. A base counts for a framework only if, read
+    through the file's imports, it names one of the framework's base
+    classes; a first name the file does not bind stands for the module
+    the framework's database aliases to it.
     """
     units: list[SourceUnit] = []
     for framework in sorted(dbs):
         patterns = set(DEFAULT_BASE_CLASSES.get(framework, ()))
         if not patterns:
             continue
-        whole = SourceUnit(file_text, framework, origin or "<text>")
-        tree = canonical_tree(whole, dbs[framework])
+        db = dbs[framework]
+        tree = parse_source(file_text, origin or "<text>")
+        rewriter = _Rewriter(db, tree, strict=False)
+        # classes are picked before the rewrite, which leaves a base outside
+        # the framework's modules as spelled, where it may match a pattern
+        classes = []
         for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = {d for d in map(_dotted_name, node.bases) if d}
-            if bases & patterns:
-                label = f"{origin}:{node.name}" if origin else node.name
-                units.append(
-                    SourceUnit(
-                        text=ast.unparse(node), framework=framework, origin=label
-                    )
-                )
+            if isinstance(node, ast.ClassDef):
+                bases = filter(None, map(_dotted_name, node.bases))
+                paths = filter(None, map(rewriter._contract, bases))
+                if set(map(db.resolve_name, paths)) & patterns:
+                    classes.append(node)
+        rewriter.visit(tree)
+        for node in classes:
+            label = f"{origin}:{node.name}" if origin else node.name
+            units.append(
+                SourceUnit(text=ast.unparse(node), framework=framework, origin=label)
+            )
     return units

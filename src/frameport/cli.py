@@ -64,7 +64,6 @@ _DEFERRED = {
     "frameport.dictionary": (
         "COSINE",
         "DOT",
-        "csls_rescale",
         "generate_dictionary",
         "score_matrix",
     ),
@@ -571,9 +570,7 @@ def cmd_inspect_neighbors(args: argparse.Namespace) -> int:
     kw = _find_keyword(vocab1, wanted)
     E1, E2 = state.model.output_embeddings
     measure, csls_k = _measure_args(args)
-    s = score_matrix(E1, E2, measure)
-    if csls_k is not None:
-        s = csls_rescale(s, csls_k)
+    s = score_matrix(E1, E2, measure, csls_k)
     candidates = [c for c in vocab2 if c.kind == kw.kind]
     row = s.values[kw.id]
     ranked = sorted(candidates, key=lambda c: (-row[c.id], c.id))[: args.top]

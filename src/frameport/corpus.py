@@ -25,7 +25,13 @@ from frameport.canon import (
     extract_keywords,
     extract_module_classes,
 )
-from frameport.errors import ConfigError, ParseError, reading
+from frameport.errors import (
+    ArityError,
+    ConfigError,
+    DuplicateKeywordError,
+    ParseError,
+    reading,
+)
 
 DEFAULT_MARKERS = ("torch", "keras", "mxnet")
 DEFAULT_INCLUDE = ("*.py", "*.ipynb")
@@ -196,6 +202,9 @@ def ingest(
             extracted = extract_module_classes(text, dbs, origin=str(path))
         except ParseError as exc:
             skipped.append((str(path), f"does not parse: {exc}"))
+            continue
+        except (ArityError, DuplicateKeywordError) as exc:
+            skipped.append((str(path), f"does not canonicalize: {exc}"))
             continue
         if not extracted:
             skipped.append((str(path), "no framework classes"))

@@ -80,8 +80,11 @@ class ScoreMatrix:
         return self.values.shape
 
 
-def score_matrix(E1: np.ndarray, E2: np.ndarray, measure: str = COSINE) -> ScoreMatrix:
-    """Pairwise scores between embedding columns of the two sides."""
+def score_matrix(
+    E1: np.ndarray, E2: np.ndarray, measure: str = COSINE, csls_k: int | None = None
+) -> ScoreMatrix:
+    """Pairwise scores between embedding columns of the two sides, CSLS
+    rescaled over ``csls_k`` neighbors when it is given."""
     if E1.ndim != 2 or E2.ndim != 2 or E1.shape[0] != E2.shape[0]:
         raise DimensionMismatch(
             f"embedding matrices {E1.shape} / {E2.shape} do not share a row dim"
@@ -89,15 +92,17 @@ def score_matrix(E1: np.ndarray, E2: np.ndarray, measure: str = COSINE) -> Score
     a = E1.astype(np.float64).T  # (m1, d)
     b = E2.astype(np.float64).T  # (m2, d)
     if measure == DOT:
-        return ScoreMatrix(values=a @ b.T, measure=DOT)
-    if measure == COSINE:
+        s = ScoreMatrix(values=a @ b.T, measure=DOT)
+    elif measure == COSINE:
         na = np.linalg.norm(a, axis=1)
         nb = np.linalg.norm(b, axis=1)
         if np.any(na == 0) or np.any(nb == 0):
             side = 1 if np.any(na == 0) else 2
             raise ZeroVectorError(f"zero-norm embedding on side {side}")
-        return ScoreMatrix(values=(a / na[:, None]) @ (b / nb[:, None]).T, measure=COSINE)
-    raise ConfigError(f"unknown measure {measure!r}")
+        s = ScoreMatrix(values=(a / na[:, None]) @ (b / nb[:, None]).T, measure=COSINE)
+    else:
+        raise ConfigError(f"unknown measure {measure!r}")
+    return s if csls_k is None else csls_rescale(s, csls_k)
 
 
 def csls_rescale(s: ScoreMatrix, k: int) -> ScoreMatrix:
@@ -252,10 +257,7 @@ def generate_dictionary(
     groups2 = build_groups(vocab2)
     if not groups1 or not groups2:
         raise EmptyVocabularyError("both sides need at least one callable group")
-    s = score_matrix(E1, E2, measure)
-    if csls_k is not None:
-        s = csls_rescale(s, csls_k)
-    values = s.values
+    values = score_matrix(E1, E2, measure, csls_k).values
     best, best_sims = _best_target_groups(
         _group_similarities(values, groups1, groups2), groups1, groups2
     )

@@ -78,13 +78,8 @@ class Mlp:
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
         leaky_slope: float = 0.01,
-        bias_scale: float = 0.0,
     ) -> "Mlp":
-        """Xavier-uniform weights; biases zero, or uniform when bias_scale > 0.
-
-        A nonzero ``bias_scale`` keeps pre-activations away from the exact
-        activation kink, which matters for finite-difference checks.
-        """
+        """Xavier-uniform weights and zero biases."""
         if len(dims) < 2:
             raise ConfigError("an MLP needs at least input and output dims")
         rng = rng or np.random.default_rng(0)
@@ -95,12 +90,7 @@ class Mlp:
             weights.append(
                 rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
             )
-            if bias_scale > 0.0:
-                biases.append(
-                    rng.uniform(-bias_scale, bias_scale, size=fan_out).astype(np.float32)
-                )
-            else:
-                biases.append(np.zeros(fan_out, dtype=np.float32))
+            biases.append(np.zeros(fan_out, dtype=np.float32))
         return cls(
             weights=weights,
             biases=biases,
@@ -251,11 +241,9 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: Sequence[np.ndarray], **kwargs) -> "AdamState":
+    def init(cls, params: Sequence[np.ndarray]) -> "AdamState":
         return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            **kwargs,
+            m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params]
         )
 
     def to_dict(self) -> dict:

@@ -301,11 +301,11 @@ class _Arena(Optimizers):
     views of it, so that each role in ``_role_params`` is one slice: joint
     ``[0:g+e]``, gen_adv ``[0:g]`` and disc ``[g+e:]``. Each role's Adam
     moments are likewise copied into one flat pair, and its ``AdamState``
-    keeps per-tensor views of them (the form a checkpoint stores). A step
-    writes each role's gradient into one flat buffer, in the dtype the
-    gradients have for the arena and the batch, and updates the role with
-    one ``nn.adam_step`` over whole vectors, which applies the same
-    operations to the same elements as one call per tensor.
+    keeps per-tensor views of them (the form a checkpoint stores).
+    ``train_step`` writes each role's gradient into one flat buffer, in the
+    dtype the gradients have for the arena and the batch, and updates the
+    role with one ``nn.adam_step`` over whole vectors, which applies the
+    same operations to the same elements as one call per tensor.
     """
 
     def __init__(self, model: AlignmentModel, opt: Optimizers) -> None:
@@ -330,52 +330,39 @@ class _Arena(Optimizers):
             v, state.v[:] = _pack(state.v)
             self.roles[role] = (theta, m, v, role_params)
 
-    def step(
-        self,
-        model: AlignmentModel,
-        batch: TrainBatch,
-        cfg: TrainConfig,
-        lr: float,
-        rng: np.random.Generator | None,
-    ) -> dict[str, float]:
-        # the gradient buffers live for one step: kept for the run, they
-        # would also be resident through checkpoint selection, which sets
-        # the peak memory
-        flat, views = {}, {}
-        for role, (theta, _, _, params) in self.roles.items():
-            flat[role] = np.empty(theta.size, np.result_type(theta, batch.h1, batch.h2))
-            views[role] = _tile(flat[role], params)
-        # the joint role lists E1 and E2 last: their gradients are written
-        # straight into its buffer and the smaller ones are copied in
-        grads, step_losses = gradients(
-            model, batch, cfg.label_smoothing, cfg.dropout > 0, rng,
-            out=tuple(views["joint"][-2:]),
-        )
-        for role, (theta, m, v, _) in self.roles.items():
-            for view, g in zip(views[role], grads[role]):
-                if g is not view:
-                    view[...] = g
-            state = getattr(self, role)
-            whole = replace(state, m=[m], v=[v])
-            nn.adam_step([theta], [flat[role]], whole, lr)
-            state.step = whole.step
-        return step_losses
-
 
 def train_step(
     model: AlignmentModel,
     batch: TrainBatch,
-    opt: Optimizers,
+    arena: _Arena,
     cfg: TrainConfig,
     lr: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | None,
 ) -> dict[str, float]:
-    """One step: gradients at the starting parameters, then the three
-    role updates in order. ``train`` passes the arena it bound the model
-    to; other optimizers are bound to a fresh arena for this step."""
-    if not isinstance(opt, _Arena):
-        opt = _Arena(model, opt)
-    return opt.step(model, batch, cfg, lr, rng)
+    """One step on the model bound to ``arena``: gradients at the starting
+    parameters, then the three role updates in order."""
+    # the gradient buffers live for one step: kept for the run, they
+    # would also be resident through checkpoint selection, which sets
+    # the peak memory
+    flat, views = {}, {}
+    for role, (theta, _, _, params) in arena.roles.items():
+        flat[role] = np.empty(theta.size, np.result_type(theta, batch.h1, batch.h2))
+        views[role] = _tile(flat[role], params)
+    # the joint role lists E1 and E2 last: their gradients are written
+    # straight into its buffer and the smaller ones are copied in
+    grads, step_losses = gradients(
+        model, batch, cfg.label_smoothing, cfg.dropout > 0, rng,
+        out=tuple(views["joint"][-2:]),
+    )
+    for role, (theta, m, v, _) in arena.roles.items():
+        for view, g in zip(views[role], grads[role]):
+            if g is not view:
+                view[...] = g
+        state = getattr(arena, role)
+        whole = replace(state, m=[m], v=[v])
+        nn.adam_step([theta], [flat[role]], whole, lr)
+        state.step = whole.step
+    return step_losses
 
 
 class BatchSampler:

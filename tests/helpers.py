@@ -91,9 +91,12 @@ def random_mlp(rng: np.random.Generator, max_width: int = 10) -> fnn.Mlp:
         dropout=dropout,
         rng=rng,
         leaky_slope=0.01,
-        bias_scale=0.5,
     )
-    return to_f64(mlp)
+    mlp = to_f64(mlp)
+    # bias away from activation kinks so finite differences stay two-sided
+    for b in mlp.biases:
+        b += rng.uniform(-0.5, 0.5, size=b.shape)
+    return mlp
 
 
 def random_alignment_model(

@@ -396,6 +396,22 @@ def test_extract_module_classes_splits_by_framework():
         canonicalize(u, PT if u.framework == "pytorch" else KS)
 
 
+def test_extract_module_classes_counts_a_base_only_through_its_framework_imports():
+    dbs = {"pytorch": PT, "mxnet": default_database("mxnet")}
+    # MXNet's rewrite leaves ``nn.Block`` as it is, but here ``nn`` is torch.nn
+    text = "import torch.nn as nn\n\nclass P(nn.Block):\n    pass\n"
+    assert extract_module_classes(text, dbs, origin="block.py") == []
+    for text in (
+        "from mxnet.gluon import nn\n\nclass P(nn.Block):\n    pass\n",
+        "import torch.nn as nn\nfrom mxnet.gluon import nn as gnn\n\n"
+        "class P(gnn.Block):\n    pass\n",
+        "import mxnet as mx\n\nclass P(mx.gluon.nn.Block):\n    pass\n",
+        "class P(nn.Block):\n    pass\n",  # an unbound name means MXNet's module
+    ):
+        units = extract_module_classes(text, dbs, origin="block.py")
+        assert [(u.framework, u.origin) for u in units] == [("mxnet", "block.py:P")]
+
+
 def test_extract_module_classes_raises_parse_error_for_bad_files(caplog):
     with pytest.raises(SyntaxError) as err:
         ast.parse("def broken(:\n")

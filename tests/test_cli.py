@@ -500,6 +500,36 @@ def test_ingest_root_that_is_a_file_is_read_whatever_its_name(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["units"] == {"pytorch": 0}
 
 
+def test_ingest_skips_a_file_that_does_not_canonicalize(tmp_path, capsys):
+    root = tmp_path / "tree"
+    root.mkdir()
+    (root / "good.py").write_text(PT_FILE)
+    bad = root / "bad.py"
+    bad.write_text(
+        "import torch.nn as nn\n\n"
+        "class Bad(nn.Module):\n\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "        self.fc = nn.Linear(1, 2, 3, 4, 5)\n"
+    )
+    out = tmp_path / "corpus"
+    capsys.readouterr()
+    rc = main([
+        "ingest", "--root", str(root), "--out", str(out),
+        "--framework", "pytorch", "--framework", "keras",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    units = (out / "units_pytorch.jsonl").read_text().splitlines()
+    assert [json.loads(u)["origin"] for u in units] == [f"{root / 'good.py'}:Net"]
+    skipped = (out / "skipped.jsonl").read_text().splitlines()
+    assert [json.loads(r) for r in skipped] == [{
+        "path": str(bad),
+        "reason": "does not canonicalize: "
+        "nn.Linear has 3 parameters, got 5 positional arguments",
+    }]
+
+
 # -- train -----------------------------------------------------------------------
 
 
@@ -1115,6 +1145,37 @@ def test_transpile_strict_rejects_unknown_callables(tmp_path):
         "--input", str(src), "--strict",
     ])
     assert rc == 3
+
+
+@pytest.mark.parametrize("call", ["nn.Linear(*a)", "nn.Sequential(*a)"])
+def test_transpile_strict_rejects_a_known_call_with_star_arguments(
+    call, tmp_path, capsys
+):
+    src = tmp_path / "net.py"
+    src.write_text(f"import torch.nn as nn\nfc = {call}\n")
+    out = tmp_path / "out.py"
+    capsys.readouterr()
+    rc = main([
+        "transpile", "--from", "pytorch", "--to", "keras",
+        "--input", str(src), "--output", str(out), "--strict",
+    ])
+    assert rc == 3
+    name = call.split("(")[0]
+    assert capsys.readouterr().err == (
+        f"pipeline error: {name}: cannot bind star arguments\n"
+    )
+    assert not out.exists()
+
+
+def test_transpile_without_strict_passes_a_star_argument_call_through(
+    tmp_path, capsys
+):
+    src = tmp_path / "net.py"
+    src.write_text("import torch.nn as nn\nfc = nn.Linear(*a)\n")
+    capsys.readouterr()
+    rc = main(["transpile", "--from", "pytorch", "--to", "keras", "--input", str(src)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("fc = nn.Linear(*a)\n")
 
 
 def test_transpile_seed_reaches_the_backend_config(tmp_path, monkeypatch):

@@ -90,6 +90,16 @@ def test_csls_matches_direct_formula():
         assert rescaled.measure == f"csls({k}, dot)"
 
 
+def test_score_matrix_with_csls_k_equals_csls_rescale_of_its_scores_bitwise():
+    rng = np.random.default_rng(9)
+    E1, E2 = rng.standard_normal((4, 6)), rng.standard_normal((4, 5))
+    for k in (1, 3, 5):
+        got = score_matrix(E1, E2, DOT, csls_k=k)
+        want = csls_rescale(score_matrix(E1, E2, DOT), k)
+        assert got.measure == want.measure == f"csls({k}, dot)"
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_csls_of_constant_matrix_is_zero():
     s = score_matrix(np.eye(3), np.full((3, 4), 2.5), DOT)
     assert np.allclose(csls_rescale(s, 2).values, 0.0)

@@ -112,8 +112,8 @@ def test_gradients_leave_inputs_untouched():
     rng = np.random.default_rng(6)
     model, batch, cfg = random_alignment_model(rng)
     before = (batch.h1.copy(), batch.h2.copy())
-    ft.train_step(model, batch, ft.Optimizers.init(model), cfg, lr=1e-3,
-                  rng=np.random.default_rng(0))
+    ft.train_step(model, batch, ft._Arena(model, ft.Optimizers.init(model)), cfg,
+                  lr=1e-3, rng=np.random.default_rng(0))
     assert np.array_equal(batch.h1, before[0])
     assert np.array_equal(batch.h2, before[1])
 
@@ -128,7 +128,7 @@ def test_zero_lr_step_changes_nothing():
     opt = ft.Optimizers.init(model)
     sampler = ft.BatchSampler(H1, y1, H2, y2, cfg.batch_size,
                               seed=np.random.SeedSequence(1))
-    ft.train_step(model, sampler.next_batch(), opt, cfg, lr=0.0,
+    ft.train_step(model, sampler.next_batch(), ft._Arena(model, opt), cfg, lr=0.0,
                   rng=np.random.default_rng(1))
     for p, s in zip(model.parameters(), snapshot):
         assert np.array_equal(p, s)
