@@ -3,12 +3,14 @@
 Canonical form: every recognized call uses its framework's canonical
 callable name with keyword-only arguments listed in signature order, and
 import statements establish the canonical short alias of each module.
-:func:`rewrite_tree` is the one place that form is built, in one walk
-over the statement lists (imports are statements) and one rewrite
-traversal. :func:`canonicalize` renders the tree of
-:func:`canonical_tree` with ``ast.unparse``, which makes a canonicalized
-unit a fixed point of it; ingest cuts classes out of the same tree, eval
-scoring reads text and calls off it, and reinsertion rewrites its own tree.
+``_Rewriter`` is the one place that form is built, in one walk over the
+statement lists (imports are statements) and one rewrite traversal.
+:func:`canonicalize` returns the rewritten tree, whose ``ast.unparse``
+text is a fixed point of it: the transpile path cuts its skeleton out of
+that tree, ingest cuts classes out of the same rewrite, eval scoring
+reads text and calls off it, and reinsertion resolves placeholders inside
+a subclass of the rewrite. :func:`extract_keywords` is the one keyword
+walk; corpus spans come from the nodes it finds in a parsed unit.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 import ast
 import itertools
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from frameport.errors import (
     ArityError,
@@ -29,8 +30,6 @@ from frameport.errors import (
     UnknownCallableError,
     reading,
 )
-
-log = logging.getLogger(__name__)
 
 CALLABLE = "callable"
 PARAMETER = "parameter"
@@ -107,9 +106,9 @@ class KeywordOccurrence:
 
     ``context`` is the text of the unit the keyword occurs in (the unit's
     own string, not a copy), and ``span`` is a byte range into its UTF-8
-    encoding. Occurrences of a call and of its keyword arguments share
-    ``call_id``. ``unit_ref`` optionally names the owning corpus unit as
-    ``corpusid:unitid`` for external lookup.
+    encoding, read off a node of the parsed unit. Occurrences of a call and
+    of its keyword arguments share ``call_id``. ``unit_ref`` optionally
+    names the owning corpus unit as ``corpusid:unitid`` for external lookup.
     """
 
     keyword: ApiKeyword
@@ -117,6 +116,15 @@ class KeywordOccurrence:
     context: str
     call_id: int = -1
     unit_ref: str = ""
+
+
+class KeywordSite(NamedTuple):
+    """The node of one keyword in a tree: a call, whose ``func`` is the
+    callable, or a keyword argument, whose ``arg`` is the parameter."""
+
+    keyword: ApiKeyword
+    node: ast.Call | ast.keyword
+    call_id: int
 
 
 def _split_prefixes(path: str) -> list[str]:
@@ -253,12 +261,7 @@ def _has_star_args(call: ast.Call) -> bool:
 
 def _line_starts(data: bytes) -> list[int]:
     """The byte offset of each line's start: 0, and one past each newline."""
-    starts = [0]
-    end = data.find(b"\n")
-    while end >= 0:
-        starts.append(end + 1)
-        end = data.find(b"\n", end + 1)
-    return starts
+    return [0, *itertools.accumulate(len(line) + 1 for line in data.split(b"\n")[:-1])]
 
 
 def _node_span(node: ast.AST, starts: list[int]) -> tuple[int, int]:
@@ -283,13 +286,14 @@ _BLOCK_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
 
 
 def _scan_imports(
-    tree: ast.AST, db: SignatureDatabase
+    tree: ast.AST, db: SignatureDatabase, rename: Callable = lambda node: None
 ) -> tuple[dict[str, str], set[str]]:
     """One walk over the statements: the normalized path each bound name
     stands for, and the modules whose canonical import the tree already
     spells. Imports are statements, so expressions are never visited; the
     walk is breadth first in field order, the order of ``ast.walk``, which
-    decides the binding a name imported twice keeps."""
+    decides the binding a name imported twice keeps. ``rename`` edits each
+    import statement before its names are read."""
     bindings: dict[str, str] = {}
     preserved: set[str] = set()
     queue = [tree]
@@ -298,6 +302,7 @@ def _scan_imports(
             queue.extend(getattr(node, field, ()))
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
+        rename(node)
         for alias, path, bound in _import_names(node) or ():
             if alias.name == "*":
                 continue
@@ -385,8 +390,11 @@ class _Rewriter(_DispatchTransformer):
         self.db = db
         self.strict = strict
         # a canonical import the tree already spells counts as emitted
-        self.bindings, self.emitted_modules = _scan_imports(tree, db)
+        self.bindings, self.emitted_modules = _scan_imports(tree, db, self._rename_import)
         self._rewritten: dict[str, str] = {}
+
+    def _rename_import(self, node: ast.Import | ast.ImportFrom) -> None:
+        """A subclass's hook: edit an import before the scan reads its names."""
 
     def generic_visit(self, node: ast.AST) -> ast.AST:
         super().generic_visit(node)
@@ -438,7 +446,10 @@ class _Rewriter(_DispatchTransformer):
     # -- argument binding --------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> ast.expr:
-        self.generic_visit(node)
+        return self._bind(self.generic_visit(node))
+
+    def _bind(self, node: ast.Call) -> ast.expr:
+        """A call whose parts are rewritten, bound to its callable's signature."""
         func_text = _dotted_name(node.func)
         if func_text is None:
             return node
@@ -450,14 +461,10 @@ class _Rewriter(_DispatchTransformer):
                 )
             return node
         star = _has_star_args(node)
-        if star and not self.strict:
-            log.warning(
-                "call to %s uses star expansion; left uncanonicalized", func_text
-            )
+        # without strict, the keyword walk reports a call with star arguments;
+        # under strict, they end in the ArityError of bind_arguments
+        if (star and not self.strict) or (sig.variadic and not star):
             return node
-        if sig.variadic and not star:
-            return node
-        # under strict, star arguments end in the ArityError of bind_arguments
         return bind_arguments(node, sig)
 
     # -- import statements -------------------------------------------------
@@ -547,30 +554,16 @@ def parse_source(text: str, label: str) -> ast.Module:
         raise ParseError(f"{label}: {exc}") from None
 
 
-def rewrite_tree(
-    tree: ast.Module, db: SignatureDatabase, strict: bool = False
-) -> ast.Module:
-    """Rewrite a parsed tree into canonical form, in place. The nodes it
-    makes carry no source locations, which no consumer reads."""
-    return _Rewriter(db, tree, strict).visit(tree)
-
-
-def canonical_tree(
-    unit: SourceUnit, db: SignatureDatabase, strict: bool = False
-) -> ast.Module:
-    """Parse a unit and rewrite the tree into canonical form."""
-    if db.framework != unit.framework:
-        raise ConfigError(
-            f"database is for {db.framework!r}, unit is {unit.framework!r}"
-        )
-    return rewrite_tree(parse_source(unit.text, unit.origin or "<unit>"), db, strict)
-
-
 def canonicalize(
     unit: SourceUnit, db: SignatureDatabase, strict: bool = False
-) -> SourceUnit:
-    """Rewrite a unit into canonical form (idempotent)."""
-    return replace(unit, text=ast.unparse(canonical_tree(unit, db, strict)))
+) -> ast.Module:
+    """Parse a unit and rewrite the tree into canonical form; its
+    ``ast.unparse`` text canonicalizes to itself. The nodes the rewrite
+    makes carry no source locations, which no consumer reads."""
+    if db.framework != unit.framework:
+        raise ConfigError(f"database is for {db.framework!r}, unit is {unit.framework!r}")
+    tree = parse_source(unit.text, unit.origin or "<unit>")
+    return _Rewriter(db, tree, strict).visit(tree)
 
 
 # node types that hold no call; the keyword walk does not enter them
@@ -578,39 +571,34 @@ _NO_CALLS = frozenset((ast.Constant, ast.Name, *ast.expr_context.__subclasses__(
 
 
 def extract_keywords(
-    unit: SourceUnit, db: SignatureDatabase
-) -> list[KeywordOccurrence]:
-    """List keyword occurrences of a canonicalized unit in source order.
+    tree: ast.AST, db: SignatureDatabase, star_calls: list[str] | None = None
+) -> list[KeywordSite]:
+    """The keyword sites of a canonical tree, in the walk's order.
 
-    Calls are numbered in the pre-order of ``ast.iter_child_nodes``; the
-    walk loops over each node's ``_fields`` and does not enter a node that
-    holds no call (``Constant``, ``Name``, an ``expr_context``). Every
-    occurrence's context is the unit text itself."""
-    tree = parse_source(unit.text, unit.origin or "<unit>")
-    starts = _line_starts(unit.text.encode("utf-8"))
-    occurrences: list[KeywordOccurrence] = []
+    A site is a call to a canonical callable of ``db`` without star
+    arguments, and each of its keyword arguments that the signature
+    names. Calls are numbered in the pre-order of ``ast.iter_child_nodes``;
+    the walk loops over each node's ``_fields`` and does not enter a node
+    that holds no call (``Constant``, ``Name``, an ``expr_context``). The
+    name of a known call with star arguments goes to ``star_calls``."""
+    sites: list[KeywordSite] = []
     call_ids = itertools.count()
+    fw = db.framework
 
     def visit(node: ast.AST) -> None:
-        if isinstance(node, ast.Call) and not _has_star_args(node):
+        if isinstance(node, ast.Call):
             func_text = _dotted_name(node.func)
             sig = db.signatures.get(func_text) if func_text else None
-            if sig is not None:
-                found = [(CALLABLE, func_text, None, _node_span(node.func, starts))]
-                for kw in node.keywords:
-                    if kw.arg in sig.parameters:
-                        start = starts[kw.lineno - 1] + kw.col_offset
-                        end = start + len(kw.arg.encode("utf-8"))
-                        found.append((PARAMETER, kw.arg, func_text, (start, end)))
+            if sig is not None and _has_star_args(node):
+                if star_calls is not None:
+                    star_calls.append(func_text)
+            elif sig is not None:
                 call_id = next(call_ids)
-                occurrences.extend(
-                    KeywordOccurrence(
-                        keyword=ApiKeyword(unit.framework, kind, text, owner),
-                        span=span,
-                        context=unit.text,
-                        call_id=call_id,
-                    )
-                    for kind, text, owner, span in found
+                sites.append(KeywordSite(ApiKeyword(fw, CALLABLE, func_text), node, call_id))
+                sites.extend(
+                    KeywordSite(ApiKeyword(fw, PARAMETER, kw.arg, func_text), kw, call_id)
+                    for kw in node.keywords
+                    if kw.arg in sig.parameters
                 )
         for field in node._fields:
             child = getattr(node, field, None)
@@ -622,6 +610,25 @@ def extract_keywords(
                 visit(child)
 
     visit(tree)
+    # the closure refers to itself: clear it, or the cycle keeps the tree
+    # the sites hold alive until a cyclic collection
+    del visit
+    return sites
+
+
+def keyword_occurrences(
+    unit: SourceUnit, db: SignatureDatabase, unit_ref: str = ""
+) -> list[KeywordOccurrence]:
+    """The keyword occurrences of a canonical unit in source order, each
+    with the unit text as its context and the span of its site's node."""
+    starts = _line_starts(unit.text.encode("utf-8"))
+    tree = parse_source(unit.text, unit.origin or "<unit>")
+    occurrences = []
+    for keyword, node, call_id in extract_keywords(tree, db):
+        start, end = _node_span(node.func if keyword.kind == CALLABLE else node, starts)
+        if keyword.kind == PARAMETER:  # the argument's name, not its value
+            end = start + len(node.arg.encode("utf-8"))
+        occurrences.append(KeywordOccurrence(keyword, (start, end), unit.text, call_id, unit_ref))
     occurrences.sort(key=lambda occ: occ.span)
     return occurrences
 

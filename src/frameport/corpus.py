@@ -12,7 +12,7 @@ import fnmatch
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -24,6 +24,8 @@ from frameport.canon import (
     SourceUnit,
     extract_keywords,
     extract_module_classes,
+    keyword_occurrences,
+    parse_source,
 )
 from frameport.errors import (
     ArityError,
@@ -235,8 +237,8 @@ def build_vocab(
     """
     counts: Counter[ApiKeyword] = Counter()
     for unit in units:
-        for occ in extract_keywords(unit, db):
-            counts[occ.keyword] += 1
+        for site in extract_keywords(parse_source(unit.text, unit.origin or "<unit>"), db):
+            counts[site.keyword] += 1
     ordered = sorted(
         counts.items(),
         key=lambda item: (-item[1], item[0].kind, item[0].text, item[0].owner or ""),
@@ -261,8 +263,7 @@ def extract_occurrences(
     """
     occs: list[KeywordOccurrence] = []
     for i, unit in enumerate(units):
-        for occ in extract_keywords(unit, db):
-            occs.append(replace(occ, unit_ref=f"{framework}:{i}"))
+        occs += keyword_occurrences(unit, db, unit_ref=f"{framework}:{i}")
     return occs
 
 

@@ -38,10 +38,6 @@ class DuplicateKeywordError(FrameportError):
     """A converted positional argument collides with an explicit keyword."""
 
 
-class OverlapError(FrameportError):
-    """Keyword occurrence spans overlap."""
-
-
 class SkeletonError(FrameportError):
     """Generic skeleton construction/reinsertion failure."""
 

@@ -26,7 +26,7 @@ from frameport.canon import (
     ApiKeyword,
     SignatureDatabase,
     SourceUnit,
-    canonical_tree,
+    canonicalize,
 )
 from frameport.dictionary import ScoreMatrix, _values
 from frameport.errors import ConfigError, FrameportError, ParseError, loading, reading
@@ -98,7 +98,7 @@ def _tree_call_bag(tree: ast.AST) -> Counter:
 
 def _text_and_bag(unit: SourceUnit, db: SignatureDatabase) -> tuple[str, Counter]:
     """Canonical text and call bag of a unit, from one canonical tree."""
-    tree = canonical_tree(unit, db)
+    tree = canonicalize(unit, db)
     return ast.unparse(tree), _tree_call_bag(tree)
 
 

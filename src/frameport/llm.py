@@ -6,8 +6,9 @@ the skeleton to translate. The ``mock-rules`` backend translates the
 fixed skeletal patterns (imports, class headers, forward/call
 signatures) with a deterministic line-rule table so the whole pipeline
 runs offline. It leaves placeholders where they are: ``to_skeleton`` puts
-them only at keyword occurrences, never in an import. A real backend may
-still move one into an import, which reinsertion handles.
+them only at keyword sites of the canonical tree (callables and keyword
+arguments), never in an import. A real backend may still move one into an
+import, whose names reinsertion renames before its import scan.
 """
 
 from __future__ import annotations

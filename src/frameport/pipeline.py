@@ -1,21 +1,23 @@
 """End-to-end translation of source units between framework dialects.
 
 One call to ``transpile_unit`` runs the whole chain: canonicalize the
-input, swap every API keyword for a numbered placeholder, have a
-completion backend translate the skeleton, resolve each keyword through
-the dictionary, and reinsert the results, which rewrites the reinserted
-tree into the target dialect's canonical form before its one unparse.
+input into a tree, find its API keywords in one walk of that tree, swap
+each for a numbered placeholder and unparse the skeleton, have a
+completion backend translate it, resolve each keyword through the
+dictionary, and reinsert the results, whose one target rewrite resolves
+the placeholders before its one unparse. So a unit is parsed once per
+side, plus the translations that are not plain dotted names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 from .canon import (
     CALLABLE,
-    KeywordOccurrence,
+    KeywordSite,
     SignatureDatabase,
     SourceUnit,
     canonicalize,
@@ -27,7 +29,7 @@ from .errors import (
     PlaceholderMismatch,
     UnmappedKeyword,
 )
-from .keyword_dictionary import DROP, RENAME, KeywordDictionary, lookup
+from .keyword_dictionary import EXPAND, RENAME, KeywordDictionary, lookup
 from .llm import BackendConfig, PromptTemplate, load_template, transpile_skeleton
 from .skeleton import (
     CodeSkeleton,
@@ -85,7 +87,8 @@ class TranspileResult:
     ``output`` is the final target-dialect unit. The intermediate stages
     are kept for inspection: the canonicalized input, the placeholder
     skeleton, the raw backend completion, and the placeholder report.
-    ``warnings`` lists keywords that passed through untranslated.
+    ``warnings`` lists the known calls with star arguments and the keywords
+    that passed through untranslated.
     """
 
     output: SourceUnit
@@ -97,13 +100,13 @@ class TranspileResult:
 
 
 def build_translations(
-    occs: Sequence[KeywordOccurrence],
+    occs: Sequence[KeywordSite],
     dictionary: KeywordDictionary,
 ) -> tuple[dict[int, list[str]], list[str]]:
-    """Resolve occurrences into reinsertion fragments per placeholder.
+    """Resolve keyword sites into reinsertion fragments per placeholder.
 
-    Placeholder index ``i`` names ``occs[i - 1]``, the numbering used by
-    ``to_skeleton``. Renames become one-element fragment lists and drops
+    Placeholder index ``i`` names ``occs[i - 1]``, the order ``to_skeleton``
+    leaves the sites in. Renames become one-element fragment lists and drops
     become empty ones. An expansion empties its own slot and appends the
     new call to the slot of the enclosing call's callable, so the extra
     call is emitted right after the translated one. Keywords missing
@@ -124,12 +127,8 @@ def build_translations(
             warnings.append(str(exc))
             translations[i] = [kw.text]
             continue
-        if found.kind == RENAME:
-            translations[i] = [found.new_name or kw.text]
-        elif found.kind == DROP:
-            translations[i] = []
-        else:
-            translations[i] = []
+        translations[i] = [found.new_name or kw.text] if found.kind == RENAME else []
+        if found.kind == EXPAND:
             host = host_slot.get(occ.call_id)
             if host is None:
                 raise ExpansionContextError(
@@ -166,22 +165,25 @@ def transpile_unit(
             f"but the target database is {tgt_db.framework!r}"
         )
     cfg = backend_cfg if backend_cfg is not None else BackendConfig()
-    canonical = canonicalize(unit, src_db, strict=strict)
-    occs = extract_keywords(canonical, src_db)
-    skeleton = to_skeleton(canonical, occs)
+    tree = canonicalize(unit, src_db, strict=strict)
+    star_calls: list[str] = []
+    sites = extract_keywords(tree, src_db, star_calls)
+    skeleton = to_skeleton(tree, sites)
     completion = transpile_skeleton(skeleton, template, cfg)
     report = validate_placeholders(skeleton, completion)
     if not report.ok:
         raise PlaceholderMismatch(report.missing, report.duplicate, report.extra)
-    translations, warnings = build_translations(occs, dictionary)
+    translations, unmapped = build_translations(sites, dictionary)
     output = reinsert(completion, translations, tgt_db, origin=unit.origin)
+    passed = [f"{name}: a call with star arguments passes through untranslated"
+              for name in star_calls]
     return TranspileResult(
         output=output,
-        canonical_source=canonical,
+        canonical_source=replace(unit, text=skeleton.canonical_text()),
         skeleton=skeleton,
         completion=completion,
         report=report,
-        warnings=tuple(warnings),
+        warnings=(*passed, *unmapped),
     )
 
 

@@ -1,13 +1,14 @@
 """Placeholder skeletons: keyword removal and translated reinsertion.
 
-A skeleton replaces the i-th keyword occurrence with the literal token
-``PLACEHOLDER_i``. Reinsertion parses the (translated) skeleton, applies
-per-index translations, rewrites the tree into the target's canonical
-form and unparses it once, so its output is canonical and placeholder-free.
-No pass walks the tree just to look for leftovers: the rename pass reports
-an expansion outside a list or argument sequence and placeholder text in an
-import (which the target rewrite may re-spell), and one search of the
-output text finds any other placeholder text.
+A skeleton puts the name ``PLACEHOLDER_i`` in place of the i-th keyword
+site, in text order, of the canonical tree and unparses it once; putting
+the keywords back into that text gives the canonical unit. Reinsertion
+parses the (translated) skeleton and runs one target rewrite that resolves
+each placeholder as it meets it, then unparses once, so its output is
+canonical and placeholder-free. No pass walks the tree just to look for
+leftovers: the rewrite reports an expansion outside a list or argument
+sequence and placeholder text in an import (which it may re-spell), and
+one search of the output text finds any other placeholder text.
 """
 
 from __future__ import annotations
@@ -15,24 +16,24 @@ from __future__ import annotations
 import ast
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from keyword import iskeyword
 from typing import Mapping, Sequence
 
 from frameport.canon import (
+    CALLABLE,
     ApiKeyword,
-    KeywordOccurrence,
+    KeywordSite,
     SignatureDatabase,
     SourceUnit,
-    _DispatchTransformer,
     _make_chain,
+    _Rewriter,
     parse_source,
-    rewrite_tree,
 )
 from frameport.errors import (
     ExpansionContextError,
     MissingTranslationError,
-    OverlapError,
     ResidualPlaceholderError,
     SkeletonError,
 )
@@ -50,6 +51,12 @@ class CodeSkeleton:
     def indices(self) -> list[int]:
         return [i for i, _ in self.placeholders]
 
+    def canonical_text(self) -> str:
+        """The text with each placeholder's keyword put back: the
+        canonical unit the skeleton was cut from."""
+        keywords = [keyword.text for _, keyword in self.placeholders]
+        return PLACEHOLDER_RE.sub(lambda m: keywords[int(m.group(1)) - 1], self.text)
+
 
 @dataclass(frozen=True)
 class PlaceholderReport:
@@ -62,43 +69,36 @@ class PlaceholderReport:
 
 
 def _placeholder_index(name: str | None) -> int | None:
-    if name is None:
-        return None
-    match = PLACEHOLDER_RE.fullmatch(name)
+    match = PLACEHOLDER_RE.fullmatch(name or "")
     return int(match.group(1)) if match else None
 
 
-def to_skeleton(unit: SourceUnit, occs: Sequence[KeywordOccurrence]) -> CodeSkeleton:
-    """Replace each occurrence span with its numbered placeholder."""
-    if "PLACEHOLDER_" in unit.text:
+def to_skeleton(tree: ast.Module, sites: list[KeywordSite]) -> CodeSkeleton:
+    """Put a placeholder name in place of each keyword site of a canonical
+    tree (in place) and unparse it once.
+
+    Placeholders are numbered in text order, and ``sites`` is put in that
+    order: ``PLACEHOLDER_i`` stands for ``sites[i - 1]``. Every
+    ``PLACEHOLDER_`` in the text must be one of the sites' names."""
+    for k, (keyword, node, _) in enumerate(sites):
+        if keyword.kind == CALLABLE:
+            node.func = ast.Name(id=f"PLACEHOLDER_{k}", ctx=ast.Load())
+        else:
+            node.arg = f"PLACEHOLDER_{k}"
+    text = ast.unparse(tree)
+    if text.count("PLACEHOLDER_") != len(sites):
         raise SkeletonError("input already contains placeholder tokens")
-    data = unit.text.encode("utf-8")
-    pieces: list[bytes] = []
-    placeholders: list[tuple[int, ApiKeyword]] = []
-    last_end = 0
-    for i, occ in enumerate(occs, start=1):
-        start, end = occ.span
-        if not 0 <= start <= end <= len(data):
-            raise SkeletonError(f"span {occ.span} out of range")
-        if start < last_end:
-            raise OverlapError(f"span {occ.span} overlaps a previous occurrence")
-        pieces.append(data[last_end:start])
-        pieces.append(f"PLACEHOLDER_{i}".encode("ascii"))
-        placeholders.append((i, occ.keyword))
-        last_end = end
-    pieces.append(data[last_end:])
-    return CodeSkeleton(
-        text=b"".join(pieces).decode("utf-8"), placeholders=tuple(placeholders)
-    )
+    pieces = PLACEHOLDER_RE.split(text)  # text, walk index, text, ...
+    sites[:] = [sites[int(k)] for k in pieces[1::2]]
+    pieces[1::2] = [f"PLACEHOLDER_{i}" for i in range(1, len(sites) + 1)]
+    placeholders = tuple((i, site.keyword) for i, site in enumerate(sites, start=1))
+    return CodeSkeleton(text="".join(pieces), placeholders=placeholders)
 
 
 def validate_placeholders(src: CodeSkeleton, out_text: str) -> PlaceholderReport:
     """Compare placeholder indices of a translated skeleton against 1..n."""
     expected = set(src.indices())
-    counts: dict[int, int] = {}
-    for match in PLACEHOLDER_RE.finditer(out_text):
-        i = int(match.group(1))
-        counts[i] = counts.get(i, 0) + 1
+    counts = Counter(int(i) for i in PLACEHOLDER_RE.findall(out_text))
     missing = tuple(sorted(i for i in expected if counts.get(i, 0) == 0))
     duplicate = tuple(sorted(i for i, c in counts.items() if c > 1))
     extra = tuple(sorted(i for i in counts if i not in expected))
@@ -135,24 +135,38 @@ def _identifier(index: int, name: str, dotted: bool, what: str) -> str:
     return name
 
 
-class _RenamePass(_DispatchTransformer):
-    """Apply renames, argument drops and expansions in place; raise for an
-    expansion that no sequence takes and for placeholder text in an import."""
+class _Reinserter(_Rewriter):
+    """The target rewrite, resolving each placeholder as it meets it.
 
-    def __init__(self, translations: Mapping[int, Sequence[str]]):
+    Import names are renamed before the import scan reads them. A name is
+    renamed and a keyword argument renamed or dropped before the rewrite
+    reaches it; a callable with several fragments is renamed and bound by
+    its enclosing list or argument sequence, which takes its extra calls.
+    The trees a translation builds are rewritten with resolution off, so
+    placeholder text they spell is left to the search of the output."""
+
+    def __init__(
+        self, translations: Mapping[int, Sequence[str]], db: SignatureDatabase, tree: ast.Module
+    ):
         self.translations = translations
+        self.resolving = True
         # expansion names no list or argument sequence has taken yet
         self.unplaced: dict[ast.Name, int] = {}
+        super().__init__(db, tree, strict=False)
 
     def _lookup(self, index: int) -> list[str]:
         if index not in self.translations:
             raise MissingTranslationError(f"no translation for PLACEHOLDER_{index}")
         return list(self.translations[index])
 
-    def visit_Name(self, node: ast.Name) -> ast.expr:
-        index = _placeholder_index(node.id)
-        if index is None:
-            return node
+    def _canonical(self, node: ast.AST) -> ast.AST:
+        """A tree a translation built, rewritten without resolving placeholders."""
+        self.resolving = False
+        node = self.visit(node)
+        self.resolving = True
+        return node
+
+    def _rename(self, index: int, node: ast.Name) -> ast.expr:
         fragments = self._lookup(index)
         if not fragments:
             raise SkeletonError(f"cannot drop callable PLACEHOLDER_{index}")
@@ -165,6 +179,25 @@ class _RenamePass(_DispatchTransformer):
         new.ctx = node.ctx
         return new
 
+    def visit_Name(self, node: ast.Name) -> ast.expr:
+        index = _placeholder_index(node.id) if self.resolving else None
+        if index is None:
+            return _Rewriter.visit_Name(self, node)
+        new = self._rename(index, node)
+        return node if new is node else self._canonical(new)
+
+    def visit_Attribute(self, node: ast.Attribute) -> ast.expr:
+        # the rewrite reads a dotted name whole: rename its first name first
+        parent = node
+        while isinstance(parent.value, ast.Attribute):
+            parent = parent.value
+        head = getattr(parent.value, "id", None) if self.resolving else None
+        index = _placeholder_index(head)
+        if index is None:
+            return _Rewriter.visit_Attribute(self, node)
+        parent.value = self._rename(index, parent.value)
+        return self._canonical(node)
+
     def visit_NamedExpr(self, node: ast.NamedExpr) -> ast.NamedExpr:
         self.generic_visit(node)
         if not isinstance(node.target, ast.Name):
@@ -173,7 +206,7 @@ class _RenamePass(_DispatchTransformer):
 
     def visit_keyword(self, node: ast.keyword) -> ast.keyword | None:
         self.generic_visit(node)
-        index = _placeholder_index(node.arg)
+        index = _placeholder_index(node.arg) if self.resolving else None
         if index is None:
             return node
         fragments = self._lookup(index)
@@ -186,7 +219,22 @@ class _RenamePass(_DispatchTransformer):
         node.arg = _identifier(index, fragments[0], False, "a parameter name")
         return node
 
-    def _rename_aliases(self, node: ast.Import | ast.ImportFrom) -> ast.stmt:
+    def visit_Call(self, node: ast.Call) -> ast.expr:
+        self.generic_visit(node)
+        if self.unplaced:  # an expansion waits for a sequence to take it
+            node.args = [new for old in node.args for new in self._expand(old)]
+        # a callable with several fragments is bound once its sequence renames it
+        return node if node.func in self.unplaced else self._bind(node)
+
+    def _visit_elements(self, node: ast.List | ast.Tuple | ast.Set) -> ast.expr:
+        self.generic_visit(node)
+        if self.unplaced:
+            node.elts = [new for old in node.elts for new in self._expand(old)]
+        return node
+
+    visit_List = visit_Tuple = visit_Set = _visit_elements
+
+    def _rename_import(self, node: ast.Import | ast.ImportFrom) -> None:
         # ``import a.b`` takes a dotted module; every other import name is bare
         for alias in node.names:
             for attr, dotted in (("name", isinstance(node, ast.Import)), ("asname", False)):
@@ -200,13 +248,10 @@ class _RenamePass(_DispatchTransformer):
                     )
                 name = _identifier(index, fragments[0], dotted, "an import name")
                 setattr(alias, attr, name)
-        # the target rewrite may re-spell an import: look for leftovers here
+        # the rewrite may re-spell an import: look for leftovers here
         spelled = [getattr(node, "module", None)]
         spelled += [name for alias in node.names for name in (alias.name, alias.asname)]
         _raise_on_leftover(" ".join(filter(None, spelled)))
-        return node
-
-    visit_Import = visit_ImportFrom = _rename_aliases
 
     def visit_Module(self, node: ast.Module) -> ast.Module:
         self.generic_visit(node)
@@ -217,25 +262,15 @@ class _RenamePass(_DispatchTransformer):
             )
         return node
 
-    def generic_visit(self, node: ast.AST) -> ast.AST:
-        super().generic_visit(node)
-        if not self.unplaced:  # no expansion waits for a sequence to take it
-            return node
-        for field in ("elts", "args"):
-            elements = getattr(node, field, None)
-            if isinstance(elements, list):
-                setattr(node, field, [new for old in elements for new in self._expand(old)])
-        return node
-
-    def _expand(self, element: ast.AST) -> list[ast.AST]:
-        # a call to a callable with several fragments is renamed, and its
-        # extra calls follow it in the element list or argument sequence
-        if isinstance(element, ast.Call) and element.func in self.unplaced:
-            index = self.unplaced.pop(element.func)
-            first, *extra = self.translations[index]
-            element.func = _parse_fragment(index, first)
-            return [element, *(_parse_fragment(index, f) for f in extra)]
-        return [element]
+    def _expand(self, element: ast.expr) -> list[ast.expr]:
+        # a call to a callable with several fragments is renamed and bound,
+        # and its extra calls follow it in the element list or argument sequence
+        index = self.unplaced.pop(getattr(element, "func", None), None)
+        if index is None:
+            return [element]
+        first, *extra = (_parse_fragment(index, f) for f in self.translations[index])
+        element.func = self._canonical(first)
+        return [self._bind(element), *map(self._canonical, extra)]
 
 
 def _raise_on_leftover(text: str) -> None:
@@ -258,19 +293,15 @@ def reinsert(
     right after the host call, which must sit in a list or argument
     sequence.
 
-    The rename pass raises for an expansion outside such a sequence and for
+    The rewrite raises for an expansion outside such a sequence and for
     placeholder text left in an import; any other placeholder text left in
     the output is found by one search of the unparsed text.
     """
-    found = {int(m.group(1)) for m in PLACEHOLDER_RE.finditer(skeleton_text)}
-    missing = sorted(i for i in found if i not in translations)
-    if missing:
-        raise MissingTranslationError(
-            f"no translation for placeholder indices {missing}"
-        )
+    found = {int(i) for i in PLACEHOLDER_RE.findall(skeleton_text)}
+    if missing := sorted(found - translations.keys()):
+        raise MissingTranslationError(f"no translation for placeholder indices {missing}")
     tree = parse_source(skeleton_text, "skeleton does not parse")
-    tree = _RenamePass(translations).visit(tree)
-    text = ast.unparse(rewrite_tree(tree, db))
+    text = ast.unparse(_Reinserter(translations, db, tree).visit(tree))
     _raise_on_leftover(text)
     return SourceUnit(text, db.framework, origin)
 

@@ -17,6 +17,33 @@ import numpy as np
 from frameport import nn as fnn
 from frameport.train import AlignmentModel, TrainBatch, TrainConfig, gradients
 
+# every construct that nests a call somewhere the walk must enter
+HAND_WRITTEN_UNIT = """\
+import torch.nn as nn
+
+
+@nn.utils.wrap(nn.Flatten(start_dim=1, end_dim=-1))
+class Net(nn.Module):
+
+    def __init__(self, act=lambda x=nn.ReLU(inplace=True): x, n=3):
+        super().__init__()
+        self.fc = nn.Linear(in_features=4, out_features=2) if act else nn.Dropout(p=0.5)
+        self.layers = [nn.Linear(in_features=k, out_features=k) for k in range(n) if nn.Dropout(p=0.1)]
+        self.tag = f"é {nn.Conv2d(in_channels=1, out_channels=2, kernel_size=3)!r} ü"
+        self.seq = nn.Sequential(*[nn.ReLU(inplace=False)], nn.Tanh())
+        self.w = nn.Linear(in_features=1, out_features=1).weight
+        self.head = nn.Linear(in_features=nn.Linear(in_features=2, out_features=2), out_features=nn.ReLU())
+
+    async def forward(self, x: nn.Linear(in_features=1, out_features=1)):
+        match x:
+            case nn.Linear(in_features=4):
+                return nn.Dropout(p=0.2)(x)
+            case [_, *rest] if nn.ReLU(inplace=True):
+                return [nn.Linear(in_features=y, out_features=2) for y in rest]
+        return {k: nn.BatchNorm2d(num_features=k) for k in x}
+"""
+
+
 FD_EPS = 5e-6
 REL_FLOOR = 1e-6
 

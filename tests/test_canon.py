@@ -4,9 +4,11 @@ extraction spans, and module-class harvesting."""
 from __future__ import annotations
 
 import ast
+import gc
 import inspect
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from frameport.canon import (
     canonicalize,
     extract_keywords,
     extract_module_classes,
+    keyword_occurrences,
 )
 from frameport.errors import (
     ArityError,
@@ -39,14 +42,14 @@ from frameport.errors import (
     UnknownCallableError,
 )
 from frameport.pipeline import default_database
-from helpers import fuzz_pytorch_unit
+from helpers import HAND_WRITTEN_UNIT, fuzz_pytorch_unit
 
 PT = default_database("pytorch")
 KS = default_database("keras")
 
 
 def canon(text: str, db=PT) -> str:
-    return canonicalize(SourceUnit(text, db.framework), db).text
+    return ast.unparse(canonicalize(SourceUnit(text, db.framework), db))
 
 
 def test_positional_arguments_become_keywords():
@@ -177,8 +180,8 @@ def test_extract_keywords_spans_and_call_ids():
         "    def forward(self, x):\n"
         "        return self.fc(x)\n"
     )
-    unit = canonicalize(SourceUnit(text, "pytorch"), PT)
-    occs = extract_keywords(unit, PT)
+    unit = SourceUnit(canon(text), "pytorch")
+    occs = keyword_occurrences(unit, PT)
     data = unit.text.encode("utf-8")
     assert [(o.keyword.kind, o.keyword.text) for o in occs] == [
         (CALLABLE, "nn.Linear"),
@@ -198,16 +201,32 @@ def test_extract_keywords_spans_and_call_ids():
 
 def test_extract_keywords_separate_calls_get_distinct_ids():
     text = "import torch.nn as nn\na = nn.ReLU()\nb = nn.ReLU()\n"
-    unit = canonicalize(SourceUnit(text, "pytorch"), PT)
-    occs = extract_keywords(unit, PT)
+    unit = SourceUnit(canon(text), "pytorch")
+    occs = keyword_occurrences(unit, PT)
     assert [o.keyword.text for o in occs] == ["nn.ReLU", "nn.ReLU"]
     assert occs[0].call_id != occs[1].call_id
 
 
 def test_extract_keywords_skips_unknown_parameter_names():
     text = "import torch.nn as nn\nfc = nn.Linear(in_features=4, wat=1)\n"
-    occs = extract_keywords(SourceUnit(text, "pytorch"), PT)
+    occs = extract_keywords(ast.parse(text), PT)
     assert [o.keyword.text for o in occs] == ["nn.Linear", "in_features"]
+
+
+def test_extract_keywords_leaves_no_cycle_that_holds_the_tree():
+    # the sites point into the tree: once they and the tree are dropped,
+    # reference counting alone must free every node, without waiting for a
+    # cyclic collection
+    gc.disable()
+    try:
+        tree = ast.parse("import torch.nn as nn\nfc = nn.Sequential(nn.Linear(4, 2), *a)\n")
+        sites = extract_keywords(tree, PT, star_calls=[])
+        assert [s.keyword.text for s in sites] == ["nn.Linear"]
+        ref = weakref.ref(sites[0].node)
+        del tree, sites
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _line_starts_by_byte(data: bytes) -> list[int]:
@@ -258,33 +277,6 @@ def _extract_keywords_by_iter_child_nodes(unit, db):
     return occurrences
 
 
-# every construct that nests a call somewhere the walk must enter
-HAND_WRITTEN_UNIT = """\
-import torch.nn as nn
-
-
-@nn.utils.wrap(nn.Flatten(start_dim=1, end_dim=-1))
-class Net(nn.Module):
-
-    def __init__(self, act=lambda x=nn.ReLU(inplace=True): x, n=3):
-        super().__init__()
-        self.fc = nn.Linear(in_features=4, out_features=2) if act else nn.Dropout(p=0.5)
-        self.layers = [nn.Linear(in_features=k, out_features=k) for k in range(n) if nn.Dropout(p=0.1)]
-        self.tag = f"é {nn.Conv2d(in_channels=1, out_channels=2, kernel_size=3)!r} ü"
-        self.seq = nn.Sequential(*[nn.ReLU(inplace=False)], nn.Tanh())
-        self.w = nn.Linear(in_features=1, out_features=1).weight
-        self.head = nn.Linear(in_features=nn.Linear(in_features=2, out_features=2), out_features=nn.ReLU())
-
-    async def forward(self, x: nn.Linear(in_features=1, out_features=1)):
-        match x:
-            case nn.Linear(in_features=4):
-                return nn.Dropout(p=0.2)(x)
-            case [_, *rest] if nn.ReLU(inplace=True):
-                return [nn.Linear(in_features=y, out_features=2) for y in rest]
-        return {k: nn.BatchNorm2d(num_features=k) for k in x}
-"""
-
-
 def _occurrence_fields(occs) -> list[tuple]:
     return [
         (o.keyword, o.span, o.context, o.call_id, o.unit_ref)
@@ -295,18 +287,18 @@ def _occurrence_fields(occs) -> list[tuple]:
 def test_extract_keywords_matches_the_walk_over_every_child():
     rng = np.random.default_rng(47)
     units = [
-        canonicalize(SourceUnit(fuzz_pytorch_unit(rng), "pytorch"), PT)
+        SourceUnit(canon(fuzz_pytorch_unit(rng)), "pytorch")
         for _ in range(1000)
     ]
     hand = SourceUnit(HAND_WRITTEN_UNIT, "pytorch")
     for unit in units + [hand]:
-        got = extract_keywords(unit, PT)
+        got = keyword_occurrences(unit, PT)
         want = _extract_keywords_by_iter_child_nodes(unit, PT)
         assert _occurrence_fields(got) == _occurrence_fields(want), unit.text
     # every known call of the hand-written unit is found (``nn.Tanh`` is
     # unknown, the starred ``nn.Sequential`` call is skipped), each with
     # the unit text as its context
-    hand_occs = extract_keywords(hand, PT)
+    hand_occs = keyword_occurrences(hand, PT)
     assert len({o.call_id for o in hand_occs}) == 17
     assert all(o.context is hand.text for o in hand_occs)
 
@@ -314,12 +306,12 @@ def test_extract_keywords_matches_the_walk_over_every_child():
 def test_every_keyword_span_lies_inside_its_context():
     rng = np.random.default_rng(47)
     units = [
-        canonicalize(SourceUnit(fuzz_pytorch_unit(rng), "pytorch"), PT)
+        SourceUnit(canon(fuzz_pytorch_unit(rng)), "pytorch")
         for _ in range(1000)
     ]
     hand = SourceUnit(HAND_WRITTEN_UNIT, "pytorch")
     for unit in units + [hand]:
-        for occ in extract_keywords(unit, PT):
+        for occ in keyword_occurrences(unit, PT):
             context = occ.context.encode("utf-8")
             lo, hi = occ.span
             assert 0 <= lo < hi <= len(context), (occ, unit.text)

@@ -1168,14 +1168,22 @@ def test_transpile_strict_rejects_a_known_call_with_star_arguments(
 
 
 def test_transpile_without_strict_passes_a_star_argument_call_through(
-    tmp_path, capsys
+    tmp_path, capsys, caplog
 ):
     src = tmp_path / "net.py"
     src.write_text("import torch.nn as nn\nfc = nn.Linear(*a)\n")
     capsys.readouterr()
-    rc = main(["transpile", "--from", "pytorch", "--to", "keras", "--input", str(src)])
+    argv = ["transpile", "--from", "pytorch", "--to", "keras", "--input", str(src)]
+    rc = main(argv)
     assert rc == 0
-    assert capsys.readouterr().out.endswith("fc = nn.Linear(*a)\n")
+    captured = capsys.readouterr()
+    assert captured.out.endswith("fc = nn.Linear(*a)\n")
+    # one warning line, and no logged line besides it
+    warning = "nn.Linear: a call with star arguments passes through untranslated"
+    assert captured.err == f"warning: {warning}\n"
+    assert caplog.records == []
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
 
 
 def test_transpile_seed_reaches_the_backend_config(tmp_path, monkeypatch):

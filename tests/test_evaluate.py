@@ -337,14 +337,14 @@ def test_run_suite_scores_wrong_but_parseable_output():
 def test_run_suite_canonicalizes_each_prediction_once_and_each_gold_once(monkeypatch):
     examples = _examples()
     seeds = (1, 2, 3)
-    real = frameport.evaluate.canonical_tree
+    real = frameport.evaluate.canonicalize
     calls = []
 
     def counting(unit, db, strict=False):
         calls.append(unit.origin)
         return real(unit, db, strict)
 
-    monkeypatch.setattr(frameport.evaluate, "canonical_tree", counting)
+    monkeypatch.setattr(frameport.evaluate, "canonicalize", counting)
     report = run_suite(lambda ex, seed: ex.gold, examples, {"keras": KS}, seeds=seeds)
     assert report.mean["f1"] == 1.0 and report.mean["em"] == 1.0
     # one prediction per row, each gold only at its example's first row

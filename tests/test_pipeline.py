@@ -90,6 +90,28 @@ def test_transpile_unit_makes_no_ast_walk(monkeypatch):
     assert calls == []
 
 
+def test_transpile_unit_parses_and_unparses_once_per_side(monkeypatch):
+    loaded = (
+        default_database("pytorch"),
+        default_database("keras"),
+        default_dictionary("pytorch", "keras"),
+        default_template("pytorch", "keras"),
+    )
+    calls = {"parse": 0, "unparse": 0}
+    for name in calls:
+        real = getattr(ast, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ast, name, counting)
+    result = transpile_unit(SourceUnit(FIG_INPUT, "pytorch"), *loaded)
+    assert result.output.text == FIG_OUTPUT
+    # the input's tree gives the skeleton, the completion's tree the output
+    assert calls == {"parse": 2, "unparse": 2}
+
+
 def test_unmappable_source_parameter_is_dropped():
     result = transpile_source(
         "import torch.nn as nn\nconv = nn.Conv2d(3, 16, 3)\n", "pytorch", "keras"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,17 +14,24 @@ from frameport.canon import (
     SourceUnit,
     canonicalize,
     extract_keywords,
+    keyword_occurrences,
 )
 from frameport.errors import (
     ExpansionContextError,
     FrameportError,
     MissingTranslationError,
-    OverlapError,
     ParseError,
     ResidualPlaceholderError,
     SkeletonError,
 )
-from frameport.pipeline import build_translations, default_database, default_dictionary
+from frameport.pipeline import (
+    build_translations,
+    default_database,
+    default_dictionary,
+    default_template,
+    transpile_source,
+    transpile_unit,
+)
 from frameport.skeleton import (
     PLACEHOLDER_RE,
     _parse_fragment,
@@ -35,16 +41,17 @@ from frameport.skeleton import (
     to_skeleton,
     validate_placeholders,
 )
-from helpers import fuzz_pytorch_unit
+from helpers import HAND_WRITTEN_UNIT, fuzz_pytorch_unit
 
 PT = default_database("pytorch")
 KS = default_database("keras")
 
 
 def _skeleton(text: str, db=PT):
-    unit = canonicalize(SourceUnit(text, db.framework), db)
-    occs = extract_keywords(unit, db)
-    return unit, occs, to_skeleton(unit, occs)
+    tree = canonicalize(SourceUnit(text, db.framework), db)
+    unit = SourceUnit(ast.unparse(tree), db.framework)
+    occs = extract_keywords(tree, db)
+    return unit, occs, to_skeleton(tree, occs)
 
 
 def test_placeholders_are_numbered_in_source_order():
@@ -65,17 +72,7 @@ def test_placeholders_are_numbered_in_source_order():
 def test_existing_placeholder_token_is_rejected():
     unit = SourceUnit("PLACEHOLDER_1 = 2", "pytorch")
     with pytest.raises(SkeletonError):
-        to_skeleton(unit, [])
-
-
-def test_overlapping_spans_are_rejected():
-    unit, occs, _ = _skeleton("import torch.nn as nn\nx = nn.ReLU()\n")
-    clone = replace(occs[0], span=(occs[0].span[0] + 1, occs[0].span[1] + 1))
-    with pytest.raises(OverlapError):
-        to_skeleton(unit, [occs[0], clone])
-    bad = replace(occs[0], span=(0, 10_000))
-    with pytest.raises(SkeletonError):
-        to_skeleton(unit, [bad])
+        to_skeleton(ast.parse(unit.text), [])
 
 
 def test_validate_placeholders_reports_each_defect_kind():
@@ -259,7 +256,7 @@ def test_translation_that_spells_a_placeholder_is_a_residual():
 
 def test_skeleton_of_unit_without_keywords_is_the_unit():
     unit = SourceUnit("x = 1 + 2", "pytorch")
-    skel = to_skeleton(unit, [])
+    skel = to_skeleton(ast.parse(unit.text), [])
     assert skel.text == unit.text and skel.placeholders == ()
     assert validate_placeholders(skel, skel.text).ok
     assert reinsert(skel.text, {}, PT).text == "x = 1 + 2"
@@ -271,6 +268,61 @@ def test_placeholder_keywords_preserved_in_skeleton_metadata():
         (1, CALLABLE), (2, "parameter"),
     ]
     assert [k for _, k in skel.placeholders] == [o.keyword for o in occs]
+
+
+# -- the skeleton cut from the canonical tree against the former span splice ----
+
+
+def _spliced_skeleton(text: str, db) -> tuple[str, list]:
+    """The former ``to_skeleton`` on a canonical text: the span of each
+    keyword occurrence, in source order, replaced by its numbered
+    placeholder. Returns the skeleton text and the keywords in order."""
+    if "PLACEHOLDER_" in text:
+        raise SkeletonError("input already contains placeholder tokens")
+    occs = keyword_occurrences(SourceUnit(text, db.framework), db)
+    data = text.encode("utf-8")
+    pieces: list[bytes] = []
+    last_end = 0
+    for i, occ in enumerate(occs, start=1):
+        start, end = occ.span
+        assert last_end <= start <= end <= len(data), occ
+        pieces += [data[last_end:start], f"PLACEHOLDER_{i}".encode("ascii")]
+        last_end = end
+    pieces.append(data[last_end:])
+    return b"".join(pieces).decode("utf-8"), [occ.keyword for occ in occs]
+
+
+def test_skeleton_from_the_tree_matches_the_span_splice():
+    rng = np.random.default_rng(1312)
+    loaded = (KS, default_dictionary("pytorch", "keras"), default_template("pytorch", "keras"))
+    texts = [fuzz_pytorch_unit(rng) for _ in range(1000)] + [HAND_WRITTEN_UNIT]
+    for text in texts:
+        canonical = ast.unparse(canonicalize(SourceUnit(text, "pytorch"), PT))
+        want_text, want_keywords = _spliced_skeleton(canonical, PT)
+        result = transpile_unit(SourceUnit(text, "pytorch", "unit.py"), PT, *loaded)
+        assert result.skeleton.text == want_text, text
+        assert result.skeleton.placeholders == tuple(enumerate(want_keywords, start=1))
+        assert result.canonical_source == SourceUnit(canonical, "pytorch", "unit.py")
+
+
+def test_placeholder_text_is_rejected_in_code_and_passes_in_a_comment():
+    # ``PLACEHOLDER_`` counts wherever it is spelled, a string or a name
+    for text in (
+        "x = 'PLACEHOLDER_1'\n",
+        "import torch.nn as nn\nfc = nn.Linear(4, 2)\nx = 'PLACEHOLDER_1'\n",
+        "PLACEHOLDER_x = 1\n",
+    ):
+        with pytest.raises(SkeletonError) as info:
+            transpile_source(text, "pytorch", "keras")
+        assert type(info.value) is SkeletonError, text
+        assert str(info.value) == "input already contains placeholder tokens"
+    result = transpile_source(
+        "import torch.nn as nn\n# PLACEHOLDER_1\nfc = nn.Linear(4, 2)\n", "pytorch", "keras"
+    )
+    assert result.output.text == "from tensorflow.keras import layers\nfc = layers.Dense(units=2)"
+    assert result.skeleton.text == (
+        "import torch.nn as nn\nfc = PLACEHOLDER_1(PLACEHOLDER_2=4, PLACEHOLDER_3=2)"
+    )
 
 
 # -- the fused reinsert against the former two text round trips ------------------
@@ -379,7 +431,7 @@ def _reinsert_then_canonicalize(skeleton_text, translations, db):
     leftover = PLACEHOLDER_RE.search(text)
     if leftover:
         raise ResidualPlaceholderError(f"output still contains {leftover.group(0)}")
-    return canonicalize(SourceUnit(text, db.framework), db).text
+    return ast.unparse(canonicalize(SourceUnit(text, db.framework), db))
 
 
 # translations that unparse to code the parser rejects: the former design
@@ -421,10 +473,11 @@ def _fuzz_translated_to_keras():
     rng = np.random.default_rng(1312)
     dictionary = default_dictionary("pytorch", "keras")
     for _ in range(1000):
-        unit = canonicalize(SourceUnit(fuzz_pytorch_unit(rng), "pytorch"), PT)
-        occs = extract_keywords(unit, PT)
+        tree = canonicalize(SourceUnit(fuzz_pytorch_unit(rng), "pytorch"), PT)
+        occs = extract_keywords(tree, PT)
+        skel = to_skeleton(tree, occs)
         translations, _ = build_translations(occs, dictionary)
-        yield to_skeleton(unit, occs).text, translations, KS
+        yield skel.text, translations, KS
 
 
 def test_fused_reinsert_matches_reinsert_then_canonicalize():
@@ -472,8 +525,9 @@ class _PlainRewriter(canon._Rewriter):
         return self.db.resolve_name(contracted)
 
 
-class _PlainRenamePass(skeleton._RenamePass):
-    """The rename pass on ``ast.NodeTransformer``'s own dispatch."""
+class _PlainReinserter(skeleton._Reinserter):
+    """The placeholder-resolving target rewrite on ``ast.NodeTransformer``'s
+    own dispatch."""
 
     log: list = []
 
@@ -490,7 +544,7 @@ class _LoggedRewriter(canon._Rewriter):
         return super().visit(node)
 
 
-class _LoggedRenamePass(skeleton._RenamePass):
+class _LoggedReinserter(skeleton._Reinserter):
     log: list = []
 
     def visit(self, node):
@@ -498,22 +552,23 @@ class _LoggedRenamePass(skeleton._RenamePass):
         return super().visit(node)
 
 
-def _fuzz_passes(rewriter, rename_pass, monkeypatch) -> list[tuple]:
+def _fuzz_passes(rewriter, reinserter, monkeypatch) -> list[tuple]:
     """Per acceptance fuzz unit: the canonical text, the identity and the
     pytorch -> keras reinsertion (or its error), and the node types the two
     passes visited, in order."""
     monkeypatch.setattr(canon, "_Rewriter", rewriter)
-    monkeypatch.setattr(skeleton, "_RenamePass", rename_pass)
+    monkeypatch.setattr(skeleton, "_Reinserter", reinserter)
     rng = np.random.default_rng(1312)
     dictionary = default_dictionary("pytorch", "keras")
     results = []
     for _ in range(1000):
         log = []
         monkeypatch.setattr(rewriter, "log", log)
-        monkeypatch.setattr(rename_pass, "log", log)
-        unit = canonicalize(SourceUnit(fuzz_pytorch_unit(rng), "pytorch"), PT)
-        occs = extract_keywords(unit, PT)
-        skel = to_skeleton(unit, occs)
+        monkeypatch.setattr(reinserter, "log", log)
+        tree = canonicalize(SourceUnit(fuzz_pytorch_unit(rng), "pytorch"), PT)
+        unit = SourceUnit(ast.unparse(tree), "pytorch")
+        occs = extract_keywords(tree, PT)
+        skel = to_skeleton(tree, occs)
         identity = reinsert(skel.text, identity_translations(skel), PT).text
         try:
             translated = reinsert(skel.text, build_translations(occs, dictionary)[0], KS).text
@@ -524,8 +579,8 @@ def _fuzz_passes(rewriter, rename_pass, monkeypatch) -> list[tuple]:
 
 
 def test_dispatch_table_matches_node_transformer_dispatch(monkeypatch):
-    want = _fuzz_passes(_PlainRewriter, _PlainRenamePass, monkeypatch)
-    got = _fuzz_passes(_LoggedRewriter, _LoggedRenamePass, monkeypatch)
+    want = _fuzz_passes(_PlainRewriter, _PlainReinserter, monkeypatch)
+    got = _fuzz_passes(_LoggedRewriter, _LoggedReinserter, monkeypatch)
     assert len(got) == len(want) == 1000
     for (*texts, log), (*want_texts, want_log) in zip(got, want):
         assert texts == want_texts
@@ -539,7 +594,7 @@ def test_dispatch_table_holds_the_handler_node_transformer_would_call():
     node_types = [
         t for t in vars(ast).values() if isinstance(t, type) and issubclass(t, ast.AST)
     ]
-    for transformer in (canon._Rewriter, skeleton._RenamePass):
+    for transformer in (canon._Rewriter, skeleton._Reinserter):
         for node_type in node_types:
             want = getattr(transformer, f"visit_{node_type.__name__}", None)
             assert transformer._handlers.get(node_type) is (
