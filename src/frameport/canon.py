@@ -287,13 +287,14 @@ _BLOCK_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
 
 def _scan_imports(
     tree: ast.AST, db: SignatureDatabase, rename: Callable = lambda node: None
-) -> tuple[dict[str, str], set[str]]:
+) -> tuple[dict[str, str], set[str], list[ast.AST]]:
     """One walk over the statements: the normalized path each bound name
-    stands for, and the modules whose canonical import the tree already
-    spells. Imports are statements, so expressions are never visited; the
-    walk is breadth first in field order, the order of ``ast.walk``, which
-    decides the binding a name imported twice keeps. ``rename`` edits each
-    import statement before its names are read."""
+    stands for, the modules whose canonical import the tree already
+    spells, and the nodes walked. Imports are statements, so expressions
+    are never visited; the walk is breadth first in field order, the order
+    of ``ast.walk``, which decides the binding a name imported twice
+    keeps. ``rename`` edits each import statement before its names are
+    read."""
     bindings: dict[str, str] = {}
     preserved: set[str] = set()
     queue = [tree]
@@ -314,7 +315,7 @@ def _scan_imports(
             bindings[bound] = db.normalize_path(bound) if plain else normal
     for module_path, short in db.import_aliases.items():
         bindings.setdefault(short, module_path)
-    return bindings, preserved
+    return bindings, preserved, queue
 
 
 _AST = ast.AST
@@ -389,8 +390,12 @@ class _Rewriter(_DispatchTransformer):
     def __init__(self, db: SignatureDatabase, tree: ast.AST, strict: bool):
         self.db = db
         self.strict = strict
-        # a canonical import the tree already spells counts as emitted
-        self.bindings, self.emitted_modules = _scan_imports(tree, db, self._rename_import)
+        # a canonical import the tree already spells counts as emitted;
+        # ``statements`` holds every statement, ``except`` handler and
+        # ``match`` case of the tree, in the order of ``ast.walk``
+        self.bindings, self.emitted_modules, self.statements = _scan_imports(
+            tree, db, self._rename_import
+        )
         self._rewritten: dict[str, str] = {}
 
     def _rename_import(self, node: ast.Import | ast.ImportFrom) -> None:
@@ -656,9 +661,10 @@ def extract_module_classes(
         tree = parse_source(file_text, origin or "<text>")
         rewriter = _Rewriter(db, tree, strict=False)
         # classes are picked before the rewrite, which leaves a base outside
-        # the framework's modules as spelled, where it may match a pattern
+        # the framework's modules as spelled, where it may match a pattern;
+        # a class is a statement, so the import scan has walked them all
         classes = []
-        for node in ast.walk(tree):
+        for node in rewriter.statements:
             if isinstance(node, ast.ClassDef):
                 bases = filter(None, map(_dotted_name, node.bases))
                 paths = filter(None, map(rewriter._contract, bases))

@@ -324,9 +324,16 @@ class LrSchedule:
 
 
 def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0
-) -> tuple[float, np.ndarray]:
-    """Mean smoothed cross entropy and its gradient w.r.t. the logits."""
+    logits: np.ndarray,
+    labels: np.ndarray,
+    label_smoothing: float = 0.0,
+    loss: bool = True,
+) -> tuple[float | None, np.ndarray]:
+    """Mean smoothed cross entropy and its gradient w.r.t. the logits.
+
+    ``loss=False`` skips the operations only the loss needs and returns
+    None for it; the gradient is the same, bit for bit.
+    """
     if logits.ndim != 2:
         raise DimensionMismatch(f"logits must be 2-d, got {logits.shape}")
     n, k = logits.shape
@@ -346,34 +353,57 @@ def softmax_cross_entropy(
     c = log_probs.dtype.type(label_smoothing / k)
     t = c + log_probs.dtype.type(1.0 - label_smoothing)
     rows = np.arange(n)
-    np.multiply(log_probs, c, out=work)
-    work[rows, labels] = t * log_probs[rows, labels]
-    loss = float(-np.sum(work, dtype=np.float64) / n)
+    value = None
+    if loss:
+        np.multiply(log_probs, c, out=work)
+        work[rows, labels] = t * log_probs[rows, labels]
+        value = float(-np.sum(work, dtype=np.float64) / n)
     np.exp(log_probs, out=work)
     on_label = work[rows, labels] - t
     work -= c
     work[rows, labels] = on_label
     work /= n
-    return loss, work.astype(logits.dtype, copy=False)
+    return value, work.astype(logits.dtype, copy=False)
 
 
 def binary_cross_entropy(
-    logits: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
+    logits: np.ndarray, targets: np.ndarray, loss: bool = True
+) -> tuple[float | None, np.ndarray]:
     """Mean single-logit BCE (numerically stable) and its logit gradient.
 
     ``targets`` are probabilities in [0, 1], so smoothed labels plug in
-    directly.
+    directly. ``loss=False`` skips the loss and returns None for it; the
+    gradient is the same, bit for bit.
     """
+    return _binary_cross_entropies(logits, [targets], loss)[0]
+
+
+def _binary_cross_entropies(
+    logits: np.ndarray, target_sets: Sequence[np.ndarray], loss: bool = True
+) -> list[tuple[float | None, np.ndarray]]:
+    """``binary_cross_entropy`` of one logit array against each target set,
+    sharing the sigmoid and the ``log1p(exp(-|x|))`` term between them."""
     flat = logits.reshape(-1)
-    t = np.asarray(targets, dtype=flat.dtype).reshape(-1)
-    if flat.shape != t.shape:
-        raise DimensionMismatch(f"logits {logits.shape} vs targets {targets.shape}")
-    # max(x, 0) - x * t + log(1 + exp(-|x|))
-    per = np.maximum(flat, 0) - flat * t + np.log1p(np.exp(-np.abs(flat)))
-    loss = float(np.sum(per, dtype=np.float64) / max(len(flat), 1))
-    grad = ((sigmoid(flat) - t) / max(len(flat), 1)).reshape(logits.shape)
-    return loss, grad.astype(logits.dtype, copy=False)
+    count = max(len(flat), 1)
+    probs = sigmoid(flat)
+    if loss:
+        # max(x, 0) - x * t + log(1 + exp(-|x|))
+        positive = np.maximum(flat, 0)
+        softplus = np.log1p(np.exp(-np.abs(flat)))
+    results = []
+    for targets in target_sets:
+        t = np.asarray(targets, dtype=flat.dtype).reshape(-1)
+        if flat.shape != t.shape:
+            raise DimensionMismatch(
+                f"logits {logits.shape} vs targets {np.shape(targets)}"
+            )
+        value = None
+        if loss:
+            per = positive - flat * t + softplus
+            value = float(np.sum(per, dtype=np.float64) / count)
+        grad = ((probs - t) / count).reshape(logits.shape)
+        results.append((value, grad.astype(logits.dtype, copy=False)))
+    return results
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Each training step draws one independent batch per framework, stacks
 the two (side 1 first) into one generator batch, runs a single forward
-pass that yields all four losses, then applies three in-order parameter
-updates from gradients taken at the step's starting point:
+pass that yields the gradients of all four losses (and the losses
+themselves only when a caller records them), then applies three
+in-order parameter updates from gradients taken at the step's starting
+point:
 
 1. generator + both output-embedding matrices, on L_CE_1 + L_CE_2;
 2. discriminator, on L_D (hidden states treated as constants);
@@ -16,10 +18,11 @@ no gradient ever reaches the provider. A run keeps every trained tensor
 in one flat arena laid out so that each role is one slice (``_Arena``),
 and each role's update is one whole-vector Adam step.
 
-A run is one ``TrainState``: model, optimizers, step, config, and the
-sampler and dropout generator states. ``train`` resumes from one and
-returns one (with the best snapshot under the selection criterion), and
-``save_checkpoint``/``load_checkpoint`` write and read it.
+A run is one ``TrainState``: model, optimizers, step, config, the
+sampler and dropout generator states, and the best snapshot under the
+selection criterion with its score. ``train`` resumes from one and
+returns one, and ``save_checkpoint``/``load_checkpoint`` write and read
+it.
 """
 
 from __future__ import annotations
@@ -227,8 +230,9 @@ def gradients(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     out: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+    losses: bool = True,
 ) -> tuple[dict[str, list[np.ndarray]], dict[str, float]]:
-    """Per-role gradients and all four losses from one shared forward pass.
+    """Per-role gradients, and the four losses, from one shared forward pass.
 
     Both sides go through the generator as one stacked batch, side 1
     first, so each generator pass (forward, CE backward, adversarial
@@ -244,22 +248,31 @@ def gradients(
 
     The E1 and E2 gradients are written into ``out`` where it holds
     arrays (the arena's gradient buffer) instead of into new ones.
+    ``losses=False`` skips the operations only the losses need and
+    returns ``{}`` for them; the gradients are the same, bit for bit.
     """
     E1, E2 = model.output_embeddings
     n1, n2 = len(batch.h1), len(batch.h2)
     h = np.concatenate([batch.h1, batch.h2], axis=0)
     z, gen_cache = nn.forward(model.generator, h, train_mode=train_mode, rng=rng)
     z1, z2 = z[:n1], z[n1:]
-    l_ce1, dlogits1 = nn.softmax_cross_entropy(z1 @ E1, batch.y1, label_smoothing)
-    l_ce2, dlogits2 = nn.softmax_cross_entropy(z2 @ E2, batch.y2, label_smoothing)
+    l_ce1, dlogits1 = nn.softmax_cross_entropy(
+        z1 @ E1, batch.y1, label_smoothing, loss=losses
+    )
+    l_ce2, dlogits2 = nn.softmax_cross_entropy(
+        z2 @ E2, batch.y2, label_smoothing, loss=losses
+    )
     d_logit, disc_cache = nn.forward(
         model.discriminator, z, train_mode=train_mode, rng=rng
     )
     targets = _smoothed_targets(n1, n2, label_smoothing)
-    l_d, g_true = nn.binary_cross_entropy(d_logit, targets)
-    l_g, g_rev = nn.binary_cross_entropy(d_logit, 1.0 - targets)
+    (l_d, g_true), (l_g, g_rev) = nn._binary_cross_entropies(
+        d_logit, (targets, 1.0 - targets), loss=losses
+    )
 
-    dz_ce = np.concatenate([dlogits1 @ E1.T, dlogits2 @ E2.T], axis=0)
+    dz_ce = np.empty((n1 + n2, E1.shape[0]), np.result_type(dlogits1, E1))
+    np.matmul(dlogits1, E1.T, out=dz_ce[:n1])
+    np.matmul(dlogits2, E2.T, out=dz_ce[n1:])
     g_gen, _ = nn.backward(model.generator, gen_cache, dz_ce, input_grad=False)
     joint_grads = g_gen + [
         np.matmul(z1.T, dlogits1, out=out[0]),
@@ -271,10 +284,10 @@ def gradients(
     _, dz_adv = nn.backward(model.discriminator, disc_cache, g_rev, param_grads=False)
     adv_grads, _ = nn.backward(model.generator, gen_cache, dz_adv, input_grad=False)
 
-    return (
-        {"joint": joint_grads, "disc": g_disc, "gen_adv": adv_grads},
-        {"L_CE_1": l_ce1, "L_CE_2": l_ce2, "L_D": l_d, "L_G": l_g},
-    )
+    grads = {"joint": joint_grads, "disc": g_disc, "gen_adv": adv_grads}
+    if not losses:
+        return grads, {}
+    return grads, {"L_CE_1": l_ce1, "L_CE_2": l_ce2, "L_D": l_d, "L_G": l_g}
 
 
 def _tile(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -338,9 +351,12 @@ def train_step(
     cfg: TrainConfig,
     lr: float,
     rng: np.random.Generator | None,
+    losses: bool = True,
 ) -> dict[str, float]:
     """One step on the model bound to ``arena``: gradients at the starting
-    parameters, then the three role updates in order."""
+    parameters, then the three role updates in order. Returns the step's
+    four losses, or ``{}`` with ``losses=False``, which skips computing
+    them and leaves the update bit for bit the same."""
     # the gradient buffers live for one step: kept for the run, they
     # would also be resident through checkpoint selection, which sets
     # the peak memory
@@ -352,7 +368,7 @@ def train_step(
     # straight into its buffer and the smaller ones are copied in
     grads, step_losses = gradients(
         model, batch, cfg.label_smoothing, cfg.dropout > 0, rng,
-        out=tuple(views["joint"][-2:]),
+        out=tuple(views["joint"][-2:]), losses=losses,
     )
     for role, (theta, m, v, _) in arena.roles.items():
         for view, g in zip(views[role], grads[role]):
@@ -437,8 +453,9 @@ def avg_cosine_similarity(
 @dataclass
 class TrainState:
     """One training run, as a checkpoint file holds it and ``train``
-    resumes from it. Snapshots (the best model, a grid winner) carry
-    fresh optimizers and no sampler or dropout state."""
+    resumes from it, with the best snapshot under its selector so far.
+    Snapshots (the best model, a grid winner) carry fresh optimizers, no
+    sampler or dropout state and no best snapshot."""
 
     model: AlignmentModel
     opt: Optimizers
@@ -446,6 +463,8 @@ class TrainState:
     cfg: TrainConfig
     sampler_state: dict = field(default_factory=dict)
     dropout_state: dict = field(default_factory=dict)
+    best_model: AlignmentModel | None = None
+    best_score: float = -np.inf
 
 
 @dataclass
@@ -473,11 +492,12 @@ def train(
     ``vocab_sizes`` gives the keyword count of each side, the widths of
     the output embeddings. ``selector`` scores a model snapshot (typically
     average cosine similarity of the dictionary it induces); the
-    best-scoring snapshot is kept alongside the final state. Each step's losses and each
-    checkpoint's score go to ``on_record``. ``resume`` continues a saved
-    ``TrainState`` under ``cfg``. ``stop`` is polled before each step so
-    callers can end training early at a step boundary and still get a
-    consistent, resumable state. The loop is single-threaded and
+    best-scoring snapshot is kept alongside the final state, and in it.
+    Each step's losses and each checkpoint's score go to ``on_record``;
+    without it no step computes its losses. ``resume`` continues a saved
+    ``TrainState`` under ``cfg``, from its best snapshot and score.
+    ``stop`` is polled before each step so callers can end training early
+    at a step boundary and still get a consistent, resumable state. The loop is single-threaded and
     bit-reproducible for a given config.
     """
     d_b = H1.shape[1]
@@ -488,6 +508,7 @@ def train(
     rng_drop = np.random.default_rng(s_drop)
     if resume is not None:
         model, opt, start_step = resume.model, resume.opt, resume.step
+        best_model, best_score = resume.best_model, resume.best_score
         sampler.set_state(resume.sampler_state)
         rng_drop.bit_generator.state = resume.dropout_state
     else:
@@ -496,12 +517,13 @@ def train(
         )
         opt = Optimizers.init(model)
         start_step = 0
+        best_model, best_score = None, -np.inf
     arena = _Arena(model, opt)
+    if best_model is None and selector is not None:
+        best_model = copy.deepcopy(model)
 
     schedule = cfg.schedule
     checkpoint_scores: list[tuple[int, float]] = []
-    best_model = copy.deepcopy(model)
-    best_score = -np.inf
 
     def checkpoint(step: int) -> None:
         nonlocal best_model, best_score
@@ -522,19 +544,20 @@ def train(
         step = next_step
         batch = sampler.next_batch()
         lr = schedule.lr_at(step)
-        loss_rec = train_step(model, batch, arena, cfg, lr, rng=rng_drop)
+        loss_rec = train_step(model, batch, arena, cfg, lr, rng=rng_drop,
+                              losses=on_record is not None)
         if on_record:
             on_record({"step": step, "lr": lr, **loss_rec})
         if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             checkpoint(step)
     if not checkpoint_scores or checkpoint_scores[-1][0] != step:
         checkpoint(step)
-    if selector is None:
-        best_model = model
-        best_score = float("nan")
     state = TrainState(
         model, opt, step, cfg, sampler.state(), rng_drop.bit_generator.state
     )
+    if selector is None:
+        return TrainResult(state, model, float("nan"), checkpoint_scores)
+    state.best_model, state.best_score = best_model, best_score
     return TrainResult(state, best_model, best_score, checkpoint_scores)
 
 
@@ -600,6 +623,9 @@ def save_checkpoint(path: str | Path, state: TrainState) -> None:
         "sampler_state": state.sampler_state,
         "dropout_state": state.dropout_state,
     }
+    if state.best_model is not None:
+        doc["best_score"] = state.best_score
+        doc["best_model"] = state.best_model.to_dict()
     write_text_atomic(path, json.dumps(doc) + "\n")
 
 
@@ -608,6 +634,7 @@ def load_checkpoint(path: str | Path) -> TrainState:
         doc = json.loads(text)
         if doc.get("version") != 1:
             raise ConfigError(f"{path}: unsupported checkpoint version")
+        best = doc.get("best_model")
         return TrainState(
             model=AlignmentModel.from_dict(doc["model"]),
             opt=Optimizers.from_dict(doc["optimizers"]),
@@ -615,4 +642,6 @@ def load_checkpoint(path: str | Path) -> TrainState:
             cfg=TrainConfig(**doc["config"]),
             sampler_state=doc["sampler_state"],
             dropout_state=doc["dropout_state"],
+            best_model=None if best is None else AlignmentModel.from_dict(best),
+            best_score=float(doc.get("best_score", -np.inf)),
         )

@@ -404,6 +404,57 @@ def test_extract_module_classes_counts_a_base_only_through_its_framework_imports
         assert [(u.framework, u.origin) for u in units] == [("mxnet", "block.py:P")]
 
 
+NESTED_CLASSES = """\
+import torch.nn as nn
+
+class Outer(nn.Module):
+    class InOuter(nn.Module):
+        pass
+
+    def forward(self, x):
+        class InMethod(nn.Module):
+            pass
+        return x
+if flag:
+    class InIf(nn.Module):
+        pass
+else:
+    class InElse(nn.Module):
+        if deep:
+            class InIfInElse(nn.Module):
+                pass
+try:
+    class InTry(nn.Module):
+        pass
+except ImportError:
+    class InExcept(nn.Module):
+        pass
+finally:
+    class InFinally(nn.Module):
+        pass
+def build():
+    class InFunction(nn.Module):
+        pass
+    return InFunction
+class Last(nn.Module):
+    pass
+"""
+
+
+def test_extract_module_classes_keeps_the_order_of_ast_walk():
+    units = extract_module_classes(NESTED_CLASSES, {"pytorch": PT})
+    walked = [
+        node.name for node in ast.walk(ast.parse(NESTED_CLASSES))
+        if isinstance(node, ast.ClassDef)
+    ]
+    # breadth first: the module's classes, then those one block deeper, ...
+    assert walked == [
+        "Outer", "Last", "InOuter", "InIf", "InElse", "InTry", "InFinally",
+        "InFunction", "InMethod", "InExcept", "InIfInElse",
+    ]
+    assert [u.origin for u in units] == walked
+
+
 def test_extract_module_classes_raises_parse_error_for_bad_files(caplog):
     with pytest.raises(SyntaxError) as err:
         ast.parse("def broken(:\n")
@@ -596,9 +647,13 @@ def test_statement_import_scan_matches_the_walk_over_every_node(monkeypatch):
     texts = [fuzz_pytorch_unit(rng) for _ in range(1000)] + NESTED_IMPORTS
     for text in texts:
         tree = ast.parse(text)
+        statements = [node for node in real_walk(tree) if isinstance(node, ast.stmt)]
         for db in (PT, KS):
-            assert _scan_imports(tree, db) == _scan_imports_over_every_node(tree, db), text
+            bindings, preserved, walked = _scan_imports(tree, db)
+            assert (bindings, preserved) == _scan_imports_over_every_node(tree, db), text
+            # the walked nodes hold every statement, in the order of ast.walk
+            assert [node for node in walked if isinstance(node, ast.stmt)] == statements
     assert walks == []  # the scan visits statements only
     # the shadowing case binds the function's import, as ``ast.walk`` does
-    bindings, _ = _scan_imports(ast.parse(NESTED_IMPORTS[0]), KS)
+    bindings, _, _ = _scan_imports(ast.parse(NESTED_IMPORTS[0]), KS)
     assert bindings["L"] == "tensorflow.keras.layers"

@@ -615,6 +615,17 @@ def test_train_grid_reports_every_cell(corpus, tmp_path, capsys):
     assert load_checkpoint(tmp_path / "checkpoint.json").cfg.batch_size == 8
 
 
+def test_one_cell_grid_writes_the_single_run_best_snapshot(corpus, tmp_path, run_dir):
+    # the grid cell computes no step losses, the single run records them
+    argv = _train_argv(
+        corpus, tmp_path,
+        "--grid", "--lrs", "0.001", "--batch-sizes", "8", "--total-samples", "64",
+    )
+    assert main(argv) == 0
+    grid = (tmp_path / "checkpoint.json").read_bytes()
+    assert grid == (run_dir / "checkpoint_best.json").read_bytes()
+
+
 @pytest.fixture
 def sigint_at_first_score(monkeypatch):
     """Send this process SIGINT from inside the first checkpoint score, as a
@@ -645,7 +656,7 @@ def test_interrupted_train_resumes_to_the_uninterrupted_checkpoint(
     resume = ("--resume", str(cut / "checkpoint.json"))
     assert main(_train_argv(corpus, cut, *run, *resume)) == 0
     assert main(_train_argv(corpus, full, *run)) == 0
-    for name in ("checkpoint.json", "metrics.jsonl"):
+    for name in ("checkpoint.json", "checkpoint_best.json", "metrics.jsonl"):
         assert (cut / name).read_bytes() == (full / name).read_bytes(), name
 
 

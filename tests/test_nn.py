@@ -396,6 +396,34 @@ def test_softmax_cross_entropy_matches_the_target_form_bitwise(dtype, smoothing)
         assert _same_bits(grad, ref_grad), (n, k)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_softmax_cross_entropy_without_the_loss_keeps_the_gradient_bits(dtype, smoothing):
+    rng = np.random.default_rng(21)
+    for n, k, scale in [(1, 1, 1.0), (3, 2, 1.0), (7, 5, 30.0), (128, 750, 4.0),
+                        (16, 40, 300.0)]:
+        logits = (rng.standard_normal((n, k)) * scale).astype(dtype)
+        labels = rng.integers(0, k, n)
+        if k > 2:
+            logits[0, (labels[0] + 1) % k] = -np.inf
+        with np.errstate(invalid="ignore"):
+            _, grad = fnn.softmax_cross_entropy(logits, labels, smoothing)
+        loss, only_grad = fnn.softmax_cross_entropy(logits, labels, smoothing, loss=False)
+        assert loss is None
+        assert only_grad.dtype == dtype and _same_bits(only_grad, grad), (n, k)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_binary_cross_entropy_without_the_loss_keeps_the_gradient_bits(dtype):
+    logits = np.array([[0.0], [30.0], [-30.0], [1e4], [-1e4], [0.0]], dtype)
+    targets = np.array([0.05, 0.95, 0.05, 1.0, 0.0, 0.5])
+    for t in (targets, 1.0 - targets):
+        _, grad = fnn.binary_cross_entropy(logits, t)
+        loss, only_grad = fnn.binary_cross_entropy(logits, t, loss=False)
+        assert loss is None
+        assert only_grad.dtype == dtype and _same_bits(only_grad, grad)
+
+
 def _allocating_adam_step(params, grads, state, lr):
     state.step += 1
     t = state.step

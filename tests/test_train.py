@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,54 @@ def test_selector_keeps_best_snapshot():
     assert [s for _, s in result.checkpoint_scores] == [0.3, 0.9, 0.1]
     for a, b in zip(result.best_model.parameters(), snaps[1].parameters()):
         assert np.array_equal(a, b)
+
+
+def test_resume_keeps_the_best_snapshot_of_the_steps_before_it(tmp_path):
+    rng = np.random.default_rng(12)
+    H1, y1, H2, y2 = _toy_data(rng)
+    cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=16 * 8,
+                         checkpoint_every=2, seed=4)
+    scores = iter([0.9, 0.5, 0.4, 0.3])
+    snaps = []
+
+    def selector(model):
+        snaps.append(copy.deepcopy(model))
+        return next(scores)
+
+    part = ft.train(H1, y1, H2, y2, cfg, selector=selector, vocab_sizes=(5, 6),
+                    stop=lambda: len(snaps) >= 2)
+    assert part.state.step == 4 and part.best_score == 0.9
+    path = tmp_path / "ck.json"
+    ft.save_checkpoint(path, part.state)
+    state = ft.load_checkpoint(path)
+    assert state.best_score == 0.9
+    rest = ft.train(H1, y1, H2, y2, cfg, selector=selector, vocab_sizes=(5, 6),
+                    resume=state)
+    assert rest.state.step == 8
+    assert [s for _, s in rest.checkpoint_scores] == [0.4, 0.3]
+    assert rest.best_score == rest.state.best_score == 0.9
+    for a, b in zip(rest.best_model.parameters(), snaps[0].parameters(), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_a_checkpoint_without_a_best_snapshot_loads_as_minus_inf(tmp_path):
+    rng = np.random.default_rng(12)
+    H1, y1, H2, y2 = _toy_data(rng)
+    cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=16 * 4,
+                         checkpoint_every=2, seed=4)
+    part = ft.train(H1, y1, H2, y2, cfg, selector=lambda m: 0.9, vocab_sizes=(5, 6))
+    path = tmp_path / "ck.json"
+    ft.save_checkpoint(path, part.state)
+    doc = json.loads(path.read_text())
+    assert doc["best_score"] == 0.9
+    del doc["best_score"], doc["best_model"]
+    path.write_text(json.dumps(doc) + "\n")
+    state = ft.load_checkpoint(path)
+    assert state.best_model is None and state.best_score == -np.inf
+    cfg = replace(cfg, total_samples=16 * 6)
+    rest = ft.train(H1, y1, H2, y2, cfg, selector=lambda m: 0.1, vocab_sizes=(5, 6),
+                    resume=state)
+    assert rest.best_score == 0.1
 
 
 def test_grid_search_tie_breaks_to_smaller_lr_then_batch():
@@ -464,11 +513,12 @@ def test_one_step_makes_two_forward_and_four_backward_calls(monkeypatch):
     assert calls == {"forward": 2, "backward": 4}
 
 
-def _per_tensor_train_step(model, batch, opt, cfg, lr, rng=None):
+def _per_tensor_train_step(model, batch, opt, cfg, lr, rng=None, losses=True):
     """The step with one ``adam_step`` call per role over its list of
     tensors, so each Adam operation runs once per tensor."""
     grads, step_losses = ft.gradients(
-        model, batch, cfg.label_smoothing, train_mode=cfg.dropout > 0, rng=rng
+        model, batch, cfg.label_smoothing, train_mode=cfg.dropout > 0, rng=rng,
+        losses=losses,
     )
     for role, params in ft._role_params(model).items():
         fnn.adam_step(params, grads[role], getattr(opt, role), lr)
@@ -550,6 +600,44 @@ def test_arena_run_equals_the_per_tensor_step_bitwise(tmp_path, monkeypatch):
     (got, got_records), (ref, ref_records) = resumed
     assert got.state.step == 12
     _assert_same_run(got, ref, got_records, ref_records, tmp_path)
+
+
+def test_gradients_without_the_losses_keep_the_gradient_bits():
+    rng = np.random.default_rng(25)
+    f64_model, f64_batch, _ = random_alignment_model(rng)
+    cfg = ft.TrainConfig(d=5, total_samples=0, dropout=0.2)
+    f32_model = ft.AlignmentModel.create(cfg, 6, [7, 8], rng)
+    f32_batch = ft.TrainBatch(f64_batch.h1.astype(np.float32), f64_batch.y1,
+                              f64_batch.h2.astype(np.float32), f64_batch.y2)
+    for model, batch in ((f32_model, f32_batch), (f64_model, f64_batch)):
+        for train_mode in (False, True):
+            got_g, got_l = ft.gradients(model, batch, 0.1, train_mode,
+                                        np.random.default_rng(3), losses=False)
+            ref_g, ref_l = ft.gradients(model, batch, 0.1, train_mode,
+                                        np.random.default_rng(3))
+            assert got_l == {} and set(ref_l) == {"L_CE_1", "L_CE_2", "L_D", "L_G"}
+            for role, ref in ref_g.items():
+                for a, b in zip(got_g[role], ref, strict=True):
+                    assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b))
+
+
+def test_a_run_without_on_record_equals_a_recorded_run_bitwise(tmp_path):
+    rng = np.random.default_rng(26)
+    H1, y1, H2, y2 = _toy_data(rng, m1=9, m2=7)
+    cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=16 * 12, dropout=0.2,
+                         checkpoint_every=4, seed=32, peak_lr=5e-2)
+
+    def selector(model):
+        E1, E2 = model.output_embeddings
+        return float(np.sum(E1, dtype=np.float64) - np.sum(E2, dtype=np.float64))
+
+    records = []
+    recorded = ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(9, 7), selector=selector,
+                        on_record=records.append)
+    assert sum("L_D" in r for r in records) == 12
+    silent = ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(9, 7), selector=selector)
+    assert silent.best_score == recorded.best_score
+    _assert_same_run(silent, recorded, [], [], tmp_path)
 
 
 def _per_pair_avg_cosine_similarity(model, dictionary, vocab1, vocab2):
