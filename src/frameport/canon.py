@@ -642,6 +642,7 @@ def extract_module_classes(
     file_text: str,
     dbs: Mapping[str, SignatureDatabase],
     origin: str = "",
+    trees: list[ast.ClassDef] | None = None,
 ) -> list[SourceUnit]:
     """Extract framework module classes from one source file.
 
@@ -651,29 +652,47 @@ def extract_module_classes(
     through the file's imports, it names one of the framework's base
     classes; a first name the file does not bind stands for the module
     the framework's database aliases to it.
+
+    The file is parsed once, and rewritten only for a framework it has
+    classes of, so only those frameworks can fail it with an ``ArityError``
+    or ``DuplicateKeywordError``. A rewrite changes the tree, so a file
+    with classes of a second framework is parsed again for it. Each unit's
+    rewritten class node, whose ``ast.unparse`` is the unit's text, is
+    appended to ``trees`` when given.
     """
-    units: list[SourceUnit] = []
+    label = origin or "<text>"
+    tree = parse_source(file_text, label)
+    # every framework's classes are picked before any rewrite, which leaves
+    # a base outside the framework's modules as spelled, where it may match
+    # a pattern; a class is a statement, so the import scan has walked them
+    # all. A class is kept as its index in the scan's statement order, the
+    # same in every parse of the file.
+    picked: list[tuple[str, _Rewriter, list[int]]] = []
     for framework in sorted(dbs):
         patterns = set(DEFAULT_BASE_CLASSES.get(framework, ()))
         if not patterns:
             continue
         db = dbs[framework]
-        tree = parse_source(file_text, origin or "<text>")
         rewriter = _Rewriter(db, tree, strict=False)
-        # classes are picked before the rewrite, which leaves a base outside
-        # the framework's modules as spelled, where it may match a pattern;
-        # a class is a statement, so the import scan has walked them all
         classes = []
-        for node in rewriter.statements:
+        for i, node in enumerate(rewriter.statements):
             if isinstance(node, ast.ClassDef):
                 bases = filter(None, map(_dotted_name, node.bases))
                 paths = filter(None, map(rewriter._contract, bases))
                 if set(map(db.resolve_name, paths)) & patterns:
-                    classes.append(node)
+                    classes.append(i)
+        if classes:
+            picked.append((framework, rewriter, classes))
+    units: list[SourceUnit] = []
+    for n, (framework, rewriter, classes) in enumerate(picked):
+        if n:  # the rewrite before this one changed the tree
+            tree = parse_source(file_text, label)
+            rewriter = _Rewriter(dbs[framework], tree, strict=False)
         rewriter.visit(tree)
-        for node in classes:
-            label = f"{origin}:{node.name}" if origin else node.name
-            units.append(
-                SourceUnit(text=ast.unparse(node), framework=framework, origin=label)
-            )
+        for i in classes:
+            node = rewriter.statements[i]
+            name = f"{origin}:{node.name}" if origin else node.name
+            units.append(SourceUnit(text=ast.unparse(node), framework=framework, origin=name))
+            if trees is not None:
+                trees.append(node)
     return units

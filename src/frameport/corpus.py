@@ -8,6 +8,7 @@ ids, and manifest hash.
 
 from __future__ import annotations
 
+import ast
 import fnmatch
 import hashlib
 import json
@@ -179,6 +180,10 @@ def ingest(
     Files failing any filter are skipped with a reason, never fatally.
     """
     units: dict[str, list[SourceUnit]] = {fw: [] for fw in dbs}
+    # each kept unit's keyword counts, taken on the class tree the rewrite
+    # left; a tree is dropped with its file, as trees take many times the
+    # memory of their text
+    keywords: dict[str, list[Counter[ApiKeyword]]] = {fw: [] for fw in dbs}
     seen: dict[str, set[str]] = {fw: set() for fw in dbs}
     skipped: list[tuple[str, str]] = []
     for path in _iter_files(roots, include, exclude):
@@ -200,8 +205,9 @@ def ingest(
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 skipped.append((str(path), f"bad notebook: {exc}"))
                 continue
+        file_trees: list[ast.ClassDef] = []
         try:
-            extracted = extract_module_classes(text, dbs, origin=str(path))
+            extracted = extract_module_classes(text, dbs, origin=str(path), trees=file_trees)
         except ParseError as exc:
             skipped.append((str(path), f"does not parse: {exc}"))
             continue
@@ -211,15 +217,16 @@ def ingest(
         if not extracted:
             skipped.append((str(path), "no framework classes"))
             continue
-        for unit in extracted:
+        for unit, tree in zip(extracted, file_trees):
             digest = hashlib.sha256(unit.text.encode("utf-8")).hexdigest()
             if digest in seen[unit.framework]:
                 continue
             seen[unit.framework].add(digest)
             units[unit.framework].append(unit)
+            keywords[unit.framework].append(_keyword_counts(tree, dbs[unit.framework]))
     manifest = CorpusManifest()
     for fw, fw_units in units.items():
-        vocab = build_vocab(fw_units, dbs[fw])
+        vocab = build_vocab(fw_units, dbs[fw], keywords[fw])
         manifest.frameworks[fw] = FrameworkStats(
             unit_count=len(fw_units),
             content_hash=_content_hash(u.text for u in fw_units),
@@ -228,17 +235,32 @@ def ingest(
     return IngestResult(manifest=manifest, units=units, skipped=skipped)
 
 
+def _keyword_counts(tree: ast.AST, db: SignatureDatabase) -> Counter[ApiKeyword]:
+    return Counter(site.keyword for site in extract_keywords(tree, db))
+
+
 def build_vocab(
-    units: Sequence[SourceUnit], db: SignatureDatabase
+    units: Sequence[SourceUnit],
+    db: SignatureDatabase,
+    keywords: Sequence[Counter[ApiKeyword]] | None = None,
 ) -> list[VocabEntry]:
     """Count keyword occurrences; order by count desc, then lexicographic.
 
     Ids are dense from 0 in that order, pinning embedding columns.
+    ``keywords``, parallel to ``units``, holds the count of each keyword
+    ``extract_keywords`` finds in each unit's canonical tree (ingest takes
+    them on the class trees it rewrote); without it each unit's text is
+    parsed and walked.
     """
+    if keywords is None:
+        keywords = (
+            _keyword_counts(parse_source(u.text, u.origin or "<unit>"), db) for u in units
+        )
+    elif len(keywords) != len(units):
+        raise ValueError(f"keyword counts for {len(keywords)} of {len(units)} units")
     counts: Counter[ApiKeyword] = Counter()
-    for unit in units:
-        for site in extract_keywords(parse_source(unit.text, unit.origin or "<unit>"), db):
-            counts[site.keyword] += 1
+    for unit_counts in keywords:
+        counts.update(unit_counts)
     ordered = sorted(
         counts.items(),
         key=lambda item: (-item[1], item[0].kind, item[0].text, item[0].owner or ""),

@@ -157,7 +157,9 @@ class HashProvider:
 
     Each pre-token of the keyword text gets a unit-free gaussian vector
     seeded by sha256 of the token, and the occurrence embeds as the mean
-    over those tokens. Context is ignored by construction.
+    over those tokens. Context is ignored by construction, so each distinct
+    keyword text's mean is computed once and shared, read-only, by all its
+    occurrences.
     """
 
     def __init__(self, dim: int = 64):
@@ -165,6 +167,7 @@ class HashProvider:
             raise ConfigError("d_b must be positive")
         self._dim = dim
         self._cache: dict[str, np.ndarray] = {}
+        self._means: dict[str, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -184,11 +187,16 @@ class HashProvider:
         return vec
 
     def _vector(self, occ: KeywordOccurrence) -> np.ndarray:
-        tokens = pretokenize(occ.keyword.text)
-        if not tokens:
-            raise ConfigError(f"keyword {occ.keyword.text!r} has no tokens")
-        stack = np.stack([self._token_vector(t) for t in tokens])
-        return stack.mean(axis=0)
+        text = occ.keyword.text
+        vec = self._means.get(text)
+        if vec is None:
+            tokens = pretokenize(text)
+            if not tokens:
+                raise ConfigError(f"keyword {text!r} has no tokens")
+            vec = np.stack([self._token_vector(t) for t in tokens]).mean(axis=0)
+            vec.flags.writeable = False
+            self._means[text] = vec
+        return vec
 
 
 class ContextWindowProvider:

@@ -159,7 +159,7 @@ def forward(
 
     The bias add and dropout work in place on each layer's fresh product.
     """
-    if x.ndim != 2 or x.shape[1] != mlp.dims[0]:
+    if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[0]:
         raise DimensionMismatch(f"input {x.shape} does not match dims {mlp.dims}")
     use_dropout = train_mode and mlp.dropout > 0.0
     if use_dropout and rng is None:
@@ -206,10 +206,15 @@ def backward(
     other bit for bit unchanged. The dropout and derivative products work
     in place, in the dtype of ``upstream @ W.T``, so ``upstream`` should
     have the dtype of the forward output.
+
+    ``dz @ W.T`` is computed with ``np.dot``, which gives the bits ``@``
+    gives. For a width-1 layer the product is an outer product, (n, 1) by
+    (1, k), which ``matmul`` does not hand to BLAS but runs in its own loop,
+    several times slower.
     """
     if cache.mlp is not mlp:
         raise CacheMismatch("cache was produced by a different model")
-    if upstream.shape != (cache.inputs[0].shape[0], mlp.dims[-1]):
+    if upstream.shape != (cache.inputs[0].shape[0], mlp.weights[-1].shape[1]):
         raise DimensionMismatch(f"upstream gradient has shape {upstream.shape}")
     keep = 1.0 - mlp.dropout
     reversed_grads: list[np.ndarray] = []
@@ -219,7 +224,7 @@ def backward(
         if param_grads:
             reversed_grads += (dz.sum(axis=0), cache.inputs[l].T @ dz)
         if l > 0:
-            da = dz @ mlp.weights[l].T
+            da = np.dot(dz, mlp.weights[l].T)
             mask = cache.masks[l - 1]
             if mask is not None:
                 da *= mask
@@ -227,7 +232,7 @@ def backward(
             da *= cache.act_grads[l - 1]
             dz = da
         elif input_grad:
-            dx = dz @ mlp.weights[0].T
+            dx = np.dot(dz, mlp.weights[0].T)
     return (reversed_grads[::-1] if param_grads else None), dx
 
 

@@ -318,7 +318,9 @@ class _Arena(Optimizers):
     ``train_step`` writes each role's gradient into one flat buffer, in the
     dtype the gradients have for the arena and the batch, and updates the
     role with one ``nn.adam_step`` over whole vectors, which applies the
-    same operations to the same elements as one call per tensor.
+    same operations to the same elements as one call per tensor. The
+    whole-vector ``AdamState`` of each role lives as long as the arena, and
+    each step's count is written back to the role's per-tensor state.
     """
 
     def __init__(self, model: AlignmentModel, opt: Optimizers) -> None:
@@ -332,8 +334,9 @@ class _Arena(Optimizers):
         model.output_embeddings[:] = views[gen_end:embeds_end]
         offsets = np.cumsum([0] + [v.size for v in views])
         start = {id(view): int(offset) for view, offset in zip(views, offsets)}
-        # role -> (parameter slice, flat first and second moments, the
-        # role's parameters, which its gradient views are shaped like)
+        # role -> (parameter slice, the whole-vector Adam state over the
+        # flat moments, the role's parameters, which its gradient views are
+        # shaped like)
         self.roles = {}
         for role, role_params in _role_params(model).items():
             lo = start[id(role_params[0])]
@@ -341,7 +344,7 @@ class _Arena(Optimizers):
             state = getattr(self, role)
             m, state.m[:] = _pack(state.m)
             v, state.v[:] = _pack(state.v)
-            self.roles[role] = (theta, m, v, role_params)
+            self.roles[role] = (theta, replace(state, m=[m], v=[v]), role_params)
 
 
 def train_step(
@@ -361,7 +364,7 @@ def train_step(
     # would also be resident through checkpoint selection, which sets
     # the peak memory
     flat, views = {}, {}
-    for role, (theta, _, _, params) in arena.roles.items():
+    for role, (theta, _, params) in arena.roles.items():
         flat[role] = np.empty(theta.size, np.result_type(theta, batch.h1, batch.h2))
         views[role] = _tile(flat[role], params)
     # the joint role lists E1 and E2 last: their gradients are written
@@ -370,14 +373,12 @@ def train_step(
         model, batch, cfg.label_smoothing, cfg.dropout > 0, rng,
         out=tuple(views["joint"][-2:]), losses=losses,
     )
-    for role, (theta, m, v, _) in arena.roles.items():
+    for role, (theta, whole, _) in arena.roles.items():
         for view, g in zip(views[role], grads[role]):
             if g is not view:
                 view[...] = g
-        state = getattr(arena, role)
-        whole = replace(state, m=[m], v=[v])
         nn.adam_step([theta], [flat[role]], whole, lr)
-        state.step = whole.step
+        getattr(arena, role).step = whole.step
     return step_losses
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from frameport.canon import (
     CALLABLE,
+    DEFAULT_BASE_CLASSES,
     PARAMETER,
     ApiKeyword,
     ApiSignature,
@@ -22,6 +23,7 @@ from frameport.canon import (
     SignatureDatabase,
     SourceUnit,
     _DispatchTransformer,
+    _Rewriter,
     _dotted_name,
     _has_star_args,
     _import_names,
@@ -475,11 +477,115 @@ def test_extract_module_classes_parses_once_per_patterned_framework(monkeypatch)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
     dbs = {"pytorch": PT, "keras": KS}
+    # a framework the file has no class of costs no parse
     assert len(extract_module_classes(text, dbs)) == 1
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     extract_module_classes(text, {"pytorch": PT})
     assert len(calls) == 1
+    calls.clear()
+    # the first rewrite changes the tree, so a second framework parses again
+    assert len(extract_module_classes(TWO_FRAMEWORKS, dbs)) == 4
+    assert len(calls) == 2
+
+
+# imports at module level, in a class body and in a method, classes of both
+# frameworks interleaved, one nested in the other, and calls that bind
+TWO_FRAMEWORKS = """\
+import torch
+import torch.nn as nn
+from tensorflow import keras
+from tensorflow.keras import layers as L
+
+class Head(L.Layer):
+    import torch.nn as tnn
+
+    def __init__(self):
+        self.d = L.Dense(4, 'relu')
+        self.t = tnn.Linear(2, 3)
+
+class Net(torch.nn.Module):
+    from tensorflow.keras import layers
+
+    def __init__(self):
+        self.fc = nn.Linear(4, 2, bias=False)
+        self.k = layers.Dense(8)
+
+    def forward(self, x):
+        import tensorflow.keras.layers as kl
+        class Inner(kl.Layer):
+            def call(self, y):
+                return kl.Flatten()(y)
+        return self.fc(x)
+
+class Model(keras.Model):
+    def build(self):
+        return nn.Sequential(nn.ReLU(), L.Dropout(0.5))
+
+class Plain:
+    pass
+"""
+
+
+def _extract_one_parse_per_framework(file_text, dbs, origin=""):
+    """``extract_module_classes`` as a fresh parse and rewrite per framework."""
+    units = []
+    for framework in sorted(dbs):
+        patterns = set(DEFAULT_BASE_CLASSES.get(framework, ()))
+        if not patterns:
+            continue
+        db = dbs[framework]
+        tree = ast.parse(file_text)
+        rewriter = _Rewriter(db, tree, strict=False)
+        classes = []
+        for node in rewriter.statements:
+            if isinstance(node, ast.ClassDef):
+                bases = filter(None, map(_dotted_name, node.bases))
+                paths = filter(None, map(rewriter._contract, bases))
+                if set(map(db.resolve_name, paths)) & patterns:
+                    classes.append(node)
+        rewriter.visit(tree)
+        for node in classes:
+            label = f"{origin}:{node.name}" if origin else node.name
+            units.append(SourceUnit(ast.unparse(node), framework, label))
+    return units
+
+
+def test_extract_module_classes_of_two_frameworks_equal_one_parse_per_framework():
+    dbs = {"pytorch": PT, "keras": KS, "mxnet": default_database("mxnet")}
+    rng = np.random.default_rng(25)
+    texts = [TWO_FRAMEWORKS, NESTED_CLASSES, HAND_WRITTEN_UNIT]
+    texts += [fuzz_pytorch_unit(rng) + TWO_FRAMEWORKS for _ in range(20)]
+    for text in texts:
+        trees = []
+        units = extract_module_classes(text, dbs, origin="m.py", trees=trees)
+        assert units == _extract_one_parse_per_framework(text, dbs, origin="m.py")
+        assert [ast.unparse(tree) for tree in trees] == [u.text for u in units]
+    units = extract_module_classes(TWO_FRAMEWORKS, dbs)
+    assert [(u.framework, u.origin) for u in units] == [
+        ("keras", "Head"), ("keras", "Model"), ("keras", "Inner"), ("pytorch", "Net"),
+    ]
+    # each class is cut out of its own framework's rewrite
+    assert "tnn.Linear(2, 3)" in units[0].text
+    assert "layers.Dense(units=4, activation='relu')" in units[0].text
+    assert "nn.Linear(in_features=4, out_features=2, bias=False)" in units[3].text
+    assert "layers.Dense(8)" in units[3].text
+
+
+def test_extract_module_classes_rewrites_only_for_frameworks_with_classes():
+    # a Keras call with too many arguments fails only the Keras rewrite
+    text = (
+        "import torch.nn as nn\nfrom tensorflow.keras import layers\n\n"
+        "head = layers.Dense(1, 2, 3, 4)\n\n"
+        "class Net(nn.Module):\n    pass\n"
+    )
+    units = extract_module_classes(text, {"pytorch": PT, "keras": KS})
+    assert [(u.framework, u.text) for u in units] == [
+        ("pytorch", "class Net(nn.Module):\n    pass"),
+    ]
+    with pytest.raises(ArityError):
+        extract_module_classes(text + "\nclass Head(layers.Layer):\n    pass\n",
+                               {"pytorch": PT, "keras": KS})
 
 
 def test_keyword_validation():

@@ -530,6 +530,41 @@ def test_ingest_skips_a_file_that_does_not_canonicalize(tmp_path, capsys):
     }]
 
 
+def test_ingest_keeps_a_file_whose_bad_call_is_of_a_framework_it_has_no_class_of(
+    tmp_path, capsys
+):
+    root = tmp_path / "tree"
+    root.mkdir()
+    mixed = root / "mixed.py"
+    mixed.write_text(
+        "import torch.nn as nn\n"
+        "from tensorflow.keras import layers\n\n"
+        "head = layers.Dense(1, 2, 3, 4, 5)\n\n"
+        "class Net(nn.Module):\n\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "        self.fc = nn.Linear(4, 2)\n"
+    )
+    out = tmp_path / "corpus"
+    capsys.readouterr()
+    rc = main([
+        "ingest", "--root", str(root), "--out", str(out),
+        "--framework", "pytorch", "--framework", "keras",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    units = [json.loads(u) for u in (out / "units_pytorch.jsonl").read_text().splitlines()]
+    assert [(u["origin"], u["text"]) for u in units] == [(
+        f"{mixed}:Net",
+        "class Net(nn.Module):\n\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "        self.fc = nn.Linear(in_features=4, out_features=2)",
+    )]
+    assert (out / "units_keras.jsonl").read_text() == ""
+    assert not (out / "skipped.jsonl").exists()
+
+
 # -- train -----------------------------------------------------------------------
 
 

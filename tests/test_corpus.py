@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import ast
 import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frameport.canon import CALLABLE, PARAMETER, SourceUnit
@@ -20,6 +23,7 @@ from frameport.corpus import (
     vocab_keywords,
 )
 from frameport.pipeline import default_database
+from helpers import HAND_WRITTEN_UNIT, KS_FILE, PT_FILE, fuzz_pytorch_unit
 
 PT = default_database("pytorch")
 KS = default_database("keras")
@@ -149,6 +153,34 @@ def test_vocab_breaks_count_ties_lexicographically():
     vocab = build_vocab(units, PT)
     texts = [e.keyword.text for e in vocab]
     assert texts == ["nn.Flatten", "nn.Softmax", "dim"]  # callables first, a-z
+
+
+def _vocab_records(vocab):
+    return [(e.keyword.id, e.keyword.kind, e.keyword.text, e.keyword.owner, e.count)
+            for e in vocab]
+
+
+def test_vocab_from_the_class_trees_equals_the_vocab_of_the_unit_texts(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    rng = np.random.default_rng(25)
+    files = {"hand.py": HAND_WRITTEN_UNIT, "pt.py": PT_FILE, "ks.py": KS_FILE}
+    files.update((f"fuzz{i}.py", fuzz_pytorch_unit(rng)) for i in range(40))
+    gen.write_tree(tmp_path / "helpers", files)
+    gen.write_tree(tmp_path / "gen", gen.corpus_files(101, 30))
+    for root in ("helpers", "gen"):
+        result = ingest([tmp_path / root], DBS)
+        for fw, db in DBS.items():
+            units = result.units[fw]
+            assert units
+            # ingest counts on the class trees; build_vocab without the
+            # counts parses each unit's text
+            assert _vocab_records(result.manifest.frameworks[fw].vocabulary) == (
+                _vocab_records(build_vocab(units, db))
+            )
 
 
 def test_extract_occurrences_tags_unit_refs():

@@ -16,6 +16,7 @@ from frameport.bpe import (
     bpe_encode,
     bpe_encode_with_offsets,
     bpe_train,
+    pretokenize,
     token_spans_overlapping,
 )
 from frameport.canon import (
@@ -82,6 +83,22 @@ def test_hash_provider_ignores_context_and_is_stable_across_instances():
     assert np.array_equal(v1, v3)
     with pytest.raises(ConfigError):
         HashProvider(dim=0)
+
+
+def test_hash_provider_memo_equals_the_per_occurrence_mean_bitwise():
+    provider = HashProvider(dim=64)
+    texts = ["nn.Linear", "in_features", "layers.Conv2D", "nn.ReLU", "x"]
+    occs = [_occ(texts[i % len(texts)], span=(i, i + 1)) for i in range(23)]
+    got = embed_batch(provider, occs)
+    fresh = HashProvider(dim=64)
+    for row, occ in zip(got, occs, strict=True):
+        tokens = pretokenize(occ.keyword.text)
+        expected = np.stack([fresh._token_vector(t) for t in tokens]).mean(axis=0)
+        assert row.dtype == expected.dtype
+        assert np.array_equal(row.view(np.uint32), expected.view(np.uint32))
+    # one shared, read-only vector per distinct keyword text
+    assert provider._vector(occs[0]) is provider._vector(occs[5])
+    assert not provider._vector(occs[0]).flags.writeable
 
 
 def test_file_backed_round_trip_and_lookup(tmp_path):

@@ -342,14 +342,22 @@ def _recomputing_forward_backward(mlp, x, upstream, train_mode, rng):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_forward_and_backward_match_the_recomputing_form_bitwise(dtype):
     rng = np.random.default_rng(23)
-    for trial in range(24):
-        mlp = random_mlp(rng)
+    # width-1 layers with a batch of more than one: ``dz @ W.T`` is then an
+    # outer product, as in the discriminator's output layer
+    width_one = [[64, 64, 64, 1], [64, 64, 64, 1], [5, 1, 1], [3, 1, 4]]
+    for trial in range(24 + len(width_one)):
+        if trial < 24:
+            mlp, n = random_mlp(rng), 6
+        else:
+            dims = width_one[trial - 24]
+            mlp = fnn.Mlp.create(dims, fnn.LEAKY_RELU, dropout=0.1, rng=rng)
+            n = 256 if dims[0] == 64 else 7
         mlp.weights = [w.astype(dtype) for w in mlp.weights]
         # zero biases on half the trials, so zero rows of x hit the kink
         mlp.biases = [b.astype(dtype) * (trial % 2) for b in mlp.biases]
-        x = rng.standard_normal((6, mlp.dims[0])).astype(dtype)
+        x = rng.standard_normal((n, mlp.dims[0])).astype(dtype)
         x[0] = 0.0
-        upstream = rng.standard_normal((6, mlp.dims[-1])).astype(dtype)
+        upstream = rng.standard_normal((n, mlp.dims[-1])).astype(dtype)
         train_mode = trial % 4 < 2
         seed = int(rng.integers(1 << 30))
         ref_out, ref_grads, ref_dx = _recomputing_forward_backward(
