@@ -140,7 +140,7 @@ def _merge_word(vocab: BpeVocab, word: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def bpe_encode(vocab: BpeVocab, text: str) -> list[int]:
-    """Encode text to token ids; lossless under :func:`bpe_decode`."""
+    """Encode text to token ids; the tokens' bytes join back to the text."""
     return [tid for tid, _ in bpe_encode_with_offsets(vocab, text)]
 
 
@@ -164,17 +164,6 @@ def bpe_encode_with_offsets(
             out.append((tid, (pos, pos + width)))
             pos += width
     return out
-
-
-def bpe_decode(vocab: BpeVocab, ids: Iterable[int]) -> str:
-    """Invert bpe_encode; special tokens decode to nothing."""
-    parts: list[str] = []
-    for tid in ids:
-        token = vocab.tokens[tid]
-        if token in SPECIAL_TOKENS:
-            continue
-        parts.append(token)
-    return "".join(parts).encode("latin-1").decode("utf-8")
 
 
 def token_spans_overlapping(

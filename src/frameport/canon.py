@@ -106,15 +106,13 @@ class KeywordOccurrence:
 
     ``context`` is the text of the unit the keyword occurs in (the unit's
     own string, not a copy), and ``span`` is a byte range into its UTF-8
-    encoding, read off a node of the parsed unit. Occurrences of a call and
-    of its keyword arguments share ``call_id``. ``unit_ref`` optionally
+    encoding, read off a node of the parsed unit. ``unit_ref`` optionally
     names the owning corpus unit as ``corpusid:unitid`` for external lookup.
     """
 
     keyword: ApiKeyword
     span: tuple[int, int]
     context: str
-    call_id: int = -1
     unit_ref: str = ""
 
 
@@ -629,11 +627,11 @@ def keyword_occurrences(
     starts = _line_starts(unit.text.encode("utf-8"))
     tree = parse_source(unit.text, unit.origin or "<unit>")
     occurrences = []
-    for keyword, node, call_id in extract_keywords(tree, db):
+    for keyword, node, _ in extract_keywords(tree, db):
         start, end = _node_span(node.func if keyword.kind == CALLABLE else node, starts)
         if keyword.kind == PARAMETER:  # the argument's name, not its value
             end = start + len(node.arg.encode("utf-8"))
-        occurrences.append(KeywordOccurrence(keyword, (start, end), unit.text, call_id, unit_ref))
+        occurrences.append(KeywordOccurrence(keyword, (start, end), unit.text, unit_ref))
     occurrences.sort(key=lambda occ: occ.span)
     return occurrences
 

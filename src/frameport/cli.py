@@ -127,11 +127,25 @@ def _vocabulary(corpus, fw: str) -> list[VocabEntry]:
     return corpus.manifest.frameworks[fw].vocabulary
 
 
-def _load_pair(args: argparse.Namespace):
-    """The corpus plus both sides' vocabularies and signature databases."""
+def _load_pair(
+    args: argparse.Namespace, state: TrainState | None, checkpoint: str | None
+):
+    """The corpus plus both sides' vocabularies and signature databases.
+
+    The output embeddings of ``state``, read from ``checkpoint``, must have
+    one column per keyword of each side's vocabulary."""
     corpus = load_corpus(args.corpus)
     src, tgt = args.src_framework, args.tgt_framework
     vocabs = tuple(vocab_keywords(_vocabulary(corpus, fw)) for fw in (src, tgt))
+    if state is not None:
+        widths = tuple(E.shape[1] for E in state.model.output_embeddings)
+        sizes = tuple(len(vocab) for vocab in vocabs)
+        if widths != sizes:
+            raise ConfigError(
+                f"{checkpoint} has embedding widths {widths[0]}/{widths[1]}, but the "
+                f"{src}/{tgt} vocabularies of {args.corpus} have {sizes[0]}/{sizes[1]} "
+                "keywords"
+            )
     return corpus, vocabs, (default_database(src), default_database(tgt))
 
 
@@ -210,7 +224,7 @@ def _framework_arrays(occs, vocab, provider) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _train_inputs(args: argparse.Namespace, resume: TrainState | None):
-    corpus, (vocab1, vocab2), (db1, db2) = _load_pair(args)
+    corpus, (vocab1, vocab2), (db1, db2) = _load_pair(args, resume, args.resume)
     src, tgt = args.src_framework, args.tgt_framework
     occs1 = extract_occurrences(corpus.units[src], db1, src)
     occs2 = extract_occurrences(corpus.units[tgt], db2, tgt)
@@ -383,7 +397,7 @@ def _measure_args(args: argparse.Namespace) -> tuple[str, int | None]:
 
 def cmd_dict(args: argparse.Namespace) -> int:
     state = load_checkpoint(args.checkpoint)
-    _, (vocab1, vocab2), (db1, db2) = _load_pair(args)
+    _, (vocab1, vocab2), (db1, db2) = _load_pair(args, state, args.checkpoint)
     E1, E2 = state.model.output_embeddings
     measure, csls_k = _measure_args(args)
     dictionary = generate_dictionary(
@@ -566,7 +580,7 @@ def cmd_inspect_neighbors(args: argparse.Namespace) -> int:
     # owner and a callable with one
     wanted = ApiKeyword(args.src_framework, args.kind, args.keyword, args.owner)
     state = load_checkpoint(args.checkpoint)
-    _, (vocab1, vocab2), _ = _load_pair(args)
+    _, (vocab1, vocab2), _ = _load_pair(args, state, args.checkpoint)
     kw = _find_keyword(vocab1, wanted)
     E1, E2 = state.model.output_embeddings
     measure, csls_k = _measure_args(args)

@@ -26,7 +26,6 @@ from frameport.canon import (
     extract_keywords,
     extract_module_classes,
     keyword_occurrences,
-    parse_source,
 )
 from frameport.errors import (
     ArityError,
@@ -180,10 +179,10 @@ def ingest(
     Files failing any filter are skipped with a reason, never fatally.
     """
     units: dict[str, list[SourceUnit]] = {fw: [] for fw in dbs}
-    # each kept unit's keyword counts, taken on the class tree the rewrite
-    # left; a tree is dropped with its file, as trees take many times the
-    # memory of their text
-    keywords: dict[str, list[Counter[ApiKeyword]]] = {fw: [] for fw in dbs}
+    # keyword counts of the kept units, taken on the class trees the
+    # rewrite left; a tree is dropped with its file, as trees take many
+    # times the memory of their text
+    keywords: dict[str, Counter[ApiKeyword]] = {fw: Counter() for fw in dbs}
     seen: dict[str, set[str]] = {fw: set() for fw in dbs}
     skipped: list[tuple[str, str]] = []
     for path in _iter_files(roots, include, exclude):
@@ -223,44 +222,24 @@ def ingest(
                 continue
             seen[unit.framework].add(digest)
             units[unit.framework].append(unit)
-            keywords[unit.framework].append(_keyword_counts(tree, dbs[unit.framework]))
+            keywords[unit.framework].update(
+                site.keyword for site in extract_keywords(tree, dbs[unit.framework])
+            )
     manifest = CorpusManifest()
     for fw, fw_units in units.items():
-        vocab = build_vocab(fw_units, dbs[fw], keywords[fw])
         manifest.frameworks[fw] = FrameworkStats(
             unit_count=len(fw_units),
             content_hash=_content_hash(u.text for u in fw_units),
-            vocabulary=vocab,
+            vocabulary=build_vocab(keywords[fw]),
         )
     return IngestResult(manifest=manifest, units=units, skipped=skipped)
 
 
-def _keyword_counts(tree: ast.AST, db: SignatureDatabase) -> Counter[ApiKeyword]:
-    return Counter(site.keyword for site in extract_keywords(tree, db))
-
-
-def build_vocab(
-    units: Sequence[SourceUnit],
-    db: SignatureDatabase,
-    keywords: Sequence[Counter[ApiKeyword]] | None = None,
-) -> list[VocabEntry]:
-    """Count keyword occurrences; order by count desc, then lexicographic.
+def build_vocab(counts: Counter[ApiKeyword]) -> list[VocabEntry]:
+    """Order keyword counts by count desc, then lexicographic.
 
     Ids are dense from 0 in that order, pinning embedding columns.
-    ``keywords``, parallel to ``units``, holds the count of each keyword
-    ``extract_keywords`` finds in each unit's canonical tree (ingest takes
-    them on the class trees it rewrote); without it each unit's text is
-    parsed and walked.
     """
-    if keywords is None:
-        keywords = (
-            _keyword_counts(parse_source(u.text, u.origin or "<unit>"), db) for u in units
-        )
-    elif len(keywords) != len(units):
-        raise ValueError(f"keyword counts for {len(keywords)} of {len(units)} units")
-    counts: Counter[ApiKeyword] = Counter()
-    for unit_counts in keywords:
-        counts.update(unit_counts)
     ordered = sorted(
         counts.items(),
         key=lambda item: (-item[1], item[0].kind, item[0].text, item[0].owner or ""),

@@ -2,9 +2,10 @@
 
 This module is the numpy half of the dictionary: keyword-pair scores
 (cosine, dot, CSLS) and induction. The records it builds
-(``KeywordDictionary`` and its entries), their JSON file, and ``lookup``
-live in the numpy-free ``frameport.keyword_dictionary``, which the
-transpile path reads; they are importable from here too.
+(``KeywordDictionary`` and its entries), their JSON file, ``lookup`` and
+the modes of an entry live in the numpy-free
+``frameport.keyword_dictionary``, which the transpile path reads; the
+entry classes and ``dictionary_pairs`` are importable from here too.
 
 Matching is hierarchical: callables and their parameters form groups;
 groups pair up greedily by summed similarity, then parameters pair up
@@ -53,15 +54,11 @@ from frameport.errors import (
     ZeroVectorError,
 )
 from frameport.keyword_dictionary import (
-    DROP,
-    EXPAND,
-    RENAME,
     Expansion,
     GroupEntry,
     KeywordDictionary,
     ParamEntry,
     dictionary_pairs,
-    lookup,
 )
 
 COSINE = "cosine"
@@ -74,10 +71,6 @@ class ScoreMatrix:
 
     values: np.ndarray
     measure: str
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 def score_matrix(

@@ -139,19 +139,6 @@ def _decode_payload(payload: str, dim: int, path, ln: int) -> bytes:
         raise ConfigError(f"{path}:{ln}: payload is neither hex nor base64") from exc
 
 
-def write_embedding_file(
-    path: str | Path, dim: int, records: Iterable[tuple[str, np.ndarray]]
-) -> None:
-    """Emit the file-backed format (base64 payloads)."""
-    with open(path, "w") as fh:
-        fh.write(f"d_b={dim}\n")
-        for key, vec in records:
-            arr = np.asarray(vec, dtype="<f4")
-            if arr.shape != (dim,):
-                raise DimensionMismatch(f"record {key!r} has shape {arr.shape}")
-            fh.write(f"{key}\t{base64.b64encode(arr.tobytes()).decode('ascii')}\n")
-
-
 class HashProvider:
     """Content-hashed static vectors; reproducible across processes.
 

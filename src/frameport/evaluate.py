@@ -3,9 +3,8 @@ and the multi-seed evaluation harness.
 
 Calls compare textually after canonicalization; there is no semantic
 equivalence (``2*2`` never matches ``4``). Both F1 and EM come from one
-canonical tree per side: ``f1`` and ``exact_match`` score one pair the way
-``run_suite`` scores each row, and the harness canonicalizes each gold at
-most once per suite. An eval-set record holds ``id`` and the strings
+canonical tree per side, and the harness canonicalizes each gold at most
+once per suite. An eval-set record holds ``id`` and the strings
 ``src_framework``, ``tgt_framework``, ``source`` and ``gold``; other keys
 are ignored. Ranking metrics restrict candidates to the
 keyword's own kind and charge ties at the worst rank.
@@ -79,6 +78,12 @@ Fingerprint = tuple[str, tuple[str, ...], tuple[tuple[str, str], ...]]
 
 
 def _tree_call_bag(tree: ast.AST) -> Counter:
+    """Multiset of call fingerprints in a canonical tree.
+
+    A fingerprint is (callee text, positional value texts, sorted keyword
+    (name, value text) pairs), so pre-canonical argument order never
+    matters.
+    """
     bag: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -102,17 +107,8 @@ def _text_and_bag(unit: SourceUnit, db: SignatureDatabase) -> tuple[str, Counter
     return ast.unparse(tree), _tree_call_bag(tree)
 
 
-def call_bag(unit: SourceUnit, db: SignatureDatabase) -> Counter:
-    """Multiset of call fingerprints after canonicalization.
-
-    A fingerprint is (callee text, positional value texts, sorted keyword
-    (name, value text) pairs), so pre-canonical argument order never
-    matters.
-    """
-    return _text_and_bag(unit, db)[1]
-
-
 def _bag_f1(pred_bag: Counter, gold_bag: Counter) -> float:
+    """2*n_match / (n_pred + n_truth); 1.0 if both bags are empty."""
     n_pred = sum(pred_bag.values())
     n_truth = sum(gold_bag.values())
     if n_pred + n_truth == 0:
@@ -131,20 +127,6 @@ def _score(
     except ParseError:
         return 0.0, False
     return _bag_f1(pred_bag, gold[1]), pred_text == gold[0]
-
-
-def f1(pred: SourceUnit, gold: SourceUnit, db: SignatureDatabase) -> float:
-    """2*n_match / (n_pred + n_truth) over call bags; 1.0 if both empty.
-
-    An unparseable prediction scores 0.
-    """
-    return _score(pred, _text_and_bag(gold, db), db)[0]
-
-
-def exact_match(pred: SourceUnit, gold: SourceUnit, db: SignatureDatabase) -> bool:
-    """Byte equality after canonicalizing both sides; an unparseable
-    prediction never matches."""
-    return _score(pred, _text_and_bag(gold, db), db)[1]
 
 
 # -- dictionary ranking metrics ----------------------------------------------

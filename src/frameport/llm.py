@@ -30,7 +30,7 @@ from frameport.errors import (
     StopMarkerMissing,
     reading,
 )
-from frameport.skeleton import CodeSkeleton, PLACEHOLDER_RE
+from frameport.skeleton import PLACEHOLDER_RE
 
 log = logging.getLogger(__name__)
 
@@ -101,11 +101,10 @@ def load_template(
         )
 
 
-def render_prompt(skel: CodeSkeleton | str, tmpl: PromptTemplate) -> str:
-    text = skel.text if isinstance(skel, CodeSkeleton) else skel
+def render_prompt(skel: str, tmpl: PromptTemplate) -> str:
     prompt = tmpl.raw.replace("{{SOURCE}}", tmpl.source_label)
     prompt = prompt.replace("{{TARGET}}", tmpl.target_label)
-    prompt = prompt.replace("{{SKELETON}}", text.strip("\n"))
+    prompt = prompt.replace("{{SKELETON}}", skel.strip("\n"))
     if not prompt.endswith("\n"):
         prompt += "\n"
     return prompt
@@ -338,9 +337,7 @@ def make_backend(cfg: BackendConfig):
     return HttpBackend(chat=(cfg.kind == "http-chat"))
 
 
-def transpile_skeleton(
-    skel: CodeSkeleton | str, tmpl: PromptTemplate, cfg: BackendConfig
-) -> str:
+def transpile_skeleton(skel: str, tmpl: PromptTemplate, cfg: BackendConfig) -> str:
     """Return the backend's target-side skeleton text.
 
     The completion is truncated at the template's stop marker; callers

@@ -8,7 +8,7 @@ so single-threaded training is bit-reproducible.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -371,23 +371,17 @@ def softmax_cross_entropy(
     return value, work.astype(logits.dtype, copy=False)
 
 
-def binary_cross_entropy(
-    logits: np.ndarray, targets: np.ndarray, loss: bool = True
-) -> tuple[float | None, np.ndarray]:
-    """Mean single-logit BCE (numerically stable) and its logit gradient.
-
-    ``targets`` are probabilities in [0, 1], so smoothed labels plug in
-    directly. ``loss=False`` skips the loss and returns None for it; the
-    gradient is the same, bit for bit.
-    """
-    return _binary_cross_entropies(logits, [targets], loss)[0]
-
-
-def _binary_cross_entropies(
+def binary_cross_entropies(
     logits: np.ndarray, target_sets: Sequence[np.ndarray], loss: bool = True
 ) -> list[tuple[float | None, np.ndarray]]:
-    """``binary_cross_entropy`` of one logit array against each target set,
-    sharing the sigmoid and the ``log1p(exp(-|x|))`` term between them."""
+    """Mean single-logit BCE (numerically stable) and its logit gradient,
+    of one logit array against each target set.
+
+    Targets are probabilities in [0, 1], so smoothed labels plug in
+    directly. The sets share the sigmoid and the ``log1p(exp(-|x|))``
+    term. ``loss=False`` skips the losses and returns None for them; the
+    gradients are the same, bit for bit.
+    """
     flat = logits.reshape(-1)
     count = max(len(flat), 1)
     probs = sigmoid(flat)

@@ -115,7 +115,7 @@ def build_translations(
     """
     host_slot: dict[int, int] = {}
     for i, occ in enumerate(occs, start=1):
-        if occ.keyword.kind == CALLABLE and occ.call_id >= 0:
+        if occ.keyword.kind == CALLABLE:
             host_slot.setdefault(occ.call_id, i)
     translations: dict[int, list[str]] = {}
     warnings: list[str] = []
@@ -169,7 +169,7 @@ def transpile_unit(
     star_calls: list[str] = []
     sites = extract_keywords(tree, src_db, star_calls)
     skeleton = to_skeleton(tree, sites)
-    completion = transpile_skeleton(skeleton, template, cfg)
+    completion = transpile_skeleton(skeleton.text, template, cfg)
     report = validate_placeholders(skeleton, completion)
     if not report.ok:
         raise PlaceholderMismatch(report.missing, report.duplicate, report.extra)

@@ -305,7 +305,3 @@ def reinsert(
     _raise_on_leftover(text)
     return SourceUnit(text, db.framework, origin)
 
-
-def identity_translations(skeleton: CodeSkeleton) -> dict[int, list[str]]:
-    """Translations that reproduce the original keywords."""
-    return {i: [keyword.text] for i, keyword in skeleton.placeholders}

@@ -266,7 +266,7 @@ def gradients(
         model.discriminator, z, train_mode=train_mode, rng=rng
     )
     targets = _smoothed_targets(n1, n2, label_smoothing)
-    (l_d, g_true), (l_g, g_rev) = nn._binary_cross_entropies(
+    (l_d, g_true), (l_g, g_rev) = nn.binary_cross_entropies(
         d_logit, (targets, 1.0 - targets), loss=losses
     )
 
@@ -483,7 +483,7 @@ def train(
     y2: np.ndarray,
     cfg: TrainConfig,
     vocab_sizes: tuple[int, int],
-    selector: Callable[[AlignmentModel], float] | None = None,
+    selector: Callable[[AlignmentModel], float],
     on_record: Callable[[dict], None] | None = None,
     resume: TrainState | None = None,
     stop: Callable[[], bool] | None = None,
@@ -520,7 +520,7 @@ def train(
         start_step = 0
         best_model, best_score = None, -np.inf
     arena = _Arena(model, opt)
-    if best_model is None and selector is not None:
+    if best_model is None:
         best_model = copy.deepcopy(model)
 
     schedule = cfg.schedule
@@ -528,8 +528,6 @@ def train(
 
     def checkpoint(step: int) -> None:
         nonlocal best_model, best_score
-        if selector is None:
-            return
         score = selector(model)
         checkpoint_scores.append((step, score))
         if on_record:
@@ -554,11 +552,9 @@ def train(
     if not checkpoint_scores or checkpoint_scores[-1][0] != step:
         checkpoint(step)
     state = TrainState(
-        model, opt, step, cfg, sampler.state(), rng_drop.bit_generator.state
+        model, opt, step, cfg, sampler.state(), rng_drop.bit_generator.state,
+        best_model, best_score,
     )
-    if selector is None:
-        return TrainResult(state, model, float("nan"), checkpoint_scores)
-    state.best_model, state.best_score = best_model, best_score
     return TrainResult(state, best_model, best_score, checkpoint_scores)
 
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracles and fuzz generators.
+"""Shared test utilities: finite-difference oracles, fuzz generators and
+one-pair forms of the scoring and reinsertion helpers.
 
 Gradient checks follow the standard recipe: perturb each parameter by
 eps in float64, compare the central difference against the analytic
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from frameport import nn as fnn
+from frameport.evaluate import _score, _text_and_bag
 from frameport.train import AlignmentModel, TrainBatch, TrainConfig, gradients
 
 # every construct that nests a call somewhere the walk must enter
@@ -42,6 +44,32 @@ class Net(nn.Module):
                 return [nn.Linear(in_features=y, out_features=2) for y in rest]
         return {k: nn.BatchNorm2d(num_features=k) for k in x}
 """
+
+
+def call_bag(unit, db):
+    """Multiset of call fingerprints after canonicalization."""
+    return _text_and_bag(unit, db)[1]
+
+
+def f1(pred, gold, db) -> float:
+    """Call-bag F1 of one pair, scored the way ``run_suite`` scores a row."""
+    return _score(pred, _text_and_bag(gold, db), db)[0]
+
+
+def exact_match(pred, gold, db) -> bool:
+    """Byte equality after canonicalizing both sides, as ``run_suite``
+    scores it; an unparseable prediction never matches."""
+    return _score(pred, _text_and_bag(gold, db), db)[1]
+
+
+def identity_translations(skeleton) -> dict[int, list[str]]:
+    """Translations that reproduce a skeleton's original keywords."""
+    return {i: [keyword.text] for i, keyword in skeleton.placeholders}
+
+
+def binary_cross_entropy(logits, targets, loss: bool = True):
+    """Mean BCE of one logit array against one target set, and its gradient."""
+    return fnn.binary_cross_entropies(logits, [targets], loss)[0]
 
 
 FD_EPS = 5e-6

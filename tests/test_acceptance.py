@@ -51,10 +51,9 @@ from frameport.dictionary import (
     generate_dictionary,
     score_matrix,
 )
-from frameport.evaluate import exact_match, f1, mrr, precision_at_k
+from frameport.evaluate import mrr, precision_at_k
 from frameport.pipeline import default_database, transpile_source
 from frameport.skeleton import (
-    identity_translations,
     reinsert,
     to_skeleton,
     validate_placeholders,
@@ -71,8 +70,11 @@ from frameport.train import (
 from helpers import (
     FD_EPS,
     check_model_gradients,
+    exact_match,
+    f1,
     fd_gradients,
     fuzz_pytorch_unit,
+    identity_translations,
     random_alignment_model,
     rel_error,
 )
@@ -243,7 +245,7 @@ def test_alignment_recovers_synthetic_keyword_pairing():
     db2 = SignatureDatabase("synthg", {}, [])
 
     cfg = TrainConfig(total_samples=_SAMPLE_BUDGET, batch_size=64, seed=10)
-    result = train(h1, y1, h2, y2, cfg, vocab_sizes=(m, m))
+    result = train(h1, y1, h2, y2, cfg, vocab_sizes=(m, m), selector=lambda model: 0.0)
     e1, e2 = result.state.model.output_embeddings
     p1 = precision_at_k(score_matrix(e1, e2, COSINE), gold, vocab1, vocab2, 1)
 
@@ -731,7 +733,7 @@ def test_round_trips_hold_under_fuzz(tmp_path):
     y1 = rng.integers(0, 5, 120)
     y2 = rng.integers(0, 6, 120)
     cfg = TrainConfig(d=8, total_samples=64, batch_size=8, seed=10)
-    result = train(h, y1, h.copy(), y2, cfg, vocab_sizes=(5, 6))
+    result = train(h, y1, h.copy(), y2, cfg, vocab_sizes=(5, 6), selector=lambda model: 0.0)
     ckpt = tmp_path / "checkpoint.json"
     save_checkpoint(ckpt, result.state)
     state = load_checkpoint(ckpt)

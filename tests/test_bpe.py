@@ -11,7 +11,6 @@ import pytest
 from frameport.bpe import (
     SPECIAL_TOKENS,
     BpeVocab,
-    bpe_decode,
     bpe_encode,
     bpe_encode_with_offsets,
     bpe_train,
@@ -19,6 +18,17 @@ from frameport.bpe import (
     token_spans_overlapping,
 )
 from frameport.errors import ConfigError
+
+
+def bpe_decode(vocab: BpeVocab, ids) -> str:
+    """Invert bpe_encode; special tokens decode to nothing."""
+    parts: list[str] = []
+    for tid in ids:
+        token = vocab.tokens[tid]
+        if token in SPECIAL_TOKENS:
+            continue
+        parts.append(token)
+    return "".join(parts).encode("latin-1").decode("utf-8")
 
 
 def test_special_tokens_take_the_first_ids():

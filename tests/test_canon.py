@@ -6,7 +6,6 @@ from __future__ import annotations
 import ast
 import gc
 import inspect
-import itertools
 import json
 import weakref
 
@@ -196,7 +195,8 @@ def test_extract_keywords_spans_and_call_ids():
         assert occ.context is unit.text
         a, b = occ.span
         assert occ.context.encode()[a:b].decode() == occ.keyword.text
-    assert len({o.call_id for o in occs}) == 1
+    sites = extract_keywords(ast.parse(unit.text), PT)
+    assert len({s.call_id for s in sites}) == 1
     assert all(o.keyword.owner == "nn.Linear" for o in occs[1:])
     assert [o.span for o in occs] == sorted(o.span for o in occs)
 
@@ -206,7 +206,8 @@ def test_extract_keywords_separate_calls_get_distinct_ids():
     unit = SourceUnit(canon(text), "pytorch")
     occs = keyword_occurrences(unit, PT)
     assert [o.keyword.text for o in occs] == ["nn.ReLU", "nn.ReLU"]
-    assert occs[0].call_id != occs[1].call_id
+    sites = extract_keywords(ast.parse(unit.text), PT)
+    assert sites[0].call_id != sites[1].call_id
 
 
 def test_extract_keywords_skips_unknown_parameter_names():
@@ -250,7 +251,6 @@ def _extract_keywords_by_iter_child_nodes(unit, db):
     with the unit text as every occurrence's context."""
     starts = _line_starts_by_byte(unit.text.encode("utf-8"))
     occurrences = []
-    call_ids = itertools.count()
 
     def visit(node):
         if isinstance(node, ast.Call) and not _has_star_args(node):
@@ -263,11 +263,10 @@ def _extract_keywords_by_iter_child_nodes(unit, db):
                         start = starts[kw.lineno - 1] + kw.col_offset
                         end = start + len(kw.arg.encode("utf-8"))
                         found.append((PARAMETER, kw.arg, func_text, (start, end)))
-                call_id = next(call_ids)
                 occurrences.extend(
                     KeywordOccurrence(
                         ApiKeyword(unit.framework, kind, text, owner),
-                        span, unit.text, call_id,
+                        span, unit.text,
                     )
                     for kind, text, owner, span in found
                 )
@@ -281,7 +280,7 @@ def _extract_keywords_by_iter_child_nodes(unit, db):
 
 def _occurrence_fields(occs) -> list[tuple]:
     return [
-        (o.keyword, o.span, o.context, o.call_id, o.unit_ref)
+        (o.keyword, o.span, o.context, o.unit_ref)
         for o in occs
     ]
 
@@ -301,7 +300,8 @@ def test_extract_keywords_matches_the_walk_over_every_child():
     # unknown, the starred ``nn.Sequential`` call is skipped), each with
     # the unit text as its context
     hand_occs = keyword_occurrences(hand, PT)
-    assert len({o.call_id for o in hand_occs}) == 17
+    hand_sites = extract_keywords(ast.parse(hand.text), PT)
+    assert len({s.call_id for s in hand_sites}) == 17
     assert all(o.context is hand.text for o in hand_occs)
 
 

@@ -808,6 +808,32 @@ def test_train_resume_with_another_provider_width_fails_before_any_work(
     assert not out.exists()
 
 
+# the module corpus has 5 PyTorch and 4 Keras keywords, so a PyTorch ->
+# Keras checkpoint read in the reverse direction has swapped widths
+REVERSED = ["--src-framework", "keras", "--tgt-framework", "pytorch"]
+
+
+def _width_mismatch(checkpoint, corpus) -> str:
+    return (
+        f"error: {checkpoint} has embedding widths 5/4, but the keras/pytorch "
+        f"vocabularies of {corpus} have 4/5 keywords\n"
+    )
+
+
+def test_train_resume_in_the_reverse_direction_fails_before_any_work(
+    run_dir, corpus, tmp_path, capsys
+):
+    ckpt = run_dir / "checkpoint.json"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([
+        "train", "--corpus", str(corpus), *REVERSED, "--out", str(out), *SMALL,
+        "--resume", str(ckpt), "--total-samples", "128",
+    ]) == 2
+    assert capsys.readouterr().err == _width_mismatch(ckpt, corpus)
+    assert not out.exists()
+
+
 def _assert_snapshot(path, step: int) -> None:
     """A snapshot checkpoint: the run's step, fresh Adam moments, and no
     sampler or dropout state."""
@@ -1014,6 +1040,18 @@ def test_dict_non_finite_embeddings_exit_3_with_one_line(run_dir, corpus, tmp_pa
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("pipeline error: source callable 'nn.") and err.count("\n") == 1
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_dict_in_the_reverse_direction_exits_2(run_dir, corpus, tmp_path, capsys):
+    ckpt = run_dir / "checkpoint_best.json"
+    capsys.readouterr()
+    rc = main([
+        "dict", "--checkpoint", str(ckpt), "--corpus", str(corpus), *REVERSED,
+        "--out", str(tmp_path / "d.json"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == _width_mismatch(ckpt, corpus)
     assert not (tmp_path / "d.json").exists()
 
 
@@ -1809,6 +1847,19 @@ def test_inspect_neighbors_unknown_keyword_exits_2(run_dir, corpus):
         "--keyword", "nn.Transformer",
     ])
     assert rc == 2
+
+
+def test_inspect_neighbors_in_the_reverse_direction_exits_2(run_dir, corpus, capsys):
+    # unchecked, the score row of layers.Dense has 4 columns, and the
+    # candidate nn.ReLU has id 4
+    ckpt = run_dir / "checkpoint_best.json"
+    capsys.readouterr()
+    rc = main([
+        "inspect", "neighbors", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+        *REVERSED, "--keyword", "layers.Dense",
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == _width_mismatch(ckpt, corpus)
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -6,12 +6,13 @@ from __future__ import annotations
 import ast
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frameport.canon import CALLABLE, PARAMETER, SourceUnit
+from frameport.canon import CALLABLE, PARAMETER, SourceUnit, extract_keywords, parse_source
 from frameport.corpus import (
     CorpusManifest,
     build_vocab,
@@ -128,6 +129,16 @@ def test_notebook_cells_are_concatenated_without_magics(tmp_path):
     assert dict(result.skipped)[str(bad)].startswith("bad notebook")
 
 
+def _vocab_of_texts(units, db):
+    """The vocabulary of the keywords ``extract_keywords`` finds in each
+    unit's text, parsed again."""
+    counts = Counter()
+    for u in units:
+        tree = parse_source(u.text, u.origin or "<unit>")
+        counts.update(site.keyword for site in extract_keywords(tree, db))
+    return build_vocab(counts)
+
+
 def test_vocab_orders_by_count_then_kind_then_text():
     units = [
         SourceUnit(
@@ -136,7 +147,7 @@ def test_vocab_orders_by_count_then_kind_then_text():
             "pytorch",
         )
     ]
-    vocab = build_vocab(units, PT)
+    vocab = _vocab_of_texts(units, PT)
     assert [(e.keyword.kind, e.keyword.text, e.count) for e in vocab] == [
         (CALLABLE, "nn.ReLU", 2),
         (CALLABLE, "nn.Linear", 1),
@@ -150,7 +161,7 @@ def test_vocab_breaks_count_ties_lexicographically():
     units = [
         SourceUnit("import torch.nn as nn\nz = nn.Softmax(dim=1)\na = nn.Flatten()\n", "pytorch")
     ]
-    vocab = build_vocab(units, PT)
+    vocab = _vocab_of_texts(units, PT)
     texts = [e.keyword.text for e in vocab]
     assert texts == ["nn.Flatten", "nn.Softmax", "dim"]  # callables first, a-z
 
@@ -176,10 +187,10 @@ def test_vocab_from_the_class_trees_equals_the_vocab_of_the_unit_texts(tmp_path)
         for fw, db in DBS.items():
             units = result.units[fw]
             assert units
-            # ingest counts on the class trees; build_vocab without the
-            # counts parses each unit's text
+            # ingest counts on the class trees; the reference parses each
+            # unit's text
             assert _vocab_records(result.manifest.frameworks[fw].vocabulary) == (
-                _vocab_records(build_vocab(units, db))
+                _vocab_records(_vocab_of_texts(units, db))
             )
 
 

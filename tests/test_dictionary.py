@@ -18,9 +18,6 @@ from frameport.canon import (
 from frameport.dictionary import (
     COSINE,
     DOT,
-    DROP,
-    EXPAND,
-    RENAME,
     Expansion,
     GroupEntry,
     KeywordDictionary,
@@ -30,7 +27,6 @@ from frameport.dictionary import (
     csls_rescale,
     generate_dictionary,
     group_similarity,
-    lookup,
     score_matrix,
 )
 from frameport.errors import (
@@ -42,6 +38,7 @@ from frameport.errors import (
     UnmappedKeyword,
     ZeroVectorError,
 )
+from frameport.keyword_dictionary import DROP, EXPAND, RENAME, lookup
 from frameport.pipeline import fixture_path
 
 
@@ -53,7 +50,7 @@ def test_score_matrix_dot_and_cosine_hand_values():
     E1 = np.array([[1.0, 0.0], [0.0, 2.0]])  # columns: (1,0), (0,2)
     E2 = np.array([[3.0, 1.0], [4.0, 0.0]])  # columns: (3,4), (1,0)
     dot = score_matrix(E1, E2, DOT)
-    assert dot.measure == DOT and dot.shape == (2, 2)
+    assert dot.measure == DOT and dot.values.shape == (2, 2)
     assert np.allclose(dot.values, [[3.0, 1.0], [8.0, 0.0]])
     cos = score_matrix(E1, E2, COSINE)
     assert math.isclose(cos.values[0, 0], 3 / 5, rel_tol=1e-12)

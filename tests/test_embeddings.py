@@ -36,10 +36,20 @@ from frameport.embeddings import (
     HashProvider,
     embed_batch,
     occurrence_key,
-    write_embedding_file,
 )
 from frameport.errors import ConfigError, DimensionMismatch, MissingVectorError
 from frameport.pipeline import default_database
+
+
+def write_embedding_file(path, dim, records):
+    """Emit the file-backed format (base64 payloads)."""
+    with open(path, "w") as fh:
+        fh.write(f"d_b={dim}\n")
+        for key, vec in records:
+            arr = np.asarray(vec, dtype="<f4")
+            if arr.shape != (dim,):
+                raise DimensionMismatch(f"record {key!r} has shape {arr.shape}")
+            fh.write(f"{key}\t{base64.b64encode(arr.tobytes()).decode('ascii')}\n")
 
 
 def _occ(text="nn.Linear", kind=CALLABLE, owner=None, context=None, span=(0, 9),

@@ -16,15 +16,13 @@ from frameport.canon import CALLABLE, PARAMETER, ApiKeyword, SourceUnit
 from frameport.errors import ConfigError, ParseError, PlaceholderMismatch
 from frameport.evaluate import (
     EvalExample,
-    call_bag,
-    exact_match,
-    f1,
     load_eval_set,
     mrr,
     precision_at_k,
     run_suite,
 )
 from frameport.pipeline import default_database
+from helpers import call_bag, exact_match, f1
 
 PT = default_database("pytorch")
 KS = default_database("keras")

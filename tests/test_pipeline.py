@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from frameport.canon import CALLABLE, PARAMETER, ApiKeyword, SourceUnit
+from frameport.canon import CALLABLE, PARAMETER, ApiKeyword, KeywordSite, SourceUnit
 from frameport.dictionary import KeywordDictionary
 from frameport.errors import (
     ConfigError,
@@ -176,7 +176,7 @@ def test_dictionary_framework_validation():
 
 def test_backend_losing_a_placeholder_raises_mismatch(monkeypatch):
     def lossy(skel, tmpl, cfg):
-        return skel.text.replace("PLACEHOLDER_2=", "lost=")
+        return skel.replace("PLACEHOLDER_2=", "lost=")
 
     monkeypatch.setattr("frameport.pipeline.transpile_skeleton", lossy)
     with pytest.raises(PlaceholderMismatch) as exc:
@@ -196,19 +196,18 @@ def test_fixture_lookup_errors():
         default_dictionary("pytorch", "mxnet")  # pair ships without one
 
 
-def _occ(kw, call_id):
-    from frameport.canon import KeywordOccurrence
-
-    return KeywordOccurrence(keyword=kw, span=(0, 1), context="", call_id=call_id)
+def _site(kw, call_id):
+    # build_translations reads no node
+    return KeywordSite(keyword=kw, node=None, call_id=call_id)
 
 
 def test_build_translations_routes_each_kind():
     dictionary = default_dictionary("keras", "pytorch")
     occs = [
-        _occ(ApiKeyword("keras", CALLABLE, "layers.Dense"), call_id=0),
-        _occ(ApiKeyword("keras", PARAMETER, "units", owner="layers.Dense"), call_id=0),
-        _occ(ApiKeyword("keras", PARAMETER, "activation", owner="layers.Dense"), call_id=0),
-        _occ(ApiKeyword("keras", CALLABLE, "layers.Mystery"), call_id=1),
+        _site(ApiKeyword("keras", CALLABLE, "layers.Dense"), call_id=0),
+        _site(ApiKeyword("keras", PARAMETER, "units", owner="layers.Dense"), call_id=0),
+        _site(ApiKeyword("keras", PARAMETER, "activation", owner="layers.Dense"), call_id=0),
+        _site(ApiKeyword("keras", CALLABLE, "layers.Mystery"), call_id=1),
     ]
     translations, warnings = build_translations(occs, dictionary)
     assert translations[1] == ["nn.Linear", "nn.ReLU()"]  # host + expansion
@@ -221,7 +220,7 @@ def test_build_translations_routes_each_kind():
 def test_build_translations_requires_a_captured_host():
     dictionary = default_dictionary("keras", "pytorch")
     alone = [
-        _occ(ApiKeyword("keras", PARAMETER, "activation", owner="layers.Dense"), call_id=3),
+        _site(ApiKeyword("keras", PARAMETER, "activation", owner="layers.Dense"), call_id=3),
     ]
     with pytest.raises(ExpansionContextError):
         build_translations(alone, dictionary)

@@ -36,12 +36,11 @@ from frameport.skeleton import (
     PLACEHOLDER_RE,
     _parse_fragment,
     _placeholder_index,
-    identity_translations,
     reinsert,
     to_skeleton,
     validate_placeholders,
 )
-from helpers import HAND_WRITTEN_UNIT, fuzz_pytorch_unit
+from helpers import HAND_WRITTEN_UNIT, fuzz_pytorch_unit, identity_translations
 
 PT = default_database("pytorch")
 KS = default_database("keras")

@@ -17,7 +17,12 @@ from frameport.canon import CALLABLE, PARAMETER, ApiKeyword
 from frameport.dictionary import KeywordDictionary, GroupEntry, ParamEntry
 from frameport.errors import ConfigError, EmptyDictionaryError
 from frameport.keyword_dictionary import dictionary_pairs, vocab_index
-from helpers import check_model_gradients, random_alignment_model, to_f64
+from helpers import (
+    binary_cross_entropy,
+    check_model_gradients,
+    random_alignment_model,
+    to_f64,
+)
 
 
 def _toy_data(rng, n1=60, n2=50, d_b=8, m1=5, m2=6):
@@ -26,6 +31,11 @@ def _toy_data(rng, n1=60, n2=50, d_b=8, m1=5, m2=6):
     y1 = rng.integers(0, m1, n1)
     y2 = rng.integers(0, m2, n2)
     return H1, y1, H2, y2
+
+
+def _constant(model) -> float:
+    """A selector that scores every snapshot the same."""
+    return 0.0
 
 
 def test_config_validation_and_steps():
@@ -87,8 +97,8 @@ def test_adversarial_loss_pair_identity():
     logits = logits[:, 0]
     t = np.concatenate([np.zeros(len(z1)), np.ones(len(z2))])
     t_s = t * (1 - eps) + eps / 2
-    ref_d, _ = fnn.binary_cross_entropy(logits, t_s)
-    ref_g, _ = fnn.binary_cross_entropy(logits, 1 - t_s)
+    ref_d, _ = binary_cross_entropy(logits, t_s)
+    ref_g, _ = binary_cross_entropy(logits, 1 - t_s)
     assert math.isclose(L["L_D"], float(ref_d), rel_tol=1e-12)
     assert math.isclose(L["L_G"], float(ref_g), rel_tol=1e-12)
 
@@ -140,8 +150,10 @@ def test_training_is_bit_deterministic():
     H1, y1, H2, y2 = _toy_data(rng)
     cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=16 * 10, seed=11)
     a_records, b_records = [], []
-    a = ft.train(H1, y1, H2, y2, cfg, on_record=a_records.append, vocab_sizes=(5, 6))
-    b = ft.train(H1, y1, H2, y2, cfg, on_record=b_records.append, vocab_sizes=(5, 6))
+    a = ft.train(H1, y1, H2, y2, cfg, on_record=a_records.append, vocab_sizes=(5, 6),
+                 selector=_constant)
+    b = ft.train(H1, y1, H2, y2, cfg, on_record=b_records.append, vocab_sizes=(5, 6),
+                 selector=_constant)
     for pa, pb in zip(a.state.model.parameters(), b.state.model.parameters()):
         assert np.array_equal(pa, pb)
     assert a_records == b_records
@@ -159,8 +171,9 @@ def test_cross_entropy_decreases_on_separable_data():
     cfg = ft.TrainConfig(d=16, batch_size=32, total_samples=32 * 150, seed=5,
                          peak_lr=1e-3)
     records = []
-    ft.train(H1, y1, H2, y2, cfg, on_record=records.append, vocab_sizes=(m1, m2))
-    last = records[-1]
+    ft.train(H1, y1, H2, y2, cfg, on_record=records.append, vocab_sizes=(m1, m2),
+             selector=_constant)
+    last = [rec for rec in records if "lr" in rec][-1]
     assert last["L_CE_1"] < math.log(m1)
     assert last["L_CE_2"] < math.log(m2)
 
@@ -170,7 +183,7 @@ def test_stop_then_resume_equals_uninterrupted_run(tmp_path):
     H1, y1, H2, y2 = _toy_data(rng)
     cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=16 * 12,
                          checkpoint_every=4, seed=21)
-    full = ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(5, 6))
+    full = ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(5, 6), selector=_constant)
 
     seen = {"n": 0}
 
@@ -179,12 +192,13 @@ def test_stop_then_resume_equals_uninterrupted_run(tmp_path):
             seen["n"] += 1
 
     part = ft.train(H1, y1, H2, y2, cfg, on_record=count, vocab_sizes=(5, 6),
-                    stop=lambda: seen["n"] >= 5)
+                    selector=_constant, stop=lambda: seen["n"] >= 5)
     assert part.state.step == 5
     path = tmp_path / "ck.json"
     ft.save_checkpoint(path, part.state)
     state = ft.load_checkpoint(path)
-    resumed = ft.train(H1, y1, H2, y2, cfg, resume=state, vocab_sizes=(5, 6))
+    resumed = ft.train(H1, y1, H2, y2, cfg, resume=state, vocab_sizes=(5, 6),
+                       selector=_constant)
     assert resumed.state.step == full.state.step
     for a, b in zip(resumed.state.model.parameters(), full.state.model.parameters()):
         assert np.array_equal(a, b)
@@ -378,8 +392,8 @@ def _per_side_gradients(model, batch, label_smoothing, train_mode, rng):
     d_logit, dc = fnn.forward(model.discriminator, d_in, train_mode=train_mode, rng=rng)
     t = np.concatenate([np.zeros(len(z1)), np.ones(len(z2))])
     targets = t * (1.0 - label_smoothing) + label_smoothing / 2.0
-    l_d, g_true = fnn.binary_cross_entropy(d_logit, targets)
-    l_g, g_rev = fnn.binary_cross_entropy(d_logit, 1.0 - targets)
+    l_d, g_true = binary_cross_entropy(d_logit, targets)
+    l_g, g_rev = binary_cross_entropy(d_logit, 1.0 - targets)
 
     g_gen1, _ = fnn.backward(model.generator, c1, dlogits1 @ E1.T)
     g_gen2, _ = fnn.backward(model.generator, c2, dlogits2 @ E2.T)
@@ -447,8 +461,8 @@ def _four_full_backward_gradients(model, batch, label_smoothing, train_mode, rng
     )
     t = np.concatenate([np.zeros(n1), np.ones(len(z2))])
     targets = t * (1.0 - label_smoothing) + label_smoothing / 2.0
-    l_d, g_true = fnn.binary_cross_entropy(d_logit, targets)
-    l_g, g_rev = fnn.binary_cross_entropy(d_logit, 1.0 - targets)
+    l_d, g_true = binary_cross_entropy(d_logit, targets)
+    l_g, g_rev = binary_cross_entropy(d_logit, 1.0 - targets)
     dz_ce = np.concatenate([dlogits1 @ E1.T, dlogits2 @ E2.T], axis=0)
     g_gen, _ = fnn.backward(model.generator, gen_cache, dz_ce)
     joint = g_gen + [z1.T @ dlogits1, z2.T @ dlogits2]
