@@ -160,6 +160,9 @@ class SignatureDatabase:
                 raise ConfigError(f"duplicate signature {sig.canonical_name!r}")
             self.signatures[sig.canonical_name] = sig
 
+        # a path can match a key of either table only if it starts with the key's first name
+        self._first_names = {p.split(".", 1)[0] for p in [*self.import_aliases, *self.path_aliases]}
+
         shorts = list(self.import_aliases.values())
         if len(set(shorts)) != len(shorts):
             raise ConfigError(f"{framework}: import alias short names collide")
@@ -252,9 +255,13 @@ def _make_chain(dotted: str) -> ast.expr:
 
 
 def _has_star_args(call: ast.Call) -> bool:
-    return any(isinstance(a, ast.Starred) for a in call.args) or any(
-        k.arg is None for k in call.keywords
-    )
+    for arg in call.args:
+        if isinstance(arg, ast.Starred):
+            return True
+    for kw in call.keywords:
+        if kw.arg is None:
+            return True
+    return False
 
 
 def _line_starts(data: bytes) -> list[int]:
@@ -318,6 +325,23 @@ def _scan_imports(
 
 _AST = ast.AST
 
+# fields that only ever hold an identifier, a number or None, never a node
+_LEAF_FIELDS = frozenset(
+    "id attr arg name asname module level kind type_comment is_async conversion simple tag".split()
+)
+
+
+class _ChildFields(dict):
+    """Node type -> its ``_fields`` that may hold a node, built on first use."""
+
+    def __missing__(self, node_type: type) -> tuple[str, ...]:
+        fields = tuple(f for f in node_type._fields if f not in _LEAF_FIELDS)
+        self[node_type] = fields
+        return fields
+
+
+_CHILD_FIELDS = _ChildFields()
+
 # forwards the deprecated ``visit_Num``, ``visit_Str``, ... handlers, which no
 # pass defines; newer Pythons have no such method
 _VISIT_CONSTANT = getattr(ast.NodeVisitor, "visit_Constant", None)
@@ -330,11 +354,12 @@ class _DispatchTransformer(ast.NodeTransformer):
     no handler of the class, ``Constant`` included, goes straight to
     ``generic_visit``, as it does in ``ast.NodeTransformer``.
 
-    ``generic_visit`` is one loop over the node's ``_fields`` in place of
-    ``ast.iter_fields``' generator. It visits the children
-    ``ast.NodeTransformer.generic_visit`` visits, in its order, and applies
-    its rules: a list result is spliced into a list field, ``None`` deletes
-    the child, any other result replaces it."""
+    ``generic_visit`` is one loop over the node type's child fields (its
+    ``_fields`` without the leaf fields) in place of ``ast.iter_fields``'
+    generator. It visits the children ``ast.NodeTransformer.generic_visit``
+    visits, in its order, and applies its rules: a list result is spliced
+    into a list field, ``None`` deletes the child, any other result
+    replaces it. A list field is written back only when a child changed."""
 
     _handlers: dict[type, Callable] = {}
 
@@ -357,22 +382,23 @@ class _DispatchTransformer(ast.NodeTransformer):
 
     def generic_visit(self, node: ast.AST) -> ast.AST:
         visit = self.visit
-        for field in node._fields:
+        for field in _CHILD_FIELDS[type(node)]:
             child = getattr(node, field, None)
             if isinstance(child, list):
-                if not child:
-                    continue
                 kept = []
+                changed = False
                 for item in child:
-                    if isinstance(item, _AST):
-                        item = visit(item)
-                        if item is None:
+                    new = visit(item) if isinstance(item, _AST) else item
+                    if new is not item:
+                        changed = True
+                        if new is None:
                             continue
-                        if not isinstance(item, _AST):
-                            kept.extend(item)
+                        if not isinstance(new, _AST):
+                            kept.extend(new)
                             continue
-                    kept.append(item)
-                child[:] = kept
+                    kept.append(new)
+                if changed:
+                    child[:] = kept
             elif isinstance(child, _AST):
                 new = visit(child)
                 if new is None:
@@ -399,16 +425,21 @@ class _Rewriter(_DispatchTransformer):
     def _rename_import(self, node: ast.Import | ast.ImportFrom) -> None:
         """A subclass's hook: edit an import before the scan reads its names."""
 
-    def generic_visit(self, node: ast.AST) -> ast.AST:
-        super().generic_visit(node)
+    def _visit_block(self, node: ast.AST) -> ast.AST:
+        self.generic_visit(node)
         # a block whose imports were all rewritten away keeps a ``pass``, as
         # does a handler-less ``finally`` (unparse would drop the clause)
-        body = getattr(node, "body", None)
-        if isinstance(body, list) and not body and not isinstance(node, ast.Module):
-            body.append(ast.Pass())
+        if not node.body:
+            node.body.append(ast.Pass())
         if isinstance(node, ast.Try) and not node.handlers and not node.finalbody:
             node.finalbody.append(ast.Pass())
         return node
+
+    # every node type with a statement-list ``body`` but the module
+    # (``TryStar`` is skipped where ``ast`` has no such type)
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_For = _visit_block
+    visit_AsyncFor = visit_While = visit_If = visit_With = visit_AsyncWith = _visit_block
+    visit_Try = visit_TryStar = visit_ExceptHandler = visit_match_case = _visit_block
 
     # -- name resolution -------------------------------------------------
 
@@ -417,8 +448,11 @@ class _Rewriter(_DispatchTransformer):
         framework's module alias; None outside the framework's modules."""
         head, sep, rest = path.partition(".")
         base = self.bindings.get(head)
-        expanded = base + sep + rest if base is not None else path
-        return self.db.contract_path(self.db.normalize_path(expanded))
+        if base is not None:
+            path = base + sep + rest
+        elif head not in self.db._first_names:
+            return None  # no prefix of ``path`` is a key of either table
+        return self.db.contract_path(self.db.normalize_path(path))
 
     def _rewrite_path(self, path: str) -> str:
         # memoized: the bindings are fixed once ``_scan_imports`` returns
@@ -581,9 +615,9 @@ def extract_keywords(
     A site is a call to a canonical callable of ``db`` without star
     arguments, and each of its keyword arguments that the signature
     names. Calls are numbered in the pre-order of ``ast.iter_child_nodes``;
-    the walk loops over each node's ``_fields`` and does not enter a node
-    that holds no call (``Constant``, ``Name``, an ``expr_context``). The
-    name of a known call with star arguments goes to ``star_calls``."""
+    the walk loops over each node type's child fields and does not enter a
+    node that holds no call (``Constant``, ``Name``, an ``expr_context``).
+    The name of a known call with star arguments goes to ``star_calls``."""
     sites: list[KeywordSite] = []
     call_ids = itertools.count()
     fw = db.framework
@@ -603,7 +637,7 @@ def extract_keywords(
                     for kw in node.keywords
                     if kw.arg in sig.parameters
                 )
-        for field in node._fields:
+        for field in _CHILD_FIELDS[type(node)]:
             child = getattr(node, field, None)
             if isinstance(child, list):
                 for item in child:

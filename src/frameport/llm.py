@@ -14,7 +14,6 @@ import, whose names reinsertion renames before its import scan.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import re
@@ -31,8 +30,6 @@ from frameport.errors import (
     reading,
 )
 from frameport.skeleton import PLACEHOLDER_RE
-
-log = logging.getLogger(__name__)
 
 FRAMEWORK_LABELS = {"pytorch": "PyTorch", "keras": "Keras", "mxnet": "MXNet"}
 
@@ -300,9 +297,12 @@ class HttpBackend:
 
     def complete(self, prompt: str, stop: str, cfg: BackendConfig) -> Completion:
         # imported here: the offline mock, and so every command by default,
-        # never needs the HTTP stack
+        # never needs the HTTP stack or the logger
+        import logging
         import urllib.error
         import urllib.request
+
+        log = logging.getLogger(__name__)
 
         body = json.dumps(self._payload(prompt, stop, cfg)).encode("utf-8")
         headers = {"Content-Type": "application/json"}

@@ -69,7 +69,9 @@ class PlaceholderReport:
 
 
 def _placeholder_index(name: str | None) -> int | None:
-    match = PLACEHOLDER_RE.fullmatch(name or "")
+    if name is None or not name.startswith("PLACEHOLDER_"):
+        return None
+    match = PLACEHOLDER_RE.fullmatch(name)
     return int(match.group(1)) if match else None
 
 

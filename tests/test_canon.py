@@ -7,6 +7,7 @@ import ast
 import gc
 import inspect
 import json
+import sys
 import weakref
 
 import numpy as np
@@ -21,6 +22,8 @@ from frameport.canon import (
     KeywordOccurrence,
     SignatureDatabase,
     SourceUnit,
+    _CHILD_FIELDS,
+    _LEAF_FIELDS,
     _DispatchTransformer,
     _Rewriter,
     _dotted_name,
@@ -373,6 +376,114 @@ def test_generic_visit_matches_node_transformer():
         assert results[0] == results[1], text
 
 
+# every syntax of Python 3.10, with type comments; newer forms are added below
+EVERY_SYNTAX = """\
+from . import a as b
+from ..m import (c, d as e)
+import os.path as osp, sys
+global g
+@deco(1, k=2)
+@other
+class C(B, metaclass=M, **kw):
+    x: int = 1
+    (z): int
+    def m(self, a, /, b: int = 2, *args, c, d=3, **kwargs) -> None:  # type: ignore[misc]
+        h = lambda p, q=1, *r, s=2, **t: p
+        def inner():
+            nonlocal h
+        return f"{a!r:>{b}} {c!s} {d!a} {x=}"
+async def co(a):  # type: (int) -> None
+    async with a as (b, c), d:
+        pass
+    async for i in a:
+        await i
+    else:
+        pass
+    return [j async for j in a if j]
+def gen():
+    yield 1
+    yield from g()
+x = 1  # type: int
+for i, *j in k:  # type: int
+    continue
+else:
+    y = 1
+while x:
+    break
+with open(p) as fh:  # type: ignore
+    pass
+try:
+    raise E from F
+except (E, F) as err:
+    pass
+except G:
+    pass
+else:
+    pass
+finally:
+    del x[0], y.z
+assert x, "m"
+if (n := len(a)) > 10:
+    pass
+elif not x:
+    pass
+x += 1; x @= y; x **= 2
+v = a if b else c
+w = {k: v for k, v in d.items()}, {s for s in t}, (g for g in h), [*a, *b], {**a, 'k': 1}
+s = a[1:2:3, ..., None], b'bytes', 1j, -x, ~x, a < b <= c is not d in e not in f
+match command.split():
+    case [action]:
+        pass
+    case Point(1, y=2) if obj:
+        pass
+    case {"k": v, **rest}:
+        pass
+    case [1, *others]:
+        pass
+    case (None | True) | -1 | 1+2j | "s" as whole:
+        pass
+    case _:
+        pass
+"""
+if sys.version_info >= (3, 11):
+    EVERY_SYNTAX += "try:\n    pass\nexcept* E as eg:\n    pass\n"
+if sys.version_info >= (3, 12):
+    EVERY_SYNTAX += (
+        "type Alias[T: int] = list[T]\n"
+        "def tp[T, *Ts, **P](x: T) -> T:\n    pass\n"
+        "class K[T]:\n    pass\n"
+    )
+if sys.version_info >= (3, 13):
+    EVERY_SYNTAX += "def td[T = int]():\n    pass\n"
+if sys.version_info >= (3, 14):
+    EVERY_SYNTAX += "u = t'{a!r:>{b}}'\n"
+
+
+def _node_types(cls=ast.AST):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_types(sub)
+
+
+def test_skipped_fields_never_hold_a_node():
+    rng = np.random.default_rng(53)  # the units of the visit-order test
+    trees = [ast.parse(fuzz_pytorch_unit(rng)) for _ in range(300)]
+    trees.append(ast.parse(EVERY_SYNTAX, type_comments=True))
+    seen = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            for field in set(node._fields) - set(_CHILD_FIELDS[type(node)]):
+                value = getattr(node, field, None)
+                assert value is None or isinstance(value, (str, int)), (node, field)
+                seen.add(field)
+    assert seen == _LEAF_FIELDS  # the module exercises every skipped field
+    leaf_types = (str, int, str | None, int | None)
+    for cls in _node_types():
+        for field, declared in getattr(cls, "_field_types", {}).items():
+            if field in _LEAF_FIELDS:
+                assert declared in leaf_types, (cls, field, declared)
+
+
 def test_extract_module_classes_splits_by_framework():
     text = (
         "import torch.nn as nn\n"
@@ -631,6 +742,30 @@ def test_path_arithmetic():
     assert not PT.looks_framework_qualified("np.zeros")
 
 
+# each block's only statement repeats an import the module already spells
+# in canonical form, so the rewrite drops it
+EMPTIED_BLOCKS = {
+    "if x:\n    import torch.nn\n": "if x:\n    pass",
+    "for i in x:\n    import torch.nn\n": "for i in x:\n    pass",
+    "while x:\n    import torch.nn\n": "while x:\n    pass",
+    "with a:\n    import torch.nn\n": "with a:\n    pass",
+    "try:\n    import torch.nn\nfinally:\n    y = 1\n": "try:\n    pass\nfinally:\n    y = 1",
+    "try:\n    x = 1\nexcept E:\n    import torch.nn\n":
+        "try:\n    x = 1\nexcept E:\n    pass",
+    "def f():\n    import torch.nn\n": "\ndef f():\n    pass",
+    "class C:\n    import torch.nn\n": "\nclass C:\n    pass",
+    "match x:\n    case 1:\n        import torch.nn\n": "match x:\n    case 1:\n        pass",
+    "async def f():\n    async for a in b:\n        import torch.nn\n"
+    "    async with c:\n        import torch.nn\n":
+        "\nasync def f():\n    async for a in b:\n        pass\n"
+        "    async with c:\n        pass",
+}
+if sys.version_info >= (3, 11):
+    EMPTIED_BLOCKS["try:\n    x = 1\nexcept* E:\n    import torch.nn\n"] = (
+        "try:\n    x = 1\nexcept* E:\n    pass"
+    )
+
+
 def test_blocks_emptied_by_the_import_rewrite_keep_a_pass():
     # the second ``import torch.nn`` is dropped: its module is already imported
     cases = {
@@ -641,10 +776,59 @@ def test_blocks_emptied_by_the_import_rewrite_keep_a_pass():
         "import torch.nn as nn\ntry:\n    x = 1\nexcept E:\n    y = 2\nfinally:\n    import torch.nn\n":
             "import torch.nn as nn\ntry:\n    x = 1\nexcept E:\n    y = 2",
     }
+    for src, want in EMPTIED_BLOCKS.items():
+        cases["import torch.nn as nn\n" + src] = "import torch.nn as nn\n" + want
     for src, want in cases.items():
         out = canon(src)
         assert out == want, src
         assert canon(out) == out, src
+
+
+def test_every_block_type_has_the_block_handler():
+    # a concrete class's docstring is its ASDL signature, ``If(expr test,
+    # stmt* body, stmt* orelse)``; a parse's root may stay empty
+    blocks = {
+        cls for cls in _node_types()
+        if (cls.__doc__ or "").startswith(cls.__name__ + "(")
+        and "stmt* body" in cls.__doc__
+    } - {ast.Module, ast.Interactive}
+    assert {ast.If, ast.ExceptHandler, ast.match_case} <= blocks
+    for cls in blocks:
+        assert _Rewriter._handlers.get(cls) is _Rewriter._visit_block, cls
+
+
+def test_a_first_name_no_table_starts_is_left_as_spelled():
+    cases = {
+        # ``self`` and ``np`` start no key of either table, and ``F``, bound
+        # to ``torch.nn.functional`` by default, contracts back to itself
+        "y = self.fc(x)\nz = np.zeros(3)\nw = F.relu(x)\n":
+            "y = self.fc(x)\nz = np.zeros(3)\nw = F.relu(x)",
+        # ``torch`` starts a key of the tables
+        "layer = torch.nn.Linear(3, 4)\n":
+            "layer = nn.Linear(in_features=3, out_features=4)",
+        "import torch.nn as tnn\nlayer = tnn.Linear(3, 4)\n":
+            "import torch.nn as nn\nlayer = nn.Linear(in_features=3, out_features=4)",
+        "from torch import nn as N\nlayer = N.Linear(3, 4)\n":
+            "import torch.nn as nn\nlayer = nn.Linear(in_features=3, out_features=4)",
+    }
+    for src, want in cases.items():
+        assert canon(src) == want, src
+    # no import binds ``tensorflow``, but it starts a key of keras' tables
+    assert canon("d = tensorflow.keras.layers.Dense(3)\n", KS) == "d = layers.Dense(units=3)"
+    # the early return gives what the two prefix scans give
+    paths = ["self.fc", "np.zeros", "F.relu", "torch.nn.Linear", "tnn.Linear", "tf.keras.x",
+             "keras.layers.Dense", "tensorflow.keras.layers.Dense", "layers.MaxPool2D",
+             "mx.gluon.nn.Dense", "mxnet.gluon", "old.sub.f", "nn", "x"]
+    # a path alias whose first name starts no import alias
+    moved = SignatureDatabase("moved", {"pkg.sub": "sub"}, [], {"old.sub": "pkg.sub"})
+    for db in (PT, KS, default_database("mxnet"), moved):
+        tree = ast.parse("import torch.nn as tnn\nimport tensorflow as tf")
+        rewriter = _Rewriter(db, tree, strict=False)
+        for path in paths:
+            head, sep, rest = path.partition(".")
+            base = rewriter.bindings.get(head)
+            full = base + sep + rest if base is not None else path
+            assert rewriter._contract(path) == db.contract_path(db.normalize_path(full))
 
 
 def _scan_imports_over_every_node(tree, db, walk=ast.walk):

@@ -443,6 +443,25 @@ def test_help_and_usage_errors_match_goldens(argv, code, out, err, monkeypatch, 
     assert capsys.readouterr() == (out, err)
 
 
+def test_transpile_mix_units_match_the_bench_gold(tmp_path):
+    # ``bench/gen.py`` builds each unit's expected text from its own tables;
+    # even indices translate pytorch->keras, odd ones keras->pytorch
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import gen
+    finally:
+        sys.path.remove(bench)
+    src, out = tmp_path / "unit_in.py", tmp_path / "unit_out.py"
+    for i in range(300):
+        unit = gen.transpile_unit(1, i)
+        src.write_text(unit.source, encoding="utf-8")
+        argv = ["transpile", "--from", unit.src_framework, "--to", unit.tgt_framework,
+                "--input", str(src), "--output", str(out)]
+        assert main(argv) == 0, unit.name
+        assert out.read_bytes() == (unit.expected + "\n").encode("utf-8"), unit.name
+
+
 # -- ingest ----------------------------------------------------------------------
 
 

@@ -1,10 +1,11 @@
 """What a ``transpile`` process loads: only the transpile path.
 
 Every ``frameport transpile`` is a fresh interpreter, so an import it does
-not need is paid on every file translated. The learning modules, numpy and
-the HTTP stack must stay out of ``sys.modules``, and the README's quick
-start must run, byte for byte, with numpy made unimportable. ``ingest``,
-``inspect vocab`` and ``inspect diff`` import no numpy either.
+not need is paid on every file translated. The learning modules, numpy,
+``logging`` and the HTTP stack must stay out of ``sys.modules``, and the
+README's quick start must run, byte for byte, with numpy made
+unimportable. ``ingest``, ``inspect vocab`` and ``inspect diff`` import no
+numpy either.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # modules only the learning commands, or an HTTP backend, need
 UNUSED = [
     "numpy",
+    "logging",
     "urllib.request",
     "frameport.bpe",
     "frameport.corpus",
