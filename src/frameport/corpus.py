@@ -125,8 +125,11 @@ def _content_hash(texts: Iterable[str]) -> str:
 def notebook_extract(ipynb_text: str) -> str:
     """Concatenate a notebook's code cells, dropping magic/shell lines."""
     doc = json.loads(ipynb_text)
+    cells = doc.get("cells", []) if isinstance(doc, dict) else None
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+        raise TypeError("a notebook is an object with a list of cell objects")
     parts: list[str] = []
-    for cell in doc.get("cells", []):
+    for cell in cells:
         if cell.get("cell_type") != "code":
             continue
         source = cell.get("source", [])

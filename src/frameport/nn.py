@@ -1,4 +1,4 @@
-"""Minimal MLP engine: explicit forward/backward, Adam, LR schedule, losses.
+"""Minimal MLP engine: explicit forward/backward, Adam, losses.
 
 Parameters are stored in float32; loss reductions accumulate in float64.
 All randomness (init, dropout) flows through an explicit numpy Generator
@@ -238,94 +238,46 @@ def backward(
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam moments of one flat parameter vector."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: Sequence[np.ndarray]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params]
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "m": [encode_array(a) for a in self.m],
-            "v": [encode_array(a) for a in self.v],
-            "step": self.step,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AdamState":
-        return cls(
-            m=[decode_array(a) for a in doc["m"]],
-            v=[decode_array(a) for a in doc["v"]],
-            step=int(doc["step"]),
-            beta1=doc["beta1"],
-            beta2=doc["beta2"],
-            eps=doc["eps"],
-        )
+    def init(cls, theta: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """Standard bias-corrected Adam update, in place."""
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise DimensionMismatch("parameter/gradient/state lengths differ")
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """Standard bias-corrected Adam update of ``theta``, in place."""
+    if not theta.shape == grad.shape == state.m.shape:
+        shapes = (theta.shape, grad.shape, state.m.shape)
+        raise DimensionMismatch(f"param, grad and state shapes differ: {shapes}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise DimensionMismatch(f"grad shape {g.shape} != param shape {p.shape}")
-        # the textbook update, operation for operation, in three buffers:
-        # ``scratch`` has g's dtype and ``denom`` and ``update`` have m's, as
-        # the textbook temporaries do, so every result rounds the same way
-        scratch = (1.0 - b1) * g
-        m *= b1
-        m += scratch
-        np.square(g, out=scratch)
-        scratch *= 1.0 - b2
-        v *= b2
-        v += scratch
-        denom = v / (1.0 - b2**t)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        update = m / (1.0 - b1**t)
-        update *= lr
-        update /= denom
-        p -= update.astype(p.dtype, copy=False)
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Linear warmup to the peak, then inverse square-root decay."""
-
-    peak_lr: float
-    total_steps: int
-    warmup_fraction: float = 0.10
-
-    @property
-    def warmup_steps(self) -> int:
-        return max(1, round(self.total_steps * self.warmup_fraction))
-
-    def lr_at(self, step: int) -> float:
-        if step < 0:
-            raise ConfigError("negative step")
-        w = self.warmup_steps
-        if step <= w:
-            return self.peak_lr * step / w
-        return self.peak_lr * float(np.sqrt(w / step))
+    m, v = state.m, state.v
+    # the textbook update, operation for operation, in three buffers:
+    # ``scratch`` has grad's dtype and ``denom`` and ``update`` have m's, as
+    # the textbook temporaries do, so every result rounds the same way
+    scratch = (1.0 - b1) * grad
+    m *= b1
+    m += scratch
+    np.square(grad, out=scratch)
+    scratch *= 1.0 - b2
+    v *= b2
+    v += scratch
+    denom = v / (1.0 - b2**t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    update = m / (1.0 - b1**t)
+    update *= lr
+    update /= denom
+    theta -= update.astype(theta.dtype, copy=False)
 
 
 def softmax_cross_entropy(

@@ -15,8 +15,9 @@ point:
 The three roles keep separate Adam states because the two generator
 losses run at different scales. Contextual embeddings are inputs only;
 no gradient ever reaches the provider. A run keeps every trained tensor
-in one flat arena laid out so that each role is one slice (``_Arena``),
-and each role's update is one whole-vector Adam step.
+in one flat arena laid out so that each role is one slice (``_bind``),
+and each role's update is one whole-vector Adam step on the role's flat
+moments.
 
 A run is one ``TrainState``: model, optimizers, step, config, the
 sampler and dropout generator states, and the best snapshot under the
@@ -87,13 +88,14 @@ class TrainConfig:
     def total_steps(self) -> int:
         return self.total_samples // self.batch_size
 
-    @property
-    def schedule(self) -> nn.LrSchedule:
-        return nn.LrSchedule(
-            peak_lr=self.peak_lr,
-            total_steps=self.total_steps,
-            warmup_fraction=self.warmup_fraction,
-        )
+    def lr_at(self, step: int) -> float:
+        """Linear warmup to the peak, then inverse square-root decay."""
+        if step < 0:
+            raise ConfigError("negative step")
+        w = max(1, round(self.total_steps * self.warmup_fraction))
+        if step <= w:
+            return self.peak_lr * step / w
+        return self.peak_lr * float(np.sqrt(w / step))
 
 
 @dataclass
@@ -198,24 +200,44 @@ def _role_params(model: AlignmentModel) -> dict[str, list[np.ndarray]]:
 
 @dataclass
 class Optimizers:
+    """One Adam state per role, over the role's parameters as one vector.
+
+    A checkpoint stores each role's moments split into per-tensor arrays
+    shaped like the role's parameters in ``model``.
+    """
+
     joint: nn.AdamState
     disc: nn.AdamState
     gen_adv: nn.AdamState
 
     @classmethod
     def init(cls, model: AlignmentModel) -> "Optimizers":
-        return cls(
-            **{role: nn.AdamState.init(p) for role, p in _role_params(model).items()}
-        )
+        return cls(**{
+            role: nn.AdamState.init(np.concatenate(params, axis=None))
+            for role, params in _role_params(model).items()
+        })
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name).to_dict() for f in fields(self)}
+    def to_dict(self, model: AlignmentModel) -> dict:
+        doc = {}
+        for role, like in _role_params(model).items():
+            state = getattr(self, role)
+            split = {
+                k: [nn.encode_array(a) for a in _tile(getattr(state, k), like)]
+                for k in ("m", "v")
+            }
+            doc[role] = {**vars(state), **split}
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Optimizers":
-        return cls(
-            **{f.name: nn.AdamState.from_dict(doc[f.name]) for f in fields(cls)}
-        )
+        def state(d: dict) -> nn.AdamState:
+            m, v = (
+                np.concatenate([nn.decode_array(a) for a in d[k]], axis=None)
+                for k in ("m", "v")
+            )
+            return nn.AdamState(m, v, int(d["step"]), d["beta1"], d["beta2"], d["eps"])
+
+        return cls(**{f.name: state(doc[f.name]) for f in fields(cls)})
 
 
 def _smoothed_targets(n1: int, n2: int, smoothing: float) -> np.ndarray:
@@ -300,71 +322,56 @@ def _tile(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
     return views
 
 
-def _pack(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A flat copy of ``arrays`` in order, and a view of it per array."""
-    flat = np.concatenate(arrays, axis=None)
-    return flat, _tile(flat, arrays)
+def _bind(model: AlignmentModel) -> dict[str, np.ndarray]:
+    """Bind the model to one flat parameter arena; return each role's slice.
 
-
-class _Arena(Optimizers):
-    """The run's optimizers with the model bound to one parameter arena.
-
-    Binding copies ``model.parameters()`` (generator | E1 | E2 |
-    discriminator) into one flat buffer and rebinds the model's arrays to
-    views of it, so that each role in ``_role_params`` is one slice: joint
-    ``[0:g+e]``, gen_adv ``[0:g]`` and disc ``[g+e:]``. Each role's Adam
-    moments are likewise copied into one flat pair, and its ``AdamState``
-    keeps per-tensor views of them (the form a checkpoint stores).
-    ``train_step`` writes each role's gradient into one flat buffer, in the
-    dtype the gradients have for the arena and the batch, and updates the
-    role with one ``nn.adam_step`` over whole vectors, which applies the
-    same operations to the same elements as one call per tensor. The
-    whole-vector ``AdamState`` of each role lives as long as the arena, and
-    each step's count is written back to the role's per-tensor state.
+    Copies ``model.parameters()`` (generator | E1 | E2 | discriminator)
+    into one buffer and rebinds the model's arrays to views of it, so that
+    each role in ``_role_params`` is one slice: joint ``[0:g+e]``, gen_adv
+    ``[0:g]`` and disc ``[g+e:]``.
     """
-
-    def __init__(self, model: AlignmentModel, opt: Optimizers) -> None:
-        super().__init__(opt.joint, opt.disc, opt.gen_adv)
-        gen, disc = model.generator, model.discriminator
-        params, views = _pack(model.parameters())
-        gen_end = 2 * len(gen.weights)
-        embeds_end = gen_end + len(model.output_embeddings)
-        for mlp, mlp_views in ((gen, views[:gen_end]), (disc, views[embeds_end:])):
-            mlp.weights[:], mlp.biases[:] = mlp_views[0::2], mlp_views[1::2]
-        model.output_embeddings[:] = views[gen_end:embeds_end]
-        offsets = np.cumsum([0] + [v.size for v in views])
-        start = {id(view): int(offset) for view, offset in zip(views, offsets)}
-        # role -> (parameter slice, the whole-vector Adam state over the
-        # flat moments, the role's parameters, which its gradient views are
-        # shaped like)
-        self.roles = {}
-        for role, role_params in _role_params(model).items():
-            lo = start[id(role_params[0])]
-            theta = params[lo : lo + sum(p.size for p in role_params)]
-            state = getattr(self, role)
-            m, state.m[:] = _pack(state.m)
-            v, state.v[:] = _pack(state.v)
-            self.roles[role] = (theta, replace(state, m=[m], v=[v]), role_params)
+    gen, disc = model.generator, model.discriminator
+    params = model.parameters()
+    arena = np.concatenate(params, axis=None)
+    views = _tile(arena, params)
+    gen_end = 2 * len(gen.weights)
+    embeds_end = gen_end + len(model.output_embeddings)
+    for mlp, mlp_views in ((gen, views[:gen_end]), (disc, views[embeds_end:])):
+        mlp.weights[:], mlp.biases[:] = mlp_views[0::2], mlp_views[1::2]
+    model.output_embeddings[:] = views[gen_end:embeds_end]
+    offsets = np.cumsum([0] + [v.size for v in views])
+    start = {id(view): int(offset) for view, offset in zip(views, offsets)}
+    roles = {}
+    for role, role_params in _role_params(model).items():
+        lo = start[id(role_params[0])]
+        roles[role] = arena[lo : lo + sum(p.size for p in role_params)]
+    return roles
 
 
 def train_step(
     model: AlignmentModel,
     batch: TrainBatch,
-    arena: _Arena,
+    roles: dict[str, np.ndarray],
+    opt: Optimizers,
     cfg: TrainConfig,
     lr: float,
     rng: np.random.Generator | None,
     losses: bool = True,
 ) -> dict[str, float]:
-    """One step on the model bound to ``arena``: gradients at the starting
-    parameters, then the three role updates in order. Returns the step's
-    four losses, or ``{}`` with ``losses=False``, which skips computing
-    them and leaves the update bit for bit the same."""
+    """One step on the model ``_bind`` returned ``roles`` for: gradients at
+    the starting parameters, then the three role updates in order. Each
+    role's gradient is written into one flat buffer, in the dtype the
+    gradients have for the arena and the batch, and the role is updated
+    with one ``nn.adam_step`` over whole vectors, which applies the same
+    operations to the same elements as one call per tensor. Returns the
+    step's four losses, or ``{}`` with ``losses=False``, which skips
+    computing them and leaves the update bit for bit the same."""
     # the gradient buffers live for one step: kept for the run, they
     # would also be resident through checkpoint selection, which sets
     # the peak memory
     flat, views = {}, {}
-    for role, (theta, _, params) in arena.roles.items():
+    for role, params in _role_params(model).items():
+        theta = roles[role]
         flat[role] = np.empty(theta.size, np.result_type(theta, batch.h1, batch.h2))
         views[role] = _tile(flat[role], params)
     # the joint role lists E1 and E2 last: their gradients are written
@@ -373,12 +380,11 @@ def train_step(
         model, batch, cfg.label_smoothing, cfg.dropout > 0, rng,
         out=tuple(views["joint"][-2:]), losses=losses,
     )
-    for role, (theta, whole, _) in arena.roles.items():
+    for role, theta in roles.items():
         for view, g in zip(views[role], grads[role]):
             if g is not view:
                 view[...] = g
-        nn.adam_step([theta], [flat[role]], whole, lr)
-        getattr(arena, role).step = whole.step
+        nn.adam_step(theta, flat[role], getattr(opt, role), lr)
     return step_losses
 
 
@@ -498,8 +504,10 @@ def train(
     without it no step computes its losses. ``resume`` continues a saved
     ``TrainState`` under ``cfg``, from its best snapshot and score.
     ``stop`` is polled before each step so callers can end training early
-    at a step boundary and still get a consistent, resumable state. The loop is single-threaded and
-    bit-reproducible for a given config.
+    at a step boundary and still get a consistent, resumable state. The
+    run ends with a checkpoint unless its last step was one, or it took no
+    step after a saved state whose best snapshot scored that state's step.
+    The loop is single-threaded and bit-reproducible for a given config.
     """
     d_b = H1.shape[1]
     if H2.shape[1] != d_b:
@@ -519,15 +527,17 @@ def train(
         opt = Optimizers.init(model)
         start_step = 0
         best_model, best_score = None, -np.inf
-    arena = _Arena(model, opt)
+    roles = _bind(model)
+    # the last step a score was taken at
+    scored = None if best_model is None else start_step
     if best_model is None:
         best_model = copy.deepcopy(model)
 
-    schedule = cfg.schedule
     checkpoint_scores: list[tuple[int, float]] = []
 
     def checkpoint(step: int) -> None:
-        nonlocal best_model, best_score
+        nonlocal best_model, best_score, scored
+        scored = step
         score = selector(model)
         checkpoint_scores.append((step, score))
         if on_record:
@@ -537,19 +547,19 @@ def train(
             best_model = copy.deepcopy(model)
 
     step = start_step
-    for next_step in range(start_step + 1, schedule.total_steps + 1):
+    for next_step in range(start_step + 1, cfg.total_steps + 1):
         if stop is not None and stop():
             break
         step = next_step
         batch = sampler.next_batch()
-        lr = schedule.lr_at(step)
-        loss_rec = train_step(model, batch, arena, cfg, lr, rng=rng_drop,
+        lr = cfg.lr_at(step)
+        loss_rec = train_step(model, batch, roles, opt, cfg, lr, rng=rng_drop,
                               losses=on_record is not None)
         if on_record:
             on_record({"step": step, "lr": lr, **loss_rec})
         if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             checkpoint(step)
-    if not checkpoint_scores or checkpoint_scores[-1][0] != step:
+    if scored != step:
         checkpoint(step)
     state = TrainState(
         model, opt, step, cfg, sampler.state(), rng_drop.bit_generator.state,
@@ -616,7 +626,7 @@ def save_checkpoint(path: str | Path, state: TrainState) -> None:
         "step": state.step,
         "config": asdict(state.cfg),
         "model": state.model.to_dict(),
-        "optimizers": state.opt.to_dict(),
+        "optimizers": state.opt.to_dict(state.model),
         "sampler_state": state.sampler_state,
         "dropout_state": state.dropout_state,
     }

@@ -753,8 +753,8 @@ def test_round_trips_hold_under_fuzz(tmp_path):
                 + list(state.model.output_embeddings),
             )
         )
-        and json.dumps(state.opt.to_dict(), sort_keys=True)
-        == json.dumps(result.state.opt.to_dict(), sort_keys=True)
+        and json.dumps(state.opt.to_dict(state.model), sort_keys=True)
+        == json.dumps(result.state.opt.to_dict(result.state.model), sort_keys=True)
         and ckpt.read_bytes() == resaved.read_bytes()
     )
 

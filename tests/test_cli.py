@@ -549,6 +549,34 @@ def test_ingest_skips_a_file_that_does_not_canonicalize(tmp_path, capsys):
     }]
 
 
+def test_ingest_skips_a_notebook_that_is_not_an_object_of_cell_objects(
+    tmp_path, capsys
+):
+    root = tmp_path / "tree"
+    root.mkdir()
+    (root / "good.py").write_text(PT_FILE)
+    listed = root / "listed.ipynb"
+    listed.write_text(json.dumps(["import torch"]))
+    cells = root / "cells.ipynb"
+    cells.write_text(json.dumps({"cells": ["import torch"]}))
+    out = tmp_path / "corpus"
+    capsys.readouterr()
+    rc = main([
+        "ingest", "--root", str(root), "--out", str(out),
+        "--framework", "pytorch", "--framework", "keras",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    units = (out / "units_pytorch.jsonl").read_text().splitlines()
+    assert [json.loads(u)["origin"] for u in units] == [f"{root / 'good.py'}:Net"]
+    skipped = (out / "skipped.jsonl").read_text().splitlines()
+    reason = "bad notebook: a notebook is an object with a list of cell objects"
+    assert [json.loads(r) for r in skipped] == [
+        {"path": str(cells), "reason": reason},
+        {"path": str(listed), "reason": reason},
+    ]
+
+
 def test_ingest_keeps_a_file_whose_bad_call_is_of_a_framework_it_has_no_class_of(
     tmp_path, capsys
 ):
@@ -645,6 +673,22 @@ def test_train_resume_extends_the_same_run(corpus, tmp_path, capsys):
     assert [r["step"] for r in losses] == list(range(1, 9))
     assert [r["step"] for r in checkpoints] == [4, 8]
     assert load_checkpoint(tmp_path / "checkpoint.json").step == 8
+
+
+def test_train_resume_with_no_step_left_changes_nothing(corpus, run_dir, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    names = ("metrics.jsonl", "checkpoint.json", "checkpoint_best.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    rc = main(
+        _train_argv(
+            corpus, out,
+            "--total-samples", "64", "--resume", str(out / "checkpoint.json"),
+        )
+    )
+    assert rc == 0
+    # the saved state already scored its last step: no second score
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_train_grid_reports_every_cell(corpus, tmp_path, capsys):

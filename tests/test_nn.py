@@ -171,14 +171,14 @@ def test_sigmoid_stable_and_correct():
 def test_adam_step_matches_reference_updates():
     rng = np.random.default_rng(6)
     p = rng.standard_normal((3, 2))
-    state = fnn.AdamState.init([p])
+    state = fnn.AdamState.init(p)
     ref_p = p.copy()
     ref_m = np.zeros_like(p)
     ref_v = np.zeros_like(p)
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     for t in range(1, 6):
         g = rng.standard_normal((3, 2))
-        fnn.adam_step([p], [g], state, lr)
+        fnn.adam_step(p, g, state, lr)
         ref_m = b1 * ref_m + (1 - b1) * g
         ref_v = b2 * ref_v + (1 - b2) * g * g
         m_hat = ref_m / (1 - b1**t)
@@ -187,21 +187,7 @@ def test_adam_step_matches_reference_updates():
         assert np.allclose(p, ref_p, rtol=1e-12, atol=1e-15)
     assert state.step == 5
     with pytest.raises(DimensionMismatch):
-        fnn.adam_step([p], [np.zeros(5)], state, lr)
-
-
-def test_lr_schedule_warmup_and_decay():
-    s = fnn.LrSchedule(peak_lr=1e-3, total_steps=100)
-    assert s.warmup_steps == 10
-    assert s.lr_at(0) == 0.0
-    assert math.isclose(s.lr_at(5), 1e-3 * 5 / 10, rel_tol=1e-15)
-    assert math.isclose(s.lr_at(10), 1e-3, rel_tol=1e-15)
-    assert math.isclose(s.lr_at(40), 1e-3 * math.sqrt(10 / 40), rel_tol=1e-12)
-    assert math.isclose(s.lr_at(100), 1e-3 * math.sqrt(0.1), rel_tol=1e-12)
-    # warmup never collapses to zero steps
-    assert fnn.LrSchedule(peak_lr=1.0, total_steps=3).warmup_steps == 1
-    with pytest.raises(ConfigError):
-        s.lr_at(-1)
+        fnn.adam_step(p, np.zeros(5), state, lr)
 
 
 def test_array_codec_round_trip():
@@ -440,6 +426,7 @@ def test_binary_cross_entropy_without_the_loss_keeps_the_gradient_bits(dtype):
 
 
 def _allocating_adam_step(params, grads, state, lr):
+    """Adam on each tensor of a list, with the textbook temporaries."""
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -460,17 +447,20 @@ def _allocating_adam_step(params, grads, state, lr):
 def test_adam_step_matches_the_allocating_form_bitwise(p_dtype, g_dtype):
     rng = np.random.default_rng(22)
     shapes = [(64, 750), (64,), (3, 5), (1,)]
-    params = [rng.standard_normal(s).astype(p_dtype) for s in shapes]
-    ref_params = [p.copy() for p in params]
-    state = fnn.AdamState.init(params)
-    ref_state = fnn.AdamState.init(ref_params)
+    ref_params = [rng.standard_normal(s).astype(p_dtype) for s in shapes]
+    # one vector holding every tensor, against per-tensor moments in a list
+    theta = np.concatenate(ref_params, axis=None)
+    state = fnn.AdamState.init(theta)
+    ref_state = fnn.AdamState(m=[np.zeros_like(p) for p in ref_params],
+                              v=[np.zeros_like(p) for p in ref_params])
     for step in range(1, 8):
         grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(g_dtype)
                  for s in shapes]
         lr = 1e-3 * step
-        fnn.adam_step(params, grads, state, lr)
+        fnn.adam_step(theta, np.concatenate(grads, axis=None), state, lr)
         _allocating_adam_step(ref_params, grads, ref_state, lr)
         assert state.step == ref_state.step == step
-        for got, ref in zip(params + state.m + state.v,
-                            ref_params + ref_state.m + ref_state.v):
-            assert _same_bits(got, ref), step
+        for got, ref in ((theta, ref_params), (state.m, ref_state.m),
+                         (state.v, ref_state.v)):
+            assert got.dtype == p_dtype
+            assert _same_bits(got, np.concatenate(ref, axis=None)), step

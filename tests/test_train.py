@@ -48,6 +48,23 @@ def test_config_validation_and_steps():
         ft.TrainConfig(total_samples=-1)
 
 
+def test_lr_schedule_warmup_and_decay():
+    cfg = ft.TrainConfig(peak_lr=1e-3, batch_size=1, total_samples=100)
+    assert cfg.lr_at(0) == 0.0
+    assert math.isclose(cfg.lr_at(5), 1e-3 * 5 / 10, rel_tol=1e-15)
+    assert math.isclose(cfg.lr_at(10), 1e-3, rel_tol=1e-15)
+    assert math.isclose(cfg.lr_at(40), 1e-3 * math.sqrt(10 / 40), rel_tol=1e-12)
+    assert math.isclose(cfg.lr_at(100), 1e-3 * math.sqrt(0.1), rel_tol=1e-12)
+    # ten warmup steps: the peak is reached at step 10, not before
+    assert cfg.lr_at(9) < cfg.lr_at(10) and cfg.lr_at(11) < cfg.lr_at(10)
+    # warmup never collapses to zero steps
+    short = ft.TrainConfig(peak_lr=1.0, batch_size=1, total_samples=3)
+    assert short.lr_at(1) == 1.0
+    assert math.isclose(short.lr_at(2), math.sqrt(1 / 2), rel_tol=1e-15)
+    with pytest.raises(ConfigError):
+        cfg.lr_at(-1)
+
+
 def test_model_create_shapes():
     rng = np.random.default_rng(0)
     cfg = ft.TrainConfig(d=16, gen_hidden=1, disc_hidden=2, total_samples=0)
@@ -123,7 +140,7 @@ def test_gradients_leave_inputs_untouched():
     rng = np.random.default_rng(6)
     model, batch, cfg = random_alignment_model(rng)
     before = (batch.h1.copy(), batch.h2.copy())
-    ft.train_step(model, batch, ft._Arena(model, ft.Optimizers.init(model)), cfg,
+    ft.train_step(model, batch, ft._bind(model), ft.Optimizers.init(model), cfg,
                   lr=1e-3, rng=np.random.default_rng(0))
     assert np.array_equal(batch.h1, before[0])
     assert np.array_equal(batch.h2, before[1])
@@ -139,7 +156,7 @@ def test_zero_lr_step_changes_nothing():
     opt = ft.Optimizers.init(model)
     sampler = ft.BatchSampler(H1, y1, H2, y2, cfg.batch_size,
                               seed=np.random.SeedSequence(1))
-    ft.train_step(model, sampler.next_batch(), ft._Arena(model, opt), cfg, lr=0.0,
+    ft.train_step(model, sampler.next_batch(), ft._bind(model), opt, cfg, lr=0.0,
                   rng=np.random.default_rng(1))
     for p, s in zip(model.parameters(), snapshot):
         assert np.array_equal(p, s)
@@ -527,16 +544,64 @@ def test_one_step_makes_two_forward_and_four_backward_calls(monkeypatch):
     assert calls == {"forward": 2, "backward": 4}
 
 
-def _per_tensor_train_step(model, batch, opt, cfg, lr, rng=None, losses=True):
-    """The step with one ``adam_step`` call per role over its list of
-    tensors, so each Adam operation runs once per tensor."""
+def _per_tensor_adam(params, grads, state, lr):
+    """Adam over a list of tensors, one tensor at a time, each with its own
+    moment arrays in ``state``, in ``nn.adam_step``'s order of operations."""
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    for p, g, m, v in zip(params, grads, state.m, state.v, strict=True):
+        scratch = (1.0 - b1) * g
+        m *= b1
+        m += scratch
+        np.square(g, out=scratch)
+        scratch *= 1.0 - b2
+        v *= b2
+        v += scratch
+        denom = v / (1.0 - b2**t)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update = m / (1.0 - b1**t)
+        update *= lr
+        update /= denom
+        p -= update.astype(p.dtype, copy=False)
+
+
+def _per_tensor_train_step(model, batch, roles, opt, cfg, lr, rng=None, losses=True):
+    """The step with one Adam update per tensor. On a run's first step each
+    role's flat moments are replaced by per-tensor copies, which ``opt``
+    keeps as lists from then on."""
     grads, step_losses = ft.gradients(
         model, batch, cfg.label_smoothing, train_mode=cfg.dropout > 0, rng=rng,
         losses=losses,
     )
     for role, params in ft._role_params(model).items():
-        fnn.adam_step(params, grads[role], getattr(opt, role), lr)
+        state = getattr(opt, role)
+        if isinstance(state.m, np.ndarray):
+            state.m = [a.copy() for a in ft._tile(state.m, params)]
+            state.v = [a.copy() for a in ft._tile(state.v, params)]
+        _per_tensor_adam(params, grads[role], state, lr)
     return step_losses
+
+
+def _flat_opt(opt):
+    """``opt`` with per-tensor moment lists joined into flat vectors."""
+    return ft.Optimizers(**{
+        role: replace(s, m=np.concatenate(s.m, axis=None),
+                      v=np.concatenate(s.v, axis=None))
+        if isinstance(s.m, list) else s
+        for role, s in vars(opt).items()
+    })
+
+
+def _per_tensor_encoding(opt):
+    """A checkpoint's optimizers section, encoded from per-tensor lists."""
+    return {
+        role: {"m": [fnn.encode_array(a) for a in s.m],
+               "v": [fnn.encode_array(a) for a in s.v],
+               "step": s.step, "beta1": s.beta1, "beta2": s.beta2, "eps": s.eps}
+        for role, s in vars(opt).items()
+    }
 
 
 def _bits(a):
@@ -544,6 +609,8 @@ def _bits(a):
 
 
 def _assert_same_run(got, ref, got_records, ref_records, tmp_path):
+    """``got`` and ``ref`` ran the same bits; ``ref``'s moments may be the
+    per-tensor lists of ``_per_tensor_train_step``."""
     assert got_records == ref_records
     assert got.checkpoint_scores == ref.checkpoint_scores
     assert got.state.step == ref.state.step
@@ -551,16 +618,21 @@ def _assert_same_run(got, ref, got_records, ref_records, tmp_path):
         (got.state.model.parameters(), ref.state.model.parameters()),
         (got.best_model.parameters(), ref.best_model.parameters()),
     ]
+    ref_opt = _flat_opt(ref.state.opt)
     for role in ("joint", "disc", "gen_adv"):
-        a, b = getattr(got.state.opt, role), getattr(ref.state.opt, role)
+        a, b = getattr(got.state.opt, role), getattr(ref_opt, role)
         assert a.step == b.step
-        pairs += [(a.m, b.m), (a.v, b.v)]
+        pairs += [([a.m], [b.m]), ([a.v], [b.v])]
     for xs, ys in pairs:
         for x, y in zip(xs, ys, strict=True):
             assert x.dtype == y.dtype and np.array_equal(_bits(x), _bits(y))
     ft.save_checkpoint(tmp_path / "got.json", got.state)
-    ft.save_checkpoint(tmp_path / "ref.json", ref.state)
+    ft.save_checkpoint(tmp_path / "ref.json", replace(ref.state, opt=ref_opt))
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    if isinstance(ref.state.opt.joint.m, list):
+        # the flat moments are saved as the per-tensor arrays, byte for byte
+        saved = json.loads((tmp_path / "got.json").read_text())["optimizers"]
+        assert json.dumps(saved) == json.dumps(_per_tensor_encoding(ref.state.opt))
 
 
 def test_arena_run_equals_the_per_tensor_step_bitwise(tmp_path, monkeypatch):
@@ -607,6 +679,7 @@ def test_arena_run_equals_the_per_tensor_step_bitwise(tmp_path, monkeypatch):
     for step in (real_step, _per_tensor_train_step):
         part, records = run(step, stop_at=5)
         assert part.state.step == 5
+        part.state.opt = _flat_opt(part.state.opt)
         ft.save_checkpoint(tmp_path / "part.json", part.state)
         state = ft.load_checkpoint(tmp_path / "part.json")
         rest, more = run(step, resume=state)
