@@ -26,8 +26,8 @@ from frameport.errors import (
     ArityError,
     ConfigError,
     DuplicateKeywordError,
+    FrameportError,
     ParseError,
-    UnknownCallableError,
     reading,
 )
 
@@ -493,7 +493,7 @@ class _Rewriter(_DispatchTransformer):
         sig = self.db.signature_for(func_text)
         if sig is None:
             if self.strict and self.db.looks_framework_qualified(func_text):
-                raise UnknownCallableError(
+                raise FrameportError(
                     f"no signature for {func_text!r} ({self.db.framework})"
                 )
             return node

@@ -27,7 +27,6 @@ from .canon import CALLABLE, PARAMETER, ApiKeyword, SignatureDatabase, SourceUni
 from .errors import (
     BackendUnavailable,
     ConfigError,
-    EmptyVocabularyError,
     FrameportError,
     loading,
     reading,
@@ -219,7 +218,7 @@ def _framework_arrays(occs, vocab, provider) -> tuple[np.ndarray, np.ndarray]:
         kept.append(occ)
         labels.append(kid)
     if not kept:
-        raise EmptyVocabularyError("no keyword occurrences to train on")
+        raise FrameportError("no keyword occurrences to train on")
     return embed_batch(provider, kept), np.asarray(labels, dtype=np.int64)
 
 
@@ -273,6 +272,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         cfg = resume.cfg
     if args.total_samples is not None:
         cfg = replace(cfg, total_samples=args.total_samples)
+        if resume is not None and cfg.total_samples < resume.step * cfg.batch_size:
+            raise ConfigError(
+                f"--total-samples {cfg.total_samples} is below the "
+                f"{resume.step * cfg.batch_size} samples {args.resume} has trained"
+            )
     if args.grid:
         # every cell's config is checked before any work, as a single run's is
         for lr in args.lrs:

@@ -87,6 +87,10 @@ class CorpusManifest:
     def from_dict(cls, doc: dict) -> "CorpusManifest":
         out = cls()
         for fw, st in doc["frameworks"].items():
+            # an id is its keyword's embedding column
+            for i, v in enumerate(st["vocabulary"]):
+                if v["id"] != i:
+                    raise ValueError(f"{fw} vocabulary entry {i} has id {v['id']!r}")
             out.frameworks[fw] = FrameworkStats(
                 unit_count=st["unit_count"],
                 content_hash=st["content_hash"],

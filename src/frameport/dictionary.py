@@ -45,14 +45,7 @@ from frameport.canon import (
     ApiKeyword,
     SignatureDatabase,
 )
-from frameport.errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyVocabularyError,
-    KOutOfRange,
-    NonFiniteScoreError,
-    ZeroVectorError,
-)
+from frameport.errors import ConfigError, FrameportError
 from frameport.keyword_dictionary import (
     Expansion,
     GroupEntry,
@@ -79,7 +72,7 @@ def score_matrix(
     """Pairwise scores between embedding columns of the two sides, CSLS
     rescaled over ``csls_k`` neighbors when it is given."""
     if E1.ndim != 2 or E2.ndim != 2 or E1.shape[0] != E2.shape[0]:
-        raise DimensionMismatch(
+        raise FrameportError(
             f"embedding matrices {E1.shape} / {E2.shape} do not share a row dim"
         )
     a = E1.astype(np.float64).T  # (m1, d)
@@ -91,7 +84,7 @@ def score_matrix(
         nb = np.linalg.norm(b, axis=1)
         if np.any(na == 0) or np.any(nb == 0):
             side = 1 if np.any(na == 0) else 2
-            raise ZeroVectorError(f"zero-norm embedding on side {side}")
+            raise FrameportError(f"zero-norm embedding on side {side}")
         s = ScoreMatrix(values=(a / na[:, None]) @ (b / nb[:, None]).T, measure=COSINE)
     else:
         raise ConfigError(f"unknown measure {measure!r}")
@@ -103,7 +96,7 @@ def csls_rescale(s: ScoreMatrix, k: int) -> ScoreMatrix:
     values = s.values
     m1, m2 = values.shape
     if k < 1 or k > min(m1, m2):
-        raise KOutOfRange(f"K={k} outside [1, {min(m1, m2)}]")
+        raise ConfigError(f"K={k} outside [1, {min(m1, m2)}]")
     # mean of the k largest entries per row / per column
     row_top = np.sort(values, axis=1)[:, -k:].mean(axis=1)
     col_top = np.sort(values, axis=0)[-k:, :].mean(axis=0)
@@ -218,7 +211,7 @@ def _best_target_groups(
     best_sims = ranked[np.arange(len(groups1)), picks]
     hopeless = np.flatnonzero(best_sims == -np.inf)
     if hopeless.size:
-        raise NonFiniteScoreError(
+        raise FrameportError(
             f"source callable {groups1[hopeless[0]].callable_kw.text!r} scores "
             "NaN or -inf against every target group"
         )
@@ -242,14 +235,14 @@ def generate_dictionary(
     E1/E2 have one column per vocab keyword, indexed by keyword id.
     """
     if E1.shape[1] != len(vocab1) or E2.shape[1] != len(vocab2):
-        raise DimensionMismatch(
+        raise FrameportError(
             f"embedding columns {E1.shape[1]}/{E2.shape[1]} != vocab sizes "
             f"{len(vocab1)}/{len(vocab2)}"
         )
     groups1 = build_groups(vocab1)
     groups2 = build_groups(vocab2)
     if not groups1 or not groups2:
-        raise EmptyVocabularyError("both sides need at least one callable group")
+        raise FrameportError("both sides need at least one callable group")
     values = score_matrix(E1, E2, measure, csls_k).values
     best, best_sims = _best_target_groups(
         _group_similarities(values, groups1, groups2), groups1, groups2

@@ -44,12 +44,7 @@ from frameport.bpe import (
     token_spans_overlapping,
 )
 from frameport.canon import KeywordOccurrence
-from frameport.errors import (
-    ConfigError,
-    DimensionMismatch,
-    MissingVectorError,
-    reading,
-)
+from frameport.errors import ConfigError, FrameportError, reading
 
 # ContextWindowProvider: tokens of context on each side of a keyword (also
 # the co-occurrence window), and the weight of the context term
@@ -72,11 +67,11 @@ def embed_batch(
         try:
             vec = np.asarray(provider._vector(occ), dtype=np.float32)
             if vec.shape != (provider.dim,):
-                raise DimensionMismatch(
+                raise FrameportError(
                     f"provider returned shape {vec.shape}, declared d_b={provider.dim}"
                 )
             if not np.all(np.isfinite(vec)):
-                raise DimensionMismatch("non-finite embedding entries")
+                raise FrameportError("non-finite embedding entries")
         except Exception as exc:
             raise type(exc)(f"occurrence {i}: {exc}") from exc
         out[i] = vec
@@ -94,8 +89,8 @@ class FileBackedProvider:
     """
 
     def __init__(self, path: str | Path):
-        # inside the reader, a bad d_b or a payload that is not whole floats
-        # fails as a malformed file
+        # inside the reader, a bad d_b or a payload that is not d_b whole
+        # floats fails as a malformed file
         with reading("embedding file", path) as text:
             lines = text.splitlines()
             if not lines or not lines[0].startswith("d_b="):
@@ -113,8 +108,8 @@ class FileBackedProvider:
                 raw = _decode_payload(payload.strip(), self._dim, path, ln)
                 vec = np.frombuffer(raw, dtype="<f4")
                 if vec.shape != (self._dim,):
-                    raise DimensionMismatch(
-                        f"{path}:{ln}: {vec.shape[0]} floats, expected {self._dim}"
+                    raise FrameportError(
+                        f"line {ln}: {vec.shape[0]} floats, expected {self._dim}"
                     )
                 self._table[key] = vec.astype(np.float32)
 
@@ -126,7 +121,7 @@ class FileBackedProvider:
         key = occurrence_key(occ)
         vec = self._table.get(key)
         if vec is None:
-            raise MissingVectorError(f"no vector for occurrence {key!r}")
+            raise FrameportError(f"no vector for occurrence {key!r}")
         return vec
 
 
@@ -196,7 +191,7 @@ class ContextWindowProvider:
 
     def __init__(self, vocab: BpeVocab, vectors: np.ndarray):
         if vectors.ndim != 2 or vectors.shape[0] != vocab.size:
-            raise DimensionMismatch(
+            raise FrameportError(
                 f"vector table {vectors.shape} does not match vocab size {vocab.size}"
             )
         self._vocab = vocab
@@ -251,7 +246,7 @@ class ContextWindowProvider:
         encoded = self._encoded
         positions = token_spans_overlapping(encoded, occ.span)
         if not positions:
-            raise MissingVectorError(
+            raise FrameportError(
                 f"keyword span {occ.span} matches no tokens in its unit"
             )
         ids = [encoded[k][0] for k in positions]

@@ -1,14 +1,28 @@
 """Exception hierarchy shared across the package.
 
-The class decides the CLI exit code: ``ConfigError`` and its subclasses
-exit 2, ``BackendUnavailable`` and its subclasses 4, and every other
-``FrameportError`` 3.
+A class exists only where some caller reacts to it apart from its base:
+
+- ``FrameportError``: the base; the CLI exits 3 (``pipeline error: ...``);
+- ``ConfigError``: a bad flag, configuration or input file; exit 2;
+- ``BackendUnavailable``: the completion backend failed; exit 4;
+- ``ParseError``: source that does not parse; ``ingest`` skips the file,
+  and ``eval`` scores such a prediction 0;
+- ``ArityError``, ``DuplicateKeywordError``: a call that does not bind to
+  its signature; ``ingest`` skips the file;
+- ``UnmappedKeyword``: a keyword the dictionary lacks; the transpile path
+  passes it through with a warning;
+- ``SkeletonError`` and its ``MissingTranslationError``,
+  ``ResidualPlaceholderError`` and ``ExpansionContextError``, plus
+  ``PlaceholderMismatch`` and ``StopMarkerMissing`` (exit 4): transpile
+  failures that ``eval`` names by class in its report rows.
+
+Every other failure is a plain ``FrameportError`` with its message.
 
 Every input file is read through ``reading``, which decodes it as UTF-8
 inside ``loading``: a file that cannot be opened, read or decoded, or
-whose text does not parse, ends in one ``ConfigError`` naming it. Only
-the source files ``ingest`` scans are read apart, leniently, since an
-unreadable one is skipped rather than fatal.
+whose contents do not parse or fail a check, ends in one ``ConfigError``
+naming it. Only the source files ``ingest`` scans are read apart,
+leniently, since an unreadable one is skipped rather than fatal.
 """
 
 from __future__ import annotations
@@ -24,10 +38,6 @@ class FrameportError(Exception):
 
 class ParseError(FrameportError):
     """Source text does not parse under the supported grammar subset."""
-
-
-class UnknownCallableError(FrameportError):
-    """A framework-prefixed call is not in the signature database (strict mode)."""
 
 
 class ArityError(FrameportError):
@@ -75,38 +85,6 @@ class StopMarkerMissing(BackendUnavailable):
     """Backend completion did not terminate at the template's stop marker."""
 
 
-class MissingVectorError(FrameportError):
-    """File-backed embedding provider has no record for an occurrence."""
-
-
-class DimensionMismatch(FrameportError):
-    """Array shapes are inconsistent with the declared dimensions."""
-
-
-class LabelOutOfRange(FrameportError):
-    """A class label lies outside [0, num_classes)."""
-
-
-class CacheMismatch(FrameportError):
-    """Backward pass received a cache from a different forward configuration."""
-
-
-class ZeroVectorError(FrameportError):
-    """Cosine similarity requested for a zero-norm embedding."""
-
-
-class EmptyVocabularyError(FrameportError):
-    """Dictionary generation requires at least one keyword per framework."""
-
-
-class NonFiniteScoreError(FrameportError):
-    """A source callable scores NaN or -inf against every target group."""
-
-
-class EmptyDictionaryError(FrameportError):
-    """The induced dictionary has no pairs to score."""
-
-
 class UnmappedKeyword(FrameportError):
     """Dictionary lookup found no entry for the keyword."""
 
@@ -115,23 +93,23 @@ class ConfigError(FrameportError):
     """Invalid configuration file or flag combination."""
 
 
-class KOutOfRange(ConfigError):
-    """CSLS neighborhood size is not in [1, min(m1, m2)]."""
-
-
 @contextmanager
 def loading(what: str, path: str | Path) -> Iterator[None]:
     """Report an unreadable or malformed file as one ``ConfigError``.
 
-    I/O errors, JSON syntax errors, missing keys and fields of the wrong
-    type or value raised inside the block become
-    ``cannot load {what} {path}: ...``; frameport errors pass through.
+    I/O errors, JSON syntax errors, missing keys, fields of the wrong type
+    or value and frameport errors raised inside the block become
+    ``cannot load {what} {path}: ...``; a ``ConfigError`` keeps its text.
     """
     try:
         yield
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"cannot load {what} {path}: missing field {exc}") from None
-    except (OSError, ValueError, TypeError, AttributeError, IndexError) as exc:
+    except (
+        OSError, ValueError, TypeError, AttributeError, IndexError, FrameportError
+    ) as exc:
         raise ConfigError(f"cannot load {what} {path}: {exc}") from None
 
 

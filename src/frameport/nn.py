@@ -13,12 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from frameport.errors import (
-    CacheMismatch,
-    ConfigError,
-    DimensionMismatch,
-    LabelOutOfRange,
-)
+from frameport.errors import ConfigError, FrameportError
 
 RELU = "relu"
 LEAKY_RELU = "leaky-relu"
@@ -50,7 +45,7 @@ class Mlp:
             raise ConfigError("weights and biases must pair up")
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise DimensionMismatch(f"bad layer shapes {w.shape} / {b.shape}")
+                raise FrameportError(f"bad layer shapes {w.shape} / {b.shape}")
             if b.dtype != w.dtype:
                 # forward adds the bias in place, in the dtype of x @ W
                 raise ConfigError(f"layer dtypes differ: {w.dtype} / {b.dtype}")
@@ -62,7 +57,7 @@ class Mlp:
                 )
         for prev, nxt in zip(self.weights, self.weights[1:]):
             if prev.shape[1] != nxt.shape[0]:
-                raise DimensionMismatch(
+                raise FrameportError(
                     f"layer dims do not chain: {prev.shape} -> {nxt.shape}"
                 )
 
@@ -160,7 +155,7 @@ def forward(
     The bias add and dropout work in place on each layer's fresh product.
     """
     if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[0]:
-        raise DimensionMismatch(f"input {x.shape} does not match dims {mlp.dims}")
+        raise FrameportError(f"input {x.shape} does not match dims {mlp.dims}")
     use_dropout = train_mode and mlp.dropout > 0.0
     if use_dropout and rng is None:
         raise ConfigError("train-mode forward with dropout needs an rng")
@@ -190,13 +185,12 @@ def forward(
 
 
 def backward(
-    mlp: Mlp,
     cache: ForwardCache,
     upstream: np.ndarray,
     param_grads: bool = True,
     input_grad: bool = True,
 ) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
-    """Gradients for every parameter (parameters() order) plus the input.
+    """Gradients of ``cache.mlp.parameters()``, in order, plus the input.
 
     ``param_grads=False`` skips every weight and bias gradient (the
     ``inputs.T @ dz`` products and the ``dz`` column sums) and returns None
@@ -212,10 +206,9 @@ def backward(
     (1, k), which ``matmul`` does not hand to BLAS but runs in its own loop,
     several times slower.
     """
-    if cache.mlp is not mlp:
-        raise CacheMismatch("cache was produced by a different model")
+    mlp = cache.mlp
     if upstream.shape != (cache.inputs[0].shape[0], mlp.weights[-1].shape[1]):
-        raise DimensionMismatch(f"upstream gradient has shape {upstream.shape}")
+        raise FrameportError(f"upstream gradient has shape {upstream.shape}")
     keep = 1.0 - mlp.dropout
     reversed_grads: list[np.ndarray] = []
     dz = upstream
@@ -256,7 +249,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     """Standard bias-corrected Adam update of ``theta``, in place."""
     if not theta.shape == grad.shape == state.m.shape:
         shapes = (theta.shape, grad.shape, state.m.shape)
-        raise DimensionMismatch(f"param, grad and state shapes differ: {shapes}")
+        raise FrameportError(f"param, grad and state shapes differ: {shapes}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -292,13 +285,13 @@ def softmax_cross_entropy(
     None for it; the gradient is the same, bit for bit.
     """
     if logits.ndim != 2:
-        raise DimensionMismatch(f"logits must be 2-d, got {logits.shape}")
+        raise FrameportError(f"logits must be 2-d, got {logits.shape}")
     n, k = logits.shape
     labels = np.asarray(labels)
     if labels.shape != (n,):
-        raise DimensionMismatch(f"labels shape {labels.shape} != ({n},)")
+        raise FrameportError(f"labels shape {labels.shape} != ({n},)")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise LabelOutOfRange(f"labels must lie in [0, {k})")
+        raise FrameportError(f"labels must lie in [0, {k})")
     if not 0.0 <= label_smoothing < 1.0:
         raise ConfigError(f"label smoothing {label_smoothing} outside [0, 1)")
     # log-probabilities in one buffer, exp() and products in the other; the
@@ -345,7 +338,7 @@ def binary_cross_entropies(
     for targets in target_sets:
         t = np.asarray(targets, dtype=flat.dtype).reshape(-1)
         if flat.shape != t.shape:
-            raise DimensionMismatch(
+            raise FrameportError(
                 f"logits {logits.shape} vs targets {np.shape(targets)}"
             )
         value = None

@@ -40,12 +40,7 @@ import numpy as np
 from frameport import nn
 from frameport.atomic import write_text_atomic
 from frameport.canon import ApiKeyword
-from frameport.errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyDictionaryError,
-    reading,
-)
+from frameport.errors import ConfigError, FrameportError, reading
 from frameport.keyword_dictionary import (
     KeywordDictionary,
     dictionary_pairs,
@@ -113,12 +108,12 @@ class AlignmentModel:
     def __post_init__(self) -> None:
         d = self.generator.dims[-1]
         if self.discriminator.dims[0] != d or self.discriminator.dims[-1] != 1:
-            raise DimensionMismatch(
+            raise FrameportError(
                 f"discriminator dims {self.discriminator.dims} do not accept d={d}"
             )
         for E in self.output_embeddings:
             if E.ndim != 2 or E.shape[0] != d:
-                raise DimensionMismatch(f"output embedding shape {E.shape}, d={d}")
+                raise FrameportError(f"output embedding shape {E.shape}, d={d}")
 
     @classmethod
     def create(
@@ -184,9 +179,9 @@ class TrainBatch:
 
     def __post_init__(self) -> None:
         if self.h1.ndim != 2 or self.h2.ndim != 2:
-            raise DimensionMismatch("batch embeddings must be 2-d")
+            raise FrameportError("batch embeddings must be 2-d")
         if len(self.y1) != len(self.h1) or len(self.y2) != len(self.h2):
-            raise DimensionMismatch("labels do not match embeddings")
+            raise FrameportError("labels do not match embeddings")
 
 
 def _role_params(model: AlignmentModel) -> dict[str, list[np.ndarray]]:
@@ -295,16 +290,16 @@ def gradients(
     dz_ce = np.empty((n1 + n2, E1.shape[0]), np.result_type(dlogits1, E1))
     np.matmul(dlogits1, E1.T, out=dz_ce[:n1])
     np.matmul(dlogits2, E2.T, out=dz_ce[n1:])
-    g_gen, _ = nn.backward(model.generator, gen_cache, dz_ce, input_grad=False)
+    g_gen, _ = nn.backward(gen_cache, dz_ce, input_grad=False)
     joint_grads = g_gen + [
         np.matmul(z1.T, dlogits1, out=out[0]),
         np.matmul(z2.T, dlogits2, out=out[1]),
     ]
 
-    g_disc, _ = nn.backward(model.discriminator, disc_cache, g_true, input_grad=False)
+    g_disc, _ = nn.backward(disc_cache, g_true, input_grad=False)
 
-    _, dz_adv = nn.backward(model.discriminator, disc_cache, g_rev, param_grads=False)
-    adv_grads, _ = nn.backward(model.generator, gen_cache, dz_adv, input_grad=False)
+    _, dz_adv = nn.backward(disc_cache, g_rev, param_grads=False)
+    adv_grads, _ = nn.backward(gen_cache, dz_adv, input_grad=False)
 
     grads = {"joint": joint_grads, "disc": g_disc, "gen_adv": adv_grads}
     if not losses:
@@ -440,7 +435,7 @@ def avg_cosine_similarity(
     """
     pairs = dictionary_pairs(dictionary)
     if not pairs:
-        raise EmptyDictionaryError("dictionary induced no keyword pairs")
+        raise FrameportError("dictionary induced no keyword pairs")
     idx1 = vocab_index(vocab1)
     idx2 = vocab_index(vocab2)
     E1, E2 = model.output_embeddings
@@ -511,7 +506,7 @@ def train(
     """
     d_b = H1.shape[1]
     if H2.shape[1] != d_b:
-        raise DimensionMismatch("both sides must share the provider dimension d_b")
+        raise FrameportError("both sides must share the provider dimension d_b")
     s_batch, s_drop, s_init = np.random.SeedSequence(cfg.seed).spawn(3)
     sampler = BatchSampler(H1, y1, H2, y2, cfg.batch_size, seed=s_batch)
     rng_drop = np.random.default_rng(s_drop)

@@ -42,8 +42,8 @@ from frameport.errors import (
     ArityError,
     ConfigError,
     DuplicateKeywordError,
+    FrameportError,
     ParseError,
-    UnknownCallableError,
 )
 from frameport.pipeline import default_database
 from helpers import HAND_WRITTEN_UNIT, fuzz_pytorch_unit
@@ -136,7 +136,9 @@ def test_syntax_error_raises_parse_error():
 def test_strict_mode_rejects_unknown_framework_callables():
     src = "import torch.nn as nn\nx = nn.Bogus(3)\n"
     assert canon(src) == src.rstrip("\n")  # lenient: left as-is
-    with pytest.raises(UnknownCallableError):
+    with pytest.raises(
+        FrameportError, match=r"^no signature for 'nn\.Bogus' \(pytorch\)$"
+    ):
         canonicalize(SourceUnit(src, "pytorch"), PT, strict=True)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import base64
 import http.server
 import io
 import json
@@ -691,6 +692,25 @@ def test_train_resume_with_no_step_left_changes_nothing(corpus, run_dir, tmp_pat
     assert {name: (out / name).read_bytes() for name in names} == before
 
 
+@pytest.mark.parametrize("total", ["32", "63"])
+def test_train_resume_below_the_trained_samples_fails_before_any_work(
+    total, corpus, run_dir, tmp_path, capsys
+):
+    # the run is at step 8 of batch 8: 64 samples trained
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    names = ("metrics.jsonl", "checkpoint.json", "checkpoint_best.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    ckpt = out / "checkpoint.json"
+    capsys.readouterr()
+    rc = main(_train_argv(corpus, out, "--total-samples", total, "--resume", str(ckpt)))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --total-samples {total} is below the 64 samples {ckpt} has trained\n"
+    )
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
 def test_train_grid_reports_every_cell(corpus, tmp_path, capsys):
     capsys.readouterr()
     rc = main(
@@ -974,6 +994,36 @@ def test_corpus_unit_text_that_is_not_a_string_exits_2(corpus, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot load corpus units {units}: "), err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bad_id", [99, 0], ids=["out-of-range", "repeated"])
+def test_corpus_vocabulary_ids_out_of_list_order_exit_2(
+    bad_id, run_dir, corpus, tmp_path, capsys
+):
+    # an id out of range used to end dict in an IndexError traceback and
+    # train in exit 3; a repeated id trained and wrote a dictionary
+    damaged = tmp_path / "corpus"
+    shutil.copytree(corpus, damaged)
+    manifest = damaged / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["frameworks"]["pytorch"]["vocabulary"][1]["id"] = bad_id
+    manifest.write_text(json.dumps(doc))
+    for argv in (
+        _train_argv(damaged, tmp_path / "run", "--total-samples", "16"),
+        [
+            "dict", "--checkpoint", str(run_dir / "checkpoint_best.json"),
+            "--corpus", str(damaged), "--src-framework", "pytorch",
+            "--tgt-framework", "keras", "--out", str(tmp_path / "d.json"),
+        ],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load corpus manifest {manifest}: "
+            f"pytorch vocabulary entry 1 has id {bad_id}\n"
+        )
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_train_unknown_provider_is_a_config_error(corpus, tmp_path):
@@ -1829,6 +1879,43 @@ def test_malformed_input_file_exits_2_with_one_line_naming_it(
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load ") and err.count("\n") == 1
     assert f" {path}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dict_checkpoint_whose_embedding_shape_disagrees_with_d_exits_2(
+    run_dir, corpus, tmp_path, capsys
+):
+    # it used to exit 3 as a pipeline error
+    doc = json.loads((run_dir / "checkpoint_best.json").read_text())
+    doc["model"]["output_embeddings"][0] = fnn.encode_array(np.zeros((9, 5), np.float32))
+    checkpoint = tmp_path / "tall.json"
+    checkpoint.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main([
+        "dict", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+        "--src-framework", "pytorch", "--tgt-framework", "keras",
+        "--out", str(tmp_path / "d.json"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot load checkpoint {checkpoint}: output embedding shape (9, 5), d=8\n"
+    )
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_train_embedding_file_record_of_the_wrong_width_exits_2(
+    corpus, tmp_path, capsys
+):
+    # it used to exit 3 as a pipeline error
+    path = tmp_path / "emb.txt"
+    payload = base64.b64encode(np.zeros(3, "<f4").tobytes()).decode()
+    path.write_text(f"d_b=4\npytorch:0:0:9\t{payload}\n")
+    capsys.readouterr()
+    rc = main(_train_argv(corpus, tmp_path / "out", "--provider", f"file:{path}"))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot load embedding file {path}: line 2: 3 floats, expected 4\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

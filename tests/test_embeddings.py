@@ -37,7 +37,7 @@ from frameport.embeddings import (
     embed_batch,
     occurrence_key,
 )
-from frameport.errors import ConfigError, DimensionMismatch, MissingVectorError
+from frameport.errors import ConfigError, FrameportError
 from frameport.pipeline import default_database
 
 
@@ -48,7 +48,7 @@ def write_embedding_file(path, dim, records):
         for key, vec in records:
             arr = np.asarray(vec, dtype="<f4")
             if arr.shape != (dim,):
-                raise DimensionMismatch(f"record {key!r} has shape {arr.shape}")
+                raise FrameportError(f"record {key!r} has shape {arr.shape}")
             fh.write(f"{key}\t{base64.b64encode(arr.tobytes()).decode('ascii')}\n")
 
 
@@ -121,7 +121,9 @@ def test_file_backed_round_trip_and_lookup(tmp_path):
     assert provider.dim == 5
     occs = [_occ("abc", span=(i, i + 3), unit_ref="pytorch:0") for i in range(4)]
     assert np.array_equal(embed_batch(provider, occs), np.stack(list(vecs.values())))
-    with pytest.raises(MissingVectorError):
+    with pytest.raises(
+        FrameportError, match=r"^occurrence 0: no vector for occurrence 'pytorch:0:90:93'$"
+    ):
         embed_batch(provider, [_occ("abc", span=(90, 93))])
 
 
@@ -161,14 +163,17 @@ def test_file_backed_format_errors(tmp_path):
     wrong = tmp_path / "wrong_width.txt"
     # 2 floats as base64; 4 floats as hex, which is not 8 * d_b digits long
     # and so decodes as base64 to 6 floats
-    for payload in (
-        base64.b64encode(np.arange(2, dtype="<f4").tobytes()).decode(),
-        np.arange(4, dtype="<f4").tobytes().hex(),
+    for payload, floats in (
+        (base64.b64encode(np.arange(2, dtype="<f4").tobytes()).decode(), 2),
+        (np.arange(4, dtype="<f4").tobytes().hex(), 6),
     ):
         wrong.write_text(f"d_b=3\nk\t{payload}\n")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError) as exc:
             FileBackedProvider(wrong)
-    with pytest.raises(DimensionMismatch):
+        assert str(exc.value) == (
+            f"cannot load embedding file {wrong}: line 2: {floats} floats, expected 3"
+        )
+    with pytest.raises(FrameportError, match=r"^record 'k' has shape \(2,\)$"):
         write_embedding_file(tmp_path / "w.txt", 3, [("k", np.zeros(2))])
 
 
@@ -199,7 +204,10 @@ def test_context_window_provider_separates_contexts():
 def test_context_window_span_outside_context_fails():
     _, _, provider = _trained_provider()
     occ = _occ("nn.Linear", context="short", span=(100, 109))
-    with pytest.raises(MissingVectorError):
+    with pytest.raises(
+        FrameportError,
+        match=r"^occurrence 0: keyword span \(100, 109\) matches no tokens in its unit$",
+    ):
         embed_batch(provider, [occ])
 
 
@@ -261,7 +269,10 @@ def test_context_window_takes_the_window_across_scope_edges():
 def test_context_window_vector_table_validation():
     texts = ["tiny corpus"]
     vocab = bpe_train(texts, 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(
+        FrameportError,
+        match=rf"^vector table \(3, 4\) does not match vocab size {vocab.size}$",
+    ):
         ContextWindowProvider(vocab, np.zeros((3, 4), np.float32))
     with pytest.raises(ConfigError):
         ContextWindowProvider.train([], vocab)
@@ -359,13 +370,18 @@ def test_embed_batch_validates_shape_and_finiteness():
         def _vector(self, occ):
             return np.zeros(self.dim + 1, np.float32)
 
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(
+        FrameportError,
+        match=r"^occurrence 0: provider returned shape \(5,\), declared d_b=4$",
+    ):
         embed_batch(Bad(4), [_occ()])
 
     class Inf(HashProvider):
         def _vector(self, occ):
             return np.full(self.dim, np.inf, np.float32)
 
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(
+        FrameportError, match=r"^occurrence 0: non-finite embedding entries$"
+    ):
         embed_batch(Inf(4), [_occ()])
 

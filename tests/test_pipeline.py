@@ -12,9 +12,9 @@ from frameport.dictionary import KeywordDictionary
 from frameport.errors import (
     ConfigError,
     ExpansionContextError,
+    FrameportError,
     ParseError,
     PlaceholderMismatch,
-    UnknownCallableError,
 )
 from frameport.pipeline import (
     build_translations,
@@ -157,7 +157,9 @@ def test_unparseable_input_raises():
 def test_strict_mode_propagates_to_canonicalization():
     text = "import torch.nn as nn\nx = nn.Bogus(1)\n"
     transpile_source(text, "pytorch", "keras")  # lenient passes through
-    with pytest.raises(UnknownCallableError):
+    with pytest.raises(
+        FrameportError, match=r"^no signature for 'nn\.Bogus' \(pytorch\)$"
+    ):
         transpile_source(text, "pytorch", "keras", strict=True)
 
 

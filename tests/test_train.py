@@ -15,7 +15,7 @@ from frameport import nn as fnn
 from frameport import train as ft
 from frameport.canon import CALLABLE, PARAMETER, ApiKeyword
 from frameport.dictionary import KeywordDictionary, GroupEntry, ParamEntry
-from frameport.errors import ConfigError, EmptyDictionaryError
+from frameport.errors import ConfigError, FrameportError
 from frameport.keyword_dictionary import dictionary_pairs, vocab_index
 from helpers import (
     binary_cross_entropy,
@@ -393,7 +393,7 @@ def test_avg_cosine_similarity_hand_value():
     # pairs: (e1[:,0], e2[:,0]) cos=1; (e1[:,1], e2[:,1]) cos=1/sqrt(2)
     assert math.isclose(value, (1 + 1 / math.sqrt(2)) / 2, rel_tol=1e-12)
     empty = KeywordDictionary("a", "b", 5.0, ())
-    with pytest.raises(EmptyDictionaryError):
+    with pytest.raises(FrameportError, match=r"^dictionary induced no keyword pairs$"):
         ft.avg_cosine_similarity(model, empty, v1, v2)
 
 
@@ -412,14 +412,14 @@ def _per_side_gradients(model, batch, label_smoothing, train_mode, rng):
     l_d, g_true = binary_cross_entropy(d_logit, targets)
     l_g, g_rev = binary_cross_entropy(d_logit, 1.0 - targets)
 
-    g_gen1, _ = fnn.backward(model.generator, c1, dlogits1 @ E1.T)
-    g_gen2, _ = fnn.backward(model.generator, c2, dlogits2 @ E2.T)
+    g_gen1, _ = fnn.backward(c1, dlogits1 @ E1.T)
+    g_gen2, _ = fnn.backward(c2, dlogits2 @ E2.T)
     joint = [a + b for a, b in zip(g_gen1, g_gen2)] + [z1.T @ dlogits1, z2.T @ dlogits2]
-    g_disc, _ = fnn.backward(model.discriminator, dc, g_true)
-    _, dz_adv = fnn.backward(model.discriminator, dc, g_rev)
+    g_disc, _ = fnn.backward(dc, g_true)
+    _, dz_adv = fnn.backward(dc, g_rev)
     n1 = len(z1)
-    g_adv1, _ = fnn.backward(model.generator, c1, dz_adv[:n1])
-    g_adv2, _ = fnn.backward(model.generator, c2, dz_adv[n1:])
+    g_adv1, _ = fnn.backward(c1, dz_adv[:n1])
+    g_adv2, _ = fnn.backward(c2, dz_adv[n1:])
     adv = [a + b for a, b in zip(g_adv1, g_adv2)]
     losses = {"L_CE_1": l_ce1, "L_CE_2": l_ce2, "L_D": l_d, "L_G": l_g}
     return {"joint": joint, "disc": g_disc, "gen_adv": adv}, losses
@@ -481,11 +481,11 @@ def _four_full_backward_gradients(model, batch, label_smoothing, train_mode, rng
     l_d, g_true = binary_cross_entropy(d_logit, targets)
     l_g, g_rev = binary_cross_entropy(d_logit, 1.0 - targets)
     dz_ce = np.concatenate([dlogits1 @ E1.T, dlogits2 @ E2.T], axis=0)
-    g_gen, _ = fnn.backward(model.generator, gen_cache, dz_ce)
+    g_gen, _ = fnn.backward(gen_cache, dz_ce)
     joint = g_gen + [z1.T @ dlogits1, z2.T @ dlogits2]
-    g_disc, _ = fnn.backward(model.discriminator, disc_cache, g_true)
-    _, dz_adv = fnn.backward(model.discriminator, disc_cache, g_rev)
-    adv, _ = fnn.backward(model.generator, gen_cache, dz_adv)
+    g_disc, _ = fnn.backward(disc_cache, g_true)
+    _, dz_adv = fnn.backward(disc_cache, g_rev)
+    adv, _ = fnn.backward(gen_cache, dz_adv)
     losses = {"L_CE_1": l_ce1, "L_CE_2": l_ce2, "L_D": l_d, "L_G": l_g}
     return {"joint": joint, "disc": g_disc, "gen_adv": adv}, losses
 
