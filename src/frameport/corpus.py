@@ -314,6 +314,7 @@ def load_corpus(directory: str | Path) -> IngestResult:
             for rec in records:
                 if not isinstance(rec["text"], str):
                     raise TypeError(f"unit text {rec['text']!r} is not a string")
+                rec["text"].encode("utf-8")  # JSON can spell lone surrogates
             units[fw] = [
                 SourceUnit(text=rec["text"], framework=fw, origin=rec.get("origin", ""))
                 for rec in records

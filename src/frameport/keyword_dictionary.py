@@ -2,7 +2,9 @@
 
 A dictionary maps each source callable to a target callable (a group),
 and each of its parameters to a target parameter, to nothing (dropped),
-or to a new zero-argument call (an expansion). This module is all of the
+or to a new zero-argument call (an expansion). ``lookup`` answers a
+keyword in the form reinsertion takes: a fragment list plus the call an
+expansion appends to its host call. This module is all of the
 dictionary that the transpile path reads, and it imports no numpy.
 Scoring keyword pairs and inducing a dictionary from embeddings live in
 ``frameport.dictionary``, which imports numpy and builds these records.
@@ -18,11 +20,6 @@ from typing import Mapping, Sequence
 from frameport.atomic import write_text_atomic
 from frameport.canon import CALLABLE, PARAMETER, ApiKeyword
 from frameport.errors import ConfigError, UnmappedKeyword, reading
-
-RENAME = "rename"
-DROP = "drop"
-EXPAND = "expand"
-
 
 @dataclass(frozen=True)
 class ParamEntry:
@@ -60,6 +57,9 @@ class KeywordDictionary:
             if g.src_callable in by_src:
                 raise ConfigError(f"duplicate source callable {g.src_callable!r}")
             by_src[g.src_callable] = g
+            targets = [g.tgt_callable, *(p.tgt for p in g.params)]
+            if "" in targets or "" in (e.new_call for e in g.expansions):
+                raise ConfigError(f"empty target name in group {g.src_callable!r}")
         # an attribute, not a field, so that asdict and == see only the groups
         object.__setattr__(self, "_by_src", by_src)
 
@@ -107,33 +107,28 @@ class KeywordDictionary:
             return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class Translation:
-    """What the pipeline should do with one keyword occurrence."""
+def lookup(dictionary: KeywordDictionary, kw: ApiKeyword) -> tuple[list[str], str | None]:
+    """Resolve a keyword into ``(fragments, new_call)``.
 
-    kind: str  # rename | drop | expand
-    new_name: str | None = None
-    new_call: str | None = None
-
-
-def lookup(dictionary: KeywordDictionary, kw: ApiKeyword) -> Translation:
-    """Resolve a keyword; parameters resolve inside their owner's group."""
+    ``fragments`` is a fresh list: ``[target]`` for a rename, ``[]`` for a
+    drop or an expansion. ``new_call`` is the zero-argument call an
+    expansion appends to its host call, else None. Parameters resolve
+    inside their owner's group.
+    """
     if kw.kind == CALLABLE:
         g = dictionary.group_for(kw.text)
         if g is None:
             raise UnmappedKeyword(f"callable {kw.text!r} not in dictionary")
-        return Translation(kind=RENAME, new_name=g.tgt_callable)
+        return [g.tgt_callable], None
     g = dictionary.group_for(kw.owner)
     if g is None:
         raise UnmappedKeyword(f"no group for owner {kw.owner!r}")
     for e in g.expansions:
         if e.src_param == kw.text:
-            return Translation(kind=EXPAND, new_call=e.new_call)
+            return [], e.new_call
     for p in g.params:
         if p.src == kw.text:
-            if p.tgt is None:
-                return Translation(kind=DROP)
-            return Translation(kind=RENAME, new_name=p.tgt)
+            return ([] if p.tgt is None else [p.tgt]), None
     raise UnmappedKeyword(f"parameter {kw.text!r} not in group {kw.owner!r}")
 
 

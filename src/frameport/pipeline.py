@@ -11,7 +11,7 @@ side, plus the translations that are not plain dotted names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -29,15 +29,9 @@ from .errors import (
     PlaceholderMismatch,
     UnmappedKeyword,
 )
-from .keyword_dictionary import EXPAND, RENAME, KeywordDictionary, lookup
+from .keyword_dictionary import KeywordDictionary, lookup
 from .llm import BackendConfig, PromptTemplate, load_template, transpile_skeleton
-from .skeleton import (
-    CodeSkeleton,
-    PlaceholderReport,
-    reinsert,
-    to_skeleton,
-    validate_placeholders,
-)
+from .skeleton import CodeSkeleton, reinsert, to_skeleton, validate_placeholders
 
 FRAMEWORKS = ("keras", "mxnet", "pytorch")
 
@@ -85,17 +79,17 @@ class TranspileResult:
     """Everything produced while translating one unit.
 
     ``output`` is the final target-dialect unit. The intermediate stages
-    are kept for inspection: the canonicalized input, the placeholder
-    skeleton, the raw backend completion, and the placeholder report.
-    ``warnings`` lists the known calls with star arguments and the keywords
-    that passed through untranslated.
+    are kept for inspection: the placeholder skeleton, whose
+    ``canonical_text()`` is the canonicalized input, and the raw backend
+    completion, whose placeholders matched the skeleton's (a mismatch
+    raises ``PlaceholderMismatch`` instead). ``warnings`` lists the known
+    calls with star arguments and the keywords that passed through
+    untranslated.
     """
 
     output: SourceUnit
-    canonical_source: SourceUnit
     skeleton: CodeSkeleton
     completion: str
-    report: PlaceholderReport
     warnings: tuple[str, ...] = ()
 
 
@@ -106,12 +100,11 @@ def build_translations(
     """Resolve keyword sites into reinsertion fragments per placeholder.
 
     Placeholder index ``i`` names ``occs[i - 1]``, the order ``to_skeleton``
-    leaves the sites in. Renames become one-element fragment lists and drops
-    become empty ones. An expansion empties its own slot and appends the
-    new call to the slot of the enclosing call's callable, so the extra
-    call is emitted right after the translated one. Keywords missing
-    from the dictionary pass through unchanged and are reported in the
-    returned warning list.
+    leaves the sites in, and its slot holds the fragment list ``lookup``
+    returns. An expansion also appends its new call to the slot of the
+    enclosing call's callable, so the extra call is emitted right after
+    the translated one. Keywords missing from the dictionary pass through
+    unchanged and are reported in the returned warning list.
     """
     host_slot: dict[int, int] = {}
     for i, occ in enumerate(occs, start=1):
@@ -122,20 +115,19 @@ def build_translations(
     for i, occ in enumerate(occs, start=1):
         kw = occ.keyword
         try:
-            found = lookup(dictionary, kw)
+            translations[i], new_call = lookup(dictionary, kw)
         except UnmappedKeyword as exc:
             warnings.append(str(exc))
             translations[i] = [kw.text]
             continue
-        translations[i] = [found.new_name or kw.text] if found.kind == RENAME else []
-        if found.kind == EXPAND:
+        if new_call is not None:
             host = host_slot.get(occ.call_id)
             if host is None:
                 raise ExpansionContextError(
-                    f"parameter {kw.text!r} expands to {found.new_call!r} "
+                    f"parameter {kw.text!r} expands to {new_call!r} "
                     "but its enclosing call was not captured"
                 )
-            translations[host].append(found.new_call or "")
+            translations[host].append(new_call)
     return translations, warnings
 
 
@@ -179,10 +171,8 @@ def transpile_unit(
               for name in star_calls]
     return TranspileResult(
         output=output,
-        canonical_source=replace(unit, text=skeleton.canonical_text()),
         skeleton=skeleton,
         completion=completion,
-        report=report,
         warnings=(*passed, *unmapped),
     )
 

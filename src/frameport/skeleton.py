@@ -43,29 +43,31 @@ PLACEHOLDER_RE = re.compile(r"PLACEHOLDER_([0-9]+)")
 
 @dataclass(frozen=True)
 class CodeSkeleton:
-    """Source text with numbered placeholders plus the removed keywords."""
+    """Source text with numbered placeholders plus the removed keywords:
+    ``PLACEHOLDER_i`` stands for ``keywords[i - 1]``."""
 
     text: str
-    placeholders: tuple[tuple[int, ApiKeyword], ...]
-
-    def indices(self) -> list[int]:
-        return [i for i, _ in self.placeholders]
+    keywords: tuple[ApiKeyword, ...]
 
     def canonical_text(self) -> str:
         """The text with each placeholder's keyword put back: the
         canonical unit the skeleton was cut from."""
-        keywords = [keyword.text for _, keyword in self.placeholders]
-        return PLACEHOLDER_RE.sub(lambda m: keywords[int(m.group(1)) - 1], self.text)
+        return PLACEHOLDER_RE.sub(
+            lambda m: self.keywords[int(m.group(1)) - 1].text, self.text
+        )
 
 
 @dataclass(frozen=True)
 class PlaceholderReport:
     """Multiset comparison of expected vs. found placeholder indices."""
 
-    ok: bool
     missing: tuple[int, ...] = ()
     duplicate: tuple[int, ...] = ()
     extra: tuple[int, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not (self.missing or self.duplicate or self.extra)
 
 
 def _placeholder_index(name: str | None) -> int | None:
@@ -93,19 +95,17 @@ def to_skeleton(tree: ast.Module, sites: list[KeywordSite]) -> CodeSkeleton:
     pieces = PLACEHOLDER_RE.split(text)  # text, walk index, text, ...
     sites[:] = [sites[int(k)] for k in pieces[1::2]]
     pieces[1::2] = [f"PLACEHOLDER_{i}" for i in range(1, len(sites) + 1)]
-    placeholders = tuple((i, site.keyword) for i, site in enumerate(sites, start=1))
-    return CodeSkeleton(text="".join(pieces), placeholders=placeholders)
+    return CodeSkeleton("".join(pieces), tuple(site.keyword for site in sites))
 
 
 def validate_placeholders(src: CodeSkeleton, out_text: str) -> PlaceholderReport:
     """Compare placeholder indices of a translated skeleton against 1..n."""
-    expected = set(src.indices())
+    n = len(src.keywords)
     counts = Counter(int(i) for i in PLACEHOLDER_RE.findall(out_text))
-    missing = tuple(sorted(i for i in expected if counts.get(i, 0) == 0))
+    missing = tuple(i for i in range(1, n + 1) if i not in counts)
     duplicate = tuple(sorted(i for i, c in counts.items() if c > 1))
-    extra = tuple(sorted(i for i in counts if i not in expected))
-    ok = not (missing or duplicate or extra)
-    return PlaceholderReport(ok=ok, missing=missing, duplicate=duplicate, extra=extra)
+    extra = tuple(sorted(i for i in counts if not 1 <= i <= n))
+    return PlaceholderReport(missing, duplicate, extra)
 
 
 def _is_name(text: str, dotted: bool) -> bool:
@@ -156,11 +156,6 @@ class _Reinserter(_Rewriter):
         self.unplaced: dict[ast.Name, int] = {}
         super().__init__(db, tree, strict=False)
 
-    def _lookup(self, index: int) -> list[str]:
-        if index not in self.translations:
-            raise MissingTranslationError(f"no translation for PLACEHOLDER_{index}")
-        return list(self.translations[index])
-
     def _canonical(self, node: ast.AST) -> ast.AST:
         """A tree a translation built, rewritten without resolving placeholders."""
         self.resolving = False
@@ -169,7 +164,7 @@ class _Reinserter(_Rewriter):
         return node
 
     def _rename(self, index: int, node: ast.Name) -> ast.expr:
-        fragments = self._lookup(index)
+        fragments = self.translations[index]
         if not fragments:
             raise SkeletonError(f"cannot drop callable PLACEHOLDER_{index}")
         if len(fragments) > 1:
@@ -211,7 +206,7 @@ class _Reinserter(_Rewriter):
         index = _placeholder_index(node.arg) if self.resolving else None
         if index is None:
             return node
-        fragments = self._lookup(index)
+        fragments = self.translations[index]
         if not fragments:
             return None  # drop this argument
         if len(fragments) > 1:
@@ -243,7 +238,7 @@ class _Reinserter(_Rewriter):
                 index = _placeholder_index(getattr(alias, attr))
                 if index is None:
                     continue
-                fragments = self._lookup(index)
+                fragments = self.translations[index]
                 if len(fragments) != 1:
                     raise ExpansionContextError(
                         f"import alias PLACEHOLDER_{index} must map to one name"
@@ -299,7 +294,9 @@ def reinsert(
     placeholder text left in an import; any other placeholder text left in
     the output is found by one search of the unparsed text.
     """
-    found = {int(i) for i in PLACEHOLDER_RE.findall(skeleton_text)}
+    # the parser NFKC-normalizes identifiers: search the text as it reads it
+    parsed = unicodedata.normalize("NFKC", skeleton_text)
+    found = {int(i) for i in PLACEHOLDER_RE.findall(parsed)}
     if missing := sorted(found - translations.keys()):
         raise MissingTranslationError(f"no translation for placeholder indices {missing}")
     tree = parse_source(skeleton_text, "skeleton does not parse")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -224,15 +224,23 @@ class Optimizers:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Optimizers":
-        def state(d: dict) -> nn.AdamState:
-            m, v = (
-                np.concatenate([nn.decode_array(a) for a in d[k]], axis=None)
-                for k in ("m", "v")
-            )
-            return nn.AdamState(m, v, int(d["step"]), d["beta1"], d["beta2"], d["eps"])
+    def from_dict(cls, doc: dict, model: AlignmentModel) -> "Optimizers":
+        def state(role: str, like: list[np.ndarray]) -> nn.AdamState:
+            d = doc[role]
+            flat = []
+            for k in ("m", "v"):
+                arrays = [nn.decode_array(a) for a in d[k]]
+                if [a.shape for a in arrays] != [a.shape for a in like]:
+                    raise FrameportError(
+                        f"optimizer {role} {k} does not match the model's parameter shapes"
+                    )
+                flat.append(np.concatenate(arrays, axis=None))
+            step = int(d["step"])
+            if step < 0:
+                raise FrameportError(f"optimizer {role} has negative step {step}")
+            return nn.AdamState(*flat, step, d["beta1"], d["beta2"], d["eps"])
 
-        return cls(**{f.name: state(doc[f.name]) for f in fields(cls)})
+        return cls(**{role: state(role, like) for role, like in _role_params(model).items()})
 
 
 def _smoothed_targets(n1: int, n2: int, smoothing: float) -> np.ndarray:
@@ -637,10 +645,14 @@ def load_checkpoint(path: str | Path) -> TrainState:
         if doc.get("version") != 1:
             raise ConfigError(f"{path}: unsupported checkpoint version")
         best = doc.get("best_model")
+        step = int(doc["step"])
+        if step < 0:
+            raise FrameportError(f"negative step {step}")
+        model = AlignmentModel.from_dict(doc["model"])
         return TrainState(
-            model=AlignmentModel.from_dict(doc["model"]),
-            opt=Optimizers.from_dict(doc["optimizers"]),
-            step=int(doc["step"]),
+            model=model,
+            opt=Optimizers.from_dict(doc["optimizers"], model),
+            step=step,
             cfg=TrainConfig(**doc["config"]),
             sampler_state=doc["sampler_state"],
             dropout_state=doc["dropout_state"],

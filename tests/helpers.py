@@ -64,7 +64,7 @@ def exact_match(pred, gold, db) -> bool:
 
 def identity_translations(skeleton) -> dict[int, list[str]]:
     """Translations that reproduce a skeleton's original keywords."""
-    return {i: [keyword.text] for i, keyword in skeleton.placeholders}
+    return {i: [kw.text] for i, kw in enumerate(skeleton.keywords, start=1)}
 
 
 def binary_cross_entropy(logits, targets, loss: bool = True):

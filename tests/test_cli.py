@@ -711,6 +711,49 @@ def test_train_resume_below_the_trained_samples_fails_before_any_work(
     assert {name: (out / name).read_bytes() for name in names} == before
 
 
+def _drop_last_joint_m(doc: dict) -> str:
+    doc["optimizers"]["joint"]["m"].pop()
+    return "optimizer joint m does not match the model's parameter shapes"
+
+
+def _negative_step(doc: dict) -> str:
+    doc["step"] = -5
+    return "negative step -5"
+
+
+def _negative_adam_step(doc: dict) -> str:
+    doc["optimizers"]["disc"]["step"] = -1
+    return "optimizer disc has negative step -1"
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_joint_m, _negative_step, _negative_adam_step])
+def test_a_malformed_checkpoint_fails_to_load_before_any_work(
+    corrupt, corpus, run_dir, tmp_path, capsys
+):
+    # a checkpoint is checked whole when it loads, before any file is written
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    ckpt = out / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    message = corrupt(doc)
+    ckpt.write_text(json.dumps(doc))
+    names = ("metrics.jsonl", "checkpoint.json", "checkpoint_best.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    want = f"error: cannot load checkpoint {ckpt}: {message}\n"
+    capsys.readouterr()
+    argv = _train_argv(corpus, out, "--total-samples", "128", "--resume", str(ckpt))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == want
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert main([
+        "dict", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+        "--src-framework", "pytorch", "--tgt-framework", "keras",
+        "--out", str(tmp_path / "d.json"),
+    ]) == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_train_grid_reports_every_cell(corpus, tmp_path, capsys):
     capsys.readouterr()
     rc = main(
@@ -996,6 +1039,22 @@ def test_corpus_unit_text_that_is_not_a_string_exits_2(corpus, tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+def test_corpus_unit_text_that_is_not_utf8_exits_2(corpus, tmp_path, capsys):
+    # JSON can escape a lone surrogate, which no UTF-8 text holds
+    damaged = tmp_path / "corpus"
+    shutil.copytree(corpus, damaged)
+    units = damaged / "units_pytorch.jsonl"
+    first, *rest = units.read_text().splitlines(keepends=True)
+    rec = json.loads(first)
+    units.write_text("".join([json.dumps({**rec, "text": rec["text"] + "\ud800"}) + "\n", *rest]))
+    capsys.readouterr()
+    assert main(_train_argv(damaged, tmp_path / "run", "--total-samples", "16")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load corpus units {units}: "), err
+    assert "surrogates not allowed" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("bad_id", [99, 0], ids=["out-of-range", "repeated"])
 def test_corpus_vocabulary_ids_out_of_list_order_exit_2(
     bad_id, run_dir, corpus, tmp_path, capsys
@@ -1266,6 +1325,47 @@ def test_transpile_explicit_dictionary_flag(tmp_path, capsys):
     assert capsys.readouterr().out == FIG_OUTPUT + "\n"
 
 
+def test_transpile_template_without_a_final_newline_gives_the_default_output(
+    tmp_path, capsys
+):
+    src = tmp_path / "net.py"
+    src.write_text(FIG_INPUT)
+    template = tmp_path / "template.txt"
+    template.write_text(fixture_path("template_pytorch_keras.txt").read_text().rstrip("\n"))
+    capsys.readouterr()
+    rc = main([
+        "transpile", "--from", "pytorch", "--to", "keras",
+        "--input", str(src), "--template", str(template),
+    ])
+    assert rc == 0
+    assert capsys.readouterr() == (FIG_OUTPUT + "\n", "")
+
+
+def _empty_callable(group: dict) -> None:
+    group["tgt_callable"] = ""
+
+
+def _empty_parameter(group: dict) -> None:
+    group["params"][1]["tgt"] = ""  # out_features
+
+
+@pytest.mark.parametrize("empty", [_empty_callable, _empty_parameter])
+def test_transpile_dictionary_with_an_empty_target_name_exits_2(empty, tmp_path, capsys):
+    doc = json.loads(fixture_path("dict_pytorch_keras.json").read_text())
+    empty(next(g for g in doc["groups"] if g["src_callable"] == "nn.Linear"))
+    dictionary = tmp_path / "dict.json"
+    dictionary.write_text(json.dumps(doc))
+    src = tmp_path / "net.py"
+    src.write_text(FIG_INPUT)
+    capsys.readouterr()
+    rc = main([
+        "transpile", "--from", "pytorch", "--to", "keras",
+        "--input", str(src), "--dictionary", str(dictionary),
+    ])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: empty target name in group 'nn.Linear'\n")
+
+
 def test_transpile_parse_error_exits_3(tmp_path, capsys):
     src = tmp_path / "bad.py"
     src.write_text("import torch.nn as nn\ndef oops(:\n")
@@ -1344,7 +1444,7 @@ def test_transpile_strict_rejects_unknown_callables(tmp_path):
     assert rc == 3
 
 
-@pytest.mark.parametrize("call", ["nn.Linear(*a)", "nn.Sequential(*a)"])
+@pytest.mark.parametrize("call", ["nn.Linear(*a)", "nn.Sequential(*a)", "nn.Linear(**cfg)"])
 def test_transpile_strict_rejects_a_known_call_with_star_arguments(
     call, tmp_path, capsys
 ):
@@ -1367,20 +1467,21 @@ def test_transpile_strict_rejects_a_known_call_with_star_arguments(
 def test_transpile_without_strict_passes_a_star_argument_call_through(
     tmp_path, capsys, caplog
 ):
-    src = tmp_path / "net.py"
-    src.write_text("import torch.nn as nn\nfc = nn.Linear(*a)\n")
-    capsys.readouterr()
-    argv = ["transpile", "--from", "pytorch", "--to", "keras", "--input", str(src)]
-    rc = main(argv)
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert captured.out.endswith("fc = nn.Linear(*a)\n")
-    # one warning line, and no logged line besides it
-    warning = "nn.Linear: a call with star arguments passes through untranslated"
-    assert captured.err == f"warning: {warning}\n"
-    assert caplog.records == []
-    assert main([*argv, "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
+    for call in ("nn.Linear(*a)", "nn.Linear(**cfg)"):
+        src = tmp_path / "net.py"
+        src.write_text(f"import torch.nn as nn\nfc = {call}\n")
+        capsys.readouterr()
+        argv = ["transpile", "--from", "pytorch", "--to", "keras", "--input", str(src)]
+        rc = main(argv)
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f"fc = {call}\n")
+        # one warning line, and no logged line besides it
+        warning = "nn.Linear: a call with star arguments passes through untranslated"
+        assert captured.err == f"warning: {warning}\n"
+        assert caplog.records == []
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
 
 
 def test_transpile_seed_reaches_the_backend_config(tmp_path, monkeypatch):

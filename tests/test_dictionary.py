@@ -31,7 +31,7 @@ from frameport.dictionary import (
     score_matrix,
 )
 from frameport.errors import ConfigError, FrameportError, UnmappedKeyword
-from frameport.keyword_dictionary import DROP, EXPAND, RENAME, lookup
+from frameport.keyword_dictionary import lookup
 from frameport.pipeline import fixture_path
 
 
@@ -304,18 +304,26 @@ def test_dictionary_serialization_round_trip(tmp_path):
                 GroupEntry("f", "G", 1.0),
             ),
         )
+    # a target name is never empty (a dropped parameter's is None)
+    for group in (
+        GroupEntry("f", "", 1.0),
+        GroupEntry("f", "F", 1.0, params=(ParamEntry("keep", "", 1.0),)),
+        GroupEntry("f", "F", 1.0, expansions=(Expansion("act", "", 1.0),)),
+    ):
+        with pytest.raises(ConfigError, match="empty target name in group 'f'"):
+            KeywordDictionary("a", "b", 5.0, groups=(group,))
 
 
 def test_lookup_resolves_each_translation_kind():
     d = _sample_dictionary()
-    t = lookup(d, ApiKeyword("a", CALLABLE, "f"))
-    assert (t.kind, t.new_name) == (RENAME, "F")
-    t = lookup(d, ApiKeyword("a", PARAMETER, "keep", owner="f"))
-    assert (t.kind, t.new_name) == (RENAME, "kept")
-    t = lookup(d, ApiKeyword("a", PARAMETER, "gone", owner="f"))
-    assert t.kind == DROP and t.new_name is None
-    t = lookup(d, ApiKeyword("a", PARAMETER, "act", owner="f"))
-    assert (t.kind, t.new_call) == (EXPAND, "R()")
+    assert lookup(d, ApiKeyword("a", CALLABLE, "f")) == (["F"], None)
+    assert lookup(d, ApiKeyword("a", PARAMETER, "keep", owner="f")) == (["kept"], None)
+    assert lookup(d, ApiKeyword("a", PARAMETER, "gone", owner="f")) == ([], None)
+    assert lookup(d, ApiKeyword("a", PARAMETER, "act", owner="f")) == ([], "R()")
+    # each call returns a fresh list, which the pipeline appends expansions to
+    first, _ = lookup(d, ApiKeyword("a", CALLABLE, "f"))
+    first.append("R()")
+    assert lookup(d, ApiKeyword("a", CALLABLE, "f")) == (["F"], None)
 
 
 def test_lookup_unmapped_paths():

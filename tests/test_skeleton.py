@@ -57,13 +57,12 @@ def test_placeholders_are_numbered_in_source_order():
     _, occs, skel = _skeleton(
         "import torch.nn as nn\nfc = nn.Linear(128, 64)\ng = nn.ReLU()\n"
     )
-    assert skel.indices() == [1, 2, 3, 4]
     assert skel.text == (
         "import torch.nn as nn\n"
         "fc = PLACEHOLDER_1(PLACEHOLDER_2=128, PLACEHOLDER_3=64)\n"
         "g = PLACEHOLDER_4()"
     )
-    assert [k.text for _, k in skel.placeholders] == [
+    assert [k.text for k in skel.keywords] == [
         "nn.Linear", "in_features", "out_features", "nn.ReLU",
     ]
 
@@ -189,6 +188,9 @@ def test_missing_translation_is_reported_with_indices():
     with pytest.raises(MissingTranslationError) as exc:
         reinsert(skel.text, {}, PT)
     assert "[1]" in str(exc.value)
+    # the parser reads a fullwidth digit as an ASCII one (NFKC)
+    with pytest.raises(MissingTranslationError, match=r"indices \[9\]"):
+        reinsert("x = PLACEHOLDER_\uff19()\n", {1: ["a"]}, PT)
 
 
 def test_callable_translation_must_not_be_empty():
@@ -256,17 +258,15 @@ def test_translation_that_spells_a_placeholder_is_a_residual():
 def test_skeleton_of_unit_without_keywords_is_the_unit():
     unit = SourceUnit("x = 1 + 2", "pytorch")
     skel = to_skeleton(ast.parse(unit.text), [])
-    assert skel.text == unit.text and skel.placeholders == ()
+    assert skel.text == unit.text and skel.keywords == ()
     assert validate_placeholders(skel, skel.text).ok
     assert reinsert(skel.text, {}, PT).text == "x = 1 + 2"
 
 
 def test_placeholder_keywords_preserved_in_skeleton_metadata():
     _, occs, skel = _skeleton("import torch.nn as nn\nx = nn.Dropout(p=0.5)\n")
-    assert [(i, k.kind) for i, k in skel.placeholders] == [
-        (1, CALLABLE), (2, "parameter"),
-    ]
-    assert [k for _, k in skel.placeholders] == [o.keyword for o in occs]
+    assert [k.kind for k in skel.keywords] == [CALLABLE, "parameter"]
+    assert list(skel.keywords) == [o.keyword for o in occs]
 
 
 # -- the skeleton cut from the canonical tree against the former span splice ----
@@ -300,8 +300,8 @@ def test_skeleton_from_the_tree_matches_the_span_splice():
         want_text, want_keywords = _spliced_skeleton(canonical, PT)
         result = transpile_unit(SourceUnit(text, "pytorch", "unit.py"), PT, *loaded)
         assert result.skeleton.text == want_text, text
-        assert result.skeleton.placeholders == tuple(enumerate(want_keywords, start=1))
-        assert result.canonical_source == SourceUnit(canonical, "pytorch", "unit.py")
+        assert result.skeleton.keywords == tuple(want_keywords)
+        assert result.skeleton.canonical_text() == canonical
 
 
 def test_placeholder_text_is_rejected_in_code_and_passes_in_a_comment():
