@@ -99,12 +99,16 @@ def loading(what: str, path: str | Path) -> Iterator[None]:
 
     I/O errors, JSON syntax errors, missing keys, fields of the wrong type
     or value and frameport errors raised inside the block become
-    ``cannot load {what} {path}: ...``; a ``ConfigError`` keeps its text.
+    ``cannot load {what} {path}: ...``. A ``ConfigError`` that already
+    names a file, as ``{path}: ...`` or from an inner ``loading``, keeps
+    its text.
     """
     try:
         yield
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        if str(exc).startswith((f"{path}:", "cannot load ")):
+            raise
+        raise ConfigError(f"cannot load {what} {path}: {exc}") from None
     except KeyError as exc:
         raise ConfigError(f"cannot load {what} {path}: missing field {exc}") from None
     except (

@@ -2,7 +2,7 @@
 
 Parameters are stored in float32; loss reductions accumulate in float64.
 All randomness (init, dropout) flows through an explicit numpy Generator
-so single-threaded training is bit-reproducible.
+so training is bit-reproducible on one or two threads.
 """
 
 from __future__ import annotations

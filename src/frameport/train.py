@@ -17,7 +17,9 @@ losses run at different scales. Contextual embeddings are inputs only;
 no gradient ever reaches the provider. A run keeps every trained tensor
 in one flat arena laid out so that each role is one slice (``_bind``),
 and each role's update is one whole-vector Adam step on the role's flat
-moments.
+moments. In a run with wide vocabularies, each step runs side 2's
+vocabulary-wide products and cross entropy on a second thread; training
+is bit-reproducible on one or two threads.
 
 A run is one ``TrainState``: model, optimizers, step, config, the
 sampler and dropout generator states, and the best snapshot under the
@@ -28,12 +30,14 @@ it.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import json
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -47,9 +51,21 @@ from frameport.keyword_dictionary import (
     vocab_index,
 )
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
 LR_GRID = (2e-4, 5e-4, 1e-3)
 BATCH_GRID = (64, 128, 256)
 DEFAULT_TOTAL_SAMPLES = 1_536_000
+# A run steps on two threads (see ``gradients``) only when each side's
+# logits block, batch_size x vocabulary width, holds at least this many
+# entries. Measured at batch 128, d 64 and d_b 32 on a 2-core x86_64 VM
+# with one BLAS thread, the threaded step took 21% longer at width 40 and
+# 7% longer at 150, where two threads of small numpy calls contend for the
+# interpreter lock, about as long at 256, and 12% to 17% less at 750.
+# PyTorch's intra-op grain size, the work below which it does not split a
+# loop across threads, is the same 32768 elements.
+_THREADED_STEP_MIN_LOGITS = 32768
 
 
 @dataclass(frozen=True)
@@ -78,6 +94,8 @@ class TrainConfig:
             raise ConfigError(
                 f"need checkpoint_every >= 0, got {self.checkpoint_every}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"need seed >= 0, got {self.seed}")
 
     @property
     def total_steps(self) -> int:
@@ -248,6 +266,28 @@ def _smoothed_targets(n1: int, n2: int, smoothing: float) -> np.ndarray:
     return t * (1.0 - smoothing) + smoothing / 2.0
 
 
+def _vocab_side(
+    z: np.ndarray,
+    E: np.ndarray,
+    y: np.ndarray,
+    label_smoothing: float,
+    losses: bool,
+    dz: np.ndarray,
+    dE: np.ndarray | None,
+) -> tuple[float | None, np.ndarray]:
+    """One side's vocabulary-wide work: logits ``z @ E``, the smoothed cross
+    entropy, its gradient for ``z`` written into ``dz`` and its gradient
+    for ``E``, written into ``dE`` where that is an array. Returns the loss
+    (None with ``losses=False``) and the ``E`` gradient.
+
+    It may run on a worker thread, so it calls nothing but numpy and
+    ``nn.softmax_cross_entropy``, and writes only into ``dz`` and ``dE``.
+    """
+    loss, dlogits = nn.softmax_cross_entropy(z @ E, y, label_smoothing, loss=losses)
+    np.matmul(dlogits, E.T, out=dz)
+    return loss, np.matmul(z.T, dlogits, out=dE)
+
+
 def gradients(
     model: AlignmentModel,
     batch: TrainBatch,
@@ -256,6 +296,7 @@ def gradients(
     rng: np.random.Generator | None = None,
     out: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
     losses: bool = True,
+    pool: Executor | None = None,
 ) -> tuple[dict[str, list[np.ndarray]], dict[str, float]]:
     """Per-role gradients, and the four losses, from one shared forward pass.
 
@@ -275,41 +316,50 @@ def gradients(
     arrays (the arena's gradient buffer) instead of into new ones.
     ``losses=False`` skips the operations only the losses need and
     returns ``{}`` for them; the gradients are the same, bit for bit.
+
+    With a ``pool``, side 2's vocabulary-wide work (``_vocab_side``) runs
+    on one of its threads while this one runs side 1's, the discriminator
+    passes and the BCE; without one it runs here, after side 1's. Each
+    side does the same operations on its own rows either way, and the
+    dropout draws stay on this thread in one order, so the results are the
+    same, bit for bit. Nothing returns or raises before side 2 has stopped
+    writing, and an error on side 2 is raised here.
     """
     E1, E2 = model.output_embeddings
     n1, n2 = len(batch.h1), len(batch.h2)
     h = np.concatenate([batch.h1, batch.h2], axis=0)
     z, gen_cache = nn.forward(model.generator, h, train_mode=train_mode, rng=rng)
     z1, z2 = z[:n1], z[n1:]
-    l_ce1, dlogits1 = nn.softmax_cross_entropy(
-        z1 @ E1, batch.y1, label_smoothing, loss=losses
-    )
-    l_ce2, dlogits2 = nn.softmax_cross_entropy(
-        z2 @ E2, batch.y2, label_smoothing, loss=losses
-    )
-    d_logit, disc_cache = nn.forward(
-        model.discriminator, z, train_mode=train_mode, rng=rng
-    )
-    targets = _smoothed_targets(n1, n2, label_smoothing)
-    (l_d, g_true), (l_g, g_rev) = nn.binary_cross_entropies(
-        d_logit, (targets, 1.0 - targets), loss=losses
-    )
+    # the dtype of the logits' gradient, and so of its product with E1.T
+    dz_ce = np.empty((n1 + n2, E1.shape[0]), np.result_type(z, E1))
+    side2 = (z2, E2, batch.y2, label_smoothing, losses, dz_ce[n1:], out[1])
+    future = None if pool is None else pool.submit(_vocab_side, *side2)
+    try:
+        l_ce1, g_E1 = _vocab_side(
+            z1, E1, batch.y1, label_smoothing, losses, dz_ce[:n1], out[0]
+        )
+        if future is None:
+            l_ce2, g_E2 = _vocab_side(*side2)
+        d_logit, disc_cache = nn.forward(
+            model.discriminator, z, train_mode=train_mode, rng=rng
+        )
+        targets = _smoothed_targets(n1, n2, label_smoothing)
+        (l_d, g_true), (l_g, g_rev) = nn.binary_cross_entropies(
+            d_logit, (targets, 1.0 - targets), loss=losses
+        )
+        g_disc, _ = nn.backward(disc_cache, g_true, input_grad=False)
+        _, dz_adv = nn.backward(disc_cache, g_rev, param_grads=False)
+    except BaseException:
+        if future is not None:
+            future.exception()  # waits until side 2 has stopped writing
+        raise
+    if future is not None:
+        l_ce2, g_E2 = future.result()
 
-    dz_ce = np.empty((n1 + n2, E1.shape[0]), np.result_type(dlogits1, E1))
-    np.matmul(dlogits1, E1.T, out=dz_ce[:n1])
-    np.matmul(dlogits2, E2.T, out=dz_ce[n1:])
     g_gen, _ = nn.backward(gen_cache, dz_ce, input_grad=False)
-    joint_grads = g_gen + [
-        np.matmul(z1.T, dlogits1, out=out[0]),
-        np.matmul(z2.T, dlogits2, out=out[1]),
-    ]
-
-    g_disc, _ = nn.backward(disc_cache, g_true, input_grad=False)
-
-    _, dz_adv = nn.backward(disc_cache, g_rev, param_grads=False)
     adv_grads, _ = nn.backward(gen_cache, dz_adv, input_grad=False)
 
-    grads = {"joint": joint_grads, "disc": g_disc, "gen_adv": adv_grads}
+    grads = {"joint": g_gen + [g_E1, g_E2], "disc": g_disc, "gen_adv": adv_grads}
     if not losses:
         return grads, {}
     return grads, {"L_CE_1": l_ce1, "L_CE_2": l_ce2, "L_D": l_d, "L_G": l_g}
@@ -360,6 +410,7 @@ def train_step(
     lr: float,
     rng: np.random.Generator | None,
     losses: bool = True,
+    pool: Executor | None = None,
 ) -> dict[str, float]:
     """One step on the model ``_bind`` returned ``roles`` for: gradients at
     the starting parameters, then the three role updates in order. Each
@@ -368,7 +419,8 @@ def train_step(
     with one ``nn.adam_step`` over whole vectors, which applies the same
     operations to the same elements as one call per tensor. Returns the
     step's four losses, or ``{}`` with ``losses=False``, which skips
-    computing them and leaves the update bit for bit the same."""
+    computing them and leaves the update bit for bit the same. ``pool``
+    goes to ``gradients``."""
     # the gradient buffers live for one step: kept for the run, they
     # would also be resident through checkpoint selection, which sets
     # the peak memory
@@ -381,7 +433,7 @@ def train_step(
     # straight into its buffer and the smaller ones are copied in
     grads, step_losses = gradients(
         model, batch, cfg.label_smoothing, cfg.dropout > 0, rng,
-        out=tuple(views["joint"][-2:]), losses=losses,
+        out=tuple(views["joint"][-2:]), losses=losses, pool=pool,
     )
     for role, theta in roles.items():
         for view, g in zip(views[role], grads[role]):
@@ -485,6 +537,22 @@ class TrainResult:
     checkpoint_scores: list[tuple[int, float]]
 
 
+def _step_pool(batch_size: int, model: AlignmentModel) -> contextlib.AbstractContextManager:
+    """A one-thread pool for a run's steps where each side's logits block
+    holds at least ``_THREADED_STEP_MIN_LOGITS`` entries and the process
+    may use two CPUs; otherwise a context that gives None."""
+    widths = [E.shape[1] for E in model.output_embeddings]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if batch_size * min(widths) < _THREADED_STEP_MIN_LOGITS or cpus < 2:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="frameport-step")
+
+
 def train(
     H1: np.ndarray,
     y1: np.ndarray,
@@ -510,7 +578,10 @@ def train(
     at a step boundary and still get a consistent, resumable state. The
     run ends with a checkpoint unless its last step was one, or it took no
     step after a saved state whose best snapshot scored that state's step.
-    The loop is single-threaded and bit-reproducible for a given config.
+    The loop is bit-reproducible on one or two threads for a given
+    config: a step runs the two sides' vocabulary-wide work on two threads
+    (``gradients``) only where ``_step_pool`` finds that faster, with the
+    same results.
     """
     d_b = H1.shape[1]
     if H2.shape[1] != d_b:
@@ -550,18 +621,20 @@ def train(
             best_model = copy.deepcopy(model)
 
     step = start_step
-    for next_step in range(start_step + 1, cfg.total_steps + 1):
-        if stop is not None and stop():
-            break
-        step = next_step
-        batch = sampler.next_batch()
-        lr = cfg.lr_at(step)
-        loss_rec = train_step(model, batch, roles, opt, cfg, lr, rng=rng_drop,
-                              losses=on_record is not None)
-        if on_record:
-            on_record({"step": step, "lr": lr, **loss_rec})
-        if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-            checkpoint(step)
+    # leaving the block shuts the pool down and joins its thread
+    with _step_pool(cfg.batch_size, model) as pool:
+        for next_step in range(start_step + 1, cfg.total_steps + 1):
+            if stop is not None and stop():
+                break
+            step = next_step
+            batch = sampler.next_batch()
+            lr = cfg.lr_at(step)
+            loss_rec = train_step(model, batch, roles, opt, cfg, lr, rng=rng_drop,
+                                  losses=on_record is not None, pool=pool)
+            if on_record:
+                on_record({"step": step, "lr": lr, **loss_rec})
+            if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+                checkpoint(step)
     if scored != step:
         checkpoint(step)
     state = TrainState(

@@ -733,6 +733,15 @@ def test_signature_database_validation_and_round_trip(tmp_path):
     )
     with pytest.raises(ConfigError):
         SignatureDatabase.load(tmp_path / "missing.json")
+    # a database that fails a check names its file
+    doc = json.loads(path.read_text())
+    doc["signatures"] *= 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as info:
+        SignatureDatabase.load(path)
+    assert str(info.value) == (
+        f"cannot load signature database {path}: duplicate signature 'nn.F'"
+    )
 
 
 def test_path_arithmetic():

@@ -726,7 +726,14 @@ def _negative_adam_step(doc: dict) -> str:
     return "optimizer disc has negative step -1"
 
 
-@pytest.mark.parametrize("corrupt", [_drop_last_joint_m, _negative_step, _negative_adam_step])
+def _negative_seed(doc: dict) -> str:
+    doc["config"]["seed"] = -1
+    return "need seed >= 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_last_joint_m, _negative_step, _negative_adam_step, _negative_seed]
+)
 def test_a_malformed_checkpoint_fails_to_load_before_any_work(
     corrupt, corpus, run_dir, tmp_path, capsys
 ):
@@ -752,6 +759,15 @@ def test_a_malformed_checkpoint_fails_to_load_before_any_work(
     ]) == 2
     assert capsys.readouterr().err == want
     assert not (tmp_path / "d.json").exists()
+
+
+def test_train_negative_seed_exits_2_before_any_file(corpus, tmp_path, capsys):
+    # it used to end in a ValueError traceback from np.random.SeedSequence
+    capsys.readouterr()
+    rc = main(_train_argv(corpus, tmp_path / "out", "--seed", "-1"))
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: need seed >= 0, got -1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_grid_reports_every_cell(corpus, tmp_path, capsys):
@@ -1363,7 +1379,29 @@ def test_transpile_dictionary_with_an_empty_target_name_exits_2(empty, tmp_path,
         "--input", str(src), "--dictionary", str(dictionary),
     ])
     assert rc == 2
-    assert capsys.readouterr() == ("", "error: empty target name in group 'nn.Linear'\n")
+    assert capsys.readouterr() == ("", (
+        f"error: cannot load keyword dictionary {dictionary}: "
+        "empty target name in group 'nn.Linear'\n"
+    ))
+
+
+def test_transpile_dictionary_with_a_repeated_group_names_the_file(tmp_path, capsys):
+    doc = json.loads(fixture_path("dict_pytorch_keras.json").read_text())
+    doc["groups"].append(next(g for g in doc["groups"] if g["src_callable"] == "nn.Linear"))
+    dictionary = tmp_path / "dict.json"
+    dictionary.write_text(json.dumps(doc))
+    src = tmp_path / "net.py"
+    src.write_text(FIG_INPUT)
+    capsys.readouterr()
+    rc = main([
+        "transpile", "--from", "pytorch", "--to", "keras",
+        "--input", str(src), "--dictionary", str(dictionary),
+    ])
+    assert rc == 2
+    assert capsys.readouterr() == ("", (
+        f"error: cannot load keyword dictionary {dictionary}: "
+        "duplicate source callable 'nn.Linear'\n"
+    ))
 
 
 def test_transpile_parse_error_exits_3(tmp_path, capsys):
@@ -1755,7 +1793,9 @@ def test_backend_config_field_of_the_wrong_type_or_range_exits_2(
     ):
         capsys.readouterr()
         assert main([*argv, "--backend", str(backend)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: backend {key} must be ")
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot load backend config {backend}: backend {key} must be "
+        )
     assert not output.exists()
     assert not (tmp_path / "eval").exists()
 

@@ -6,7 +6,14 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,13 +574,14 @@ def _per_tensor_adam(params, grads, state, lr):
         p -= update.astype(p.dtype, copy=False)
 
 
-def _per_tensor_train_step(model, batch, roles, opt, cfg, lr, rng=None, losses=True):
+def _per_tensor_train_step(model, batch, roles, opt, cfg, lr, rng=None, losses=True,
+                           pool=None):
     """The step with one Adam update per tensor. On a run's first step each
     role's flat moments are replaced by per-tensor copies, which ``opt``
     keeps as lists from then on."""
     grads, step_losses = ft.gradients(
         model, batch, cfg.label_smoothing, train_mode=cfg.dropout > 0, rng=rng,
-        losses=losses,
+        losses=losses, pool=pool,
     )
     for role, params in ft._role_params(model).items():
         state = getattr(opt, role)
@@ -776,3 +784,199 @@ def test_avg_cosine_similarity_matches_the_per_pair_loop_bitwise():
         ref = _per_pair_avg_cosine_similarity(model, dictionary, v1 + p1, v2 + p2)
         assert type(got) is float
         assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64), trial
+
+
+# -- the two-thread step -----------------------------------------------------
+
+# keywords per side: a batch of 128 then has 128 x 256 = 32768 logits per
+# side, the least that runs a step on two threads
+_WIDE = 256
+
+
+def _wide_data(rng, m=_WIDE):
+    return _toy_data(rng, n1=600, n2=600, d_b=8, m1=m, m2=m)
+
+
+_WIDE_CFG = ft.TrainConfig(d=8, batch_size=128, total_samples=128 * 24, dropout=0.2,
+                           checkpoint_every=8, seed=41, peak_lr=5e-2)
+
+
+def _embedding_sum(model) -> float:
+    E1, E2 = model.output_embeddings
+    return float(np.sum(E1, dtype=np.float64) - np.sum(E2, dtype=np.float64))
+
+
+def _usable_cpus(monkeypatch, cpus) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def _side_threads(monkeypatch, worker_delay: float = 0.0) -> list[bool]:
+    """For each ``_vocab_side`` call, whether it ran on the main thread.
+    A call on another thread first sleeps ``worker_delay`` seconds."""
+    on_main = []
+    real = ft._vocab_side
+
+    def side(*args):
+        here = threading.current_thread() is threading.main_thread()
+        on_main.append(here)
+        if not here:
+            time.sleep(worker_delay)
+        return real(*args)
+
+    monkeypatch.setattr(ft, "_vocab_side", side)
+    return on_main
+
+
+def test_a_wide_run_on_two_threads_equals_the_inline_run_bytewise(tmp_path, monkeypatch):
+    H1, y1, H2, y2 = _wide_data(np.random.default_rng(40))
+    _usable_cpus(monkeypatch, (0, 1))
+    # side 2 ends after the main thread's other work, so a step that read
+    # its rows before joining it would read unwritten memory
+    on_main = _side_threads(monkeypatch, worker_delay=0.005)
+
+    def run(path):
+        records = []
+        result = ft.train(H1, y1, H2, y2, _WIDE_CFG, vocab_sizes=(_WIDE, _WIDE),
+                          selector=_embedding_sum, on_record=records.append)
+        # the whole TrainState: model, optimizers, step, sampler and
+        # dropout states, and the best snapshot
+        ft.save_checkpoint(path, result.state)
+        return path.read_bytes(), result.checkpoint_scores, records
+
+    # frequent thread switches, to bring out a read that races a write
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = run(tmp_path / "threaded.json")
+    finally:
+        sys.setswitchinterval(interval)
+    # side 1 ran here and side 2 on the worker, at each of the 24 steps
+    assert (on_main.count(True), on_main.count(False)) == (24, 24)
+    on_main.clear()
+    monkeypatch.setattr(ft, "_THREADED_STEP_MIN_LOGITS", 128 * _WIDE + 1)
+    inline = run(tmp_path / "inline.json")
+    assert on_main == [True] * 48
+    assert len(threaded[1]) == 3 and sum("lr" in r for r in threaded[2]) == 24
+    assert threaded == inline
+
+
+def test_the_step_thread_calls_no_function_the_benchmark_traces(monkeypatch):
+    # bench/spans.Tracer keeps one span stack, which a traced call on the
+    # worker thread would corrupt
+    H1, y1, H2, y2 = _wide_data(np.random.default_rng(41))
+    _usable_cpus(monkeypatch, (0, 1))
+    on_main = _side_threads(monkeypatch)
+    off_main = []
+    for owner, name in ((fnn, "forward"), (fnn, "backward"), (fnn, "adam_step"),
+                        (ft, "train_step")):
+        real = getattr(owner, name)
+
+        def traced(*args, _name=name, _real=real, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, traced)
+    cfg = replace(_WIDE_CFG, total_samples=128 * 6)
+    ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(_WIDE, _WIDE), selector=_embedding_sum)
+    assert on_main.count(False) == 6
+    assert off_main == []
+
+
+@pytest.mark.parametrize("m, cpus", [(_WIDE - 1, (0, 1)), (_WIDE, (0,))])
+def test_a_narrow_or_one_cpu_run_starts_no_thread(m, cpus, monkeypatch):
+    H1, y1, H2, y2 = _wide_data(np.random.default_rng(42), m=m)
+    _usable_cpus(monkeypatch, cpus)
+    on_main = _side_threads(monkeypatch)
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    cfg = replace(_WIDE_CFG, total_samples=128 * 4)
+    ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(m, m), selector=_embedding_sum)
+    assert on_main == [True] * 8
+    assert started == []
+
+
+def test_importing_train_and_a_narrow_run_load_no_thread_pool():
+    code = """
+import sys
+import numpy as np
+from frameport import train as ft
+assert "concurrent.futures" not in sys.modules
+rng = np.random.default_rng(0)
+H, y = rng.standard_normal((50, 4)).astype(np.float32), rng.integers(0, 30, 50)
+cfg = ft.TrainConfig(d=4, batch_size=128, total_samples=128 * 2)
+ft.train(H, y, H, y, cfg, vocab_sizes=(30, 30), selector=lambda model: 0.0)
+assert "concurrent.futures" not in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_an_error_on_side_2_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    H1, y1, H2, y2 = _wide_data(np.random.default_rng(43))
+    y2 = np.full_like(y2, _WIDE)  # no side-2 label is in the vocabulary
+    _usable_cpus(monkeypatch, (0, 1))
+    on_main = _side_threads(monkeypatch)
+    errors = []
+    for gate in (ft._THREADED_STEP_MIN_LOGITS, 128 * _WIDE + 1):
+        monkeypatch.setattr(ft, "_THREADED_STEP_MIN_LOGITS", gate)
+        with pytest.raises(FrameportError) as info:
+            ft.train(H1, y1, H2, y2, _WIDE_CFG, vocab_sizes=(_WIDE, _WIDE),
+                     selector=_embedding_sum)
+        errors.append((type(info.value), str(info.value)))
+        assert not any(t.name.startswith("frameport-step") for t in threading.enumerate())
+    assert errors == [(FrameportError, f"labels must lie in [0, {_WIDE})")] * 2
+    # the two-thread run failed on the worker, at its first step; the
+    # inline run failed after side 1, on this thread
+    assert sorted(on_main[:2]) == [False, True] and on_main[2:] == [True, True]
+
+
+@pytest.mark.parametrize("failing", ["side 1", "side 2"])
+def test_gradients_raise_only_after_side_2_stops_writing(failing, monkeypatch):
+    model, batch, _ = random_alignment_model(np.random.default_rng(44))
+    real = ft._vocab_side
+    side_2_done = threading.Event()
+
+    def side(*args):
+        if threading.current_thread() is threading.main_thread():
+            if failing == "side 1":
+                raise FrameportError("side 1 failed")
+            return real(*args)
+        time.sleep(0.2)
+        if failing == "side 2":
+            raise FrameportError("side 2 failed")
+        result = real(*args)
+        side_2_done.set()
+        return result
+
+    monkeypatch.setattr(ft, "_vocab_side", side)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(FrameportError, match=f"^{failing} failed$"):
+            ft.gradients(model, batch, 0.1, train_mode=True,
+                         rng=np.random.default_rng(0), pool=pool)
+        # side 1's error left only after side 2 had written its last result
+        assert side_2_done.is_set() == (failing == "side 1")
+
+
+def test_train_config_rejects_a_negative_seed(tmp_path):
+    with pytest.raises(ConfigError, match=r"^need seed >= 0, got -1$"):
+        ft.TrainConfig(seed=-1)
+    rng = np.random.default_rng(45)
+    H1, y1, H2, y2 = _toy_data(rng)
+    cfg = ft.TrainConfig(d=8, batch_size=16, total_samples=16)
+    result = ft.train(H1, y1, H2, y2, cfg, vocab_sizes=(5, 6), selector=_constant)
+    path = tmp_path / "ck.json"
+    ft.save_checkpoint(path, result.state)
+    doc = json.loads(path.read_text())
+    doc["config"]["seed"] = -1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as info:
+        ft.load_checkpoint(path)
+    assert str(info.value) == f"cannot load checkpoint {path}: need seed >= 0, got -1"
