@@ -18,7 +18,7 @@ import importlib
 import json
 import signal
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -75,12 +75,13 @@ _DEFERRED = {
     "frameport.evaluate": ("load_eval_set", "run_suite"),
     "frameport.train": (
         "BATCH_GRID",
+        "DEFAULT_TOTAL_SAMPLES",
         "LR_GRID",
-        "GridCell",
         "Optimizers",
         "TrainConfig",
         "TrainState",
         "avg_cosine_similarity",
+        "grid_cells",
         "grid_search",
         "load_checkpoint",
         "save_checkpoint",
@@ -254,34 +255,38 @@ def _make_selector(vocab1, vocab2, db1, db2, tau: float):
 def cmd_train(args: argparse.Namespace) -> int:
     if args.resume and args.grid:
         raise ConfigError("--resume cannot be combined with --grid")
+    if (args.lrs or args.batch_sizes) and not args.grid:
+        raise ConfigError("--lrs and --batch-sizes need --grid")
+    # the TrainConfig fields given as flags (their dests are the field names)
+    names = {f.name for f in fields(TrainConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     resume = load_checkpoint(args.resume) if args.resume else None
     if resume is None:
-        cfg = TrainConfig(
-            d=args.d,
-            peak_lr=args.peak_lr,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            checkpoint_every=args.checkpoint_every,
-        )
+        cfg = TrainConfig(**given)
     elif not resume.sampler_state:
         raise ConfigError(
             f"{args.resume} is a snapshot without sampler state; "
             "--resume needs the run's checkpoint.json"
         )
     else:
-        cfg = resume.cfg
-    if args.total_samples is not None:
-        cfg = replace(cfg, total_samples=args.total_samples)
-        if resume is not None and cfg.total_samples < resume.step * cfg.batch_size:
+        # only --total-samples changes a resumed run's config
+        total = given.get("total_samples", resume.cfg.total_samples)
+        cfg = replace(resume.cfg, total_samples=total)
+        if cfg.total_samples < resume.step * cfg.batch_size:
             raise ConfigError(
                 f"--total-samples {cfg.total_samples} is below the "
                 f"{resume.step * cfg.batch_size} samples {args.resume} has trained"
             )
-    if args.grid:
-        # every cell's config is checked before any work, as a single run's is
-        for lr in args.lrs:
-            for n in args.batch_sizes:
-                replace(cfg, peak_lr=lr, batch_size=n)
+    axes = (args.lrs or LR_GRID, args.batch_sizes or BATCH_GRID)
+    cells = grid_cells(cfg, *axes) if args.grid else [cfg]
+    # each given flag must hold in every config the run trains
+    for name, value in given.items():
+        for cell in cells:
+            if getattr(cell, name) != value:
+                raise ConfigError(
+                    f"--{name.replace('_', '-')} {value} conflicts with {name} "
+                    f"{getattr(cell, name)} of {args.resume or 'a --grid cell'}"
+                )
 
     (H1, y1, H2, y2), (vocab1, vocab2), (db1, db2) = _train_inputs(args, resume)
     sizes = (len(vocab1), len(vocab2))
@@ -312,10 +317,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                     y1,
                     H2,
                     y2,
-                    cfg,
+                    cells,
                     selector,
-                    lrs=args.lrs,
-                    batch_sizes=args.batch_sizes,
                     on_cell=lambda cell: write(asdict(cell)),
                     vocab_sizes=sizes,
                     stop=stop,
@@ -337,23 +340,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     finally:
         signal.signal(signal.SIGINT, previous)
 
-    state = result.state
-    model = result.best_model
+    state, model = result.state, result.best_model
     snapshot = TrainState(model, Optimizers.init(model), state.step, state.cfg)
     if args.grid:
-        best = GridCell(state.cfg.peak_lr, state.cfg.batch_size, result.best_score)
+        best = grid.best_cell
         save_checkpoint(ckpt, snapshot)
-        cells = [asdict(cell) for cell in grid.cells]
-        write_text_atomic(
-            out / "grid.json",
-            json.dumps({"cells": cells, "best": asdict(best)}, indent=2) + "\n",
-        )
+        doc = {"cells": [asdict(c) for c in grid.cells], "best": asdict(best)}
+        write_text_atomic(out / "grid.json", json.dumps(doc, indent=2) + "\n")
         if interrupted:
-            total = len(args.lrs) * len(args.batch_sizes)
-            print(
-                f"interrupted: grid stopped after {len(cells)} of {total} cells",
-                file=sys.stderr,
-            )
+            ran = f"{len(grid.cells)} of {len(cells)} cells"
+            print(f"interrupted: grid stopped after {ran}", file=sys.stderr)
         payload = {
             "mode": "grid",
             "best_peak_lr": best.peak_lr,
@@ -723,11 +719,13 @@ def _ingest_arguments(p: argparse.ArgumentParser) -> None:
                    choices=FRAMEWORKS, default=None,
                    help="Framework to collect; repeatable (default: all).")
     p.add_argument("--include", action="append", default=None,
-                   help="Filename glob to include; repeatable (default: *.py, *.ipynb).")
+                   help="Filename glob to include; repeatable "
+                   f"(default: {', '.join(DEFAULT_INCLUDE)}).")
     p.add_argument("--exclude", action="append", default=None,
                    help="Path glob to exclude; repeatable.")
     p.add_argument("--marker", dest="markers", action="append", default=None,
-                   help="Substring a file must mention; repeatable (default: torch, keras, mxnet).")
+                   help="Substring a file must mention; repeatable "
+                   f"(default: {', '.join(DEFAULT_MARKERS)}).")
     p.add_argument("--size-cap", type=_count, default=DEFAULT_SIZE_CAP,
                    help="Skip files larger than this many bytes.")
     p.add_argument("--dry-run", action="store_true",
@@ -747,21 +745,22 @@ def _train_arguments(p: argparse.ArgumentParser) -> None:
                    help="Embedding width d_b for generated providers.")
     p.add_argument("--bpe-merges", type=int, default=200,
                    help="BPE merges when training a context-window provider.")
-    p.add_argument("--d", type=int, default=64, help="Aligned hidden width d.")
-    p.add_argument("--peak-lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--total-samples", type=int, default=None,
-                   help="Samples drawn per side over the whole run (default 1536000).")
-    p.add_argument("--checkpoint-every", type=int, default=500,
+    # TrainConfig fields: None unless given, so their defaults stay in TrainConfig
+    p.add_argument("--d", type=int, help="Aligned hidden width d.")
+    p.add_argument("--peak-lr", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--total-samples", type=int, help="Samples drawn per side over "
+                   f"the whole run (default {DEFAULT_TOTAL_SAMPLES}).")
+    p.add_argument("--checkpoint-every", type=int,
                    help="Steps between model-selection checkpoints.")
     p.add_argument("--tau", type=float, default=5.0,
                    help="Expansion threshold used by the selection dictionary.")
-    p.add_argument("--seed", type=int, default=10)
+    p.add_argument("--seed", type=int)
     p.add_argument("--grid", action="store_true",
                    help="Search the (peak_lr, batch_size) grid instead of one cell.")
-    p.add_argument("--lrs", type=_csv(float), default=list(LR_GRID),
+    p.add_argument("--lrs", type=_csv(float),
                    help="Grid learning rates as a comma list.")
-    p.add_argument("--batch-sizes", type=_csv(int), default=list(BATCH_GRID),
+    p.add_argument("--batch-sizes", type=_csv(int),
                    help="Grid batch sizes as a comma list.")
     p.add_argument("--resume", default=None, help="Checkpoint file to continue from.")
     _add_format(p)

@@ -654,7 +654,20 @@ class GridCell:
 @dataclass
 class GridResult:
     best: TrainResult  # the winning cell's run
+    best_cell: GridCell  # its record in ``cells``
     cells: list[GridCell]
+
+
+def grid_cells(
+    cfg: TrainConfig, lrs: Sequence[float], batch_sizes: Sequence[int]
+) -> list[TrainConfig]:
+    """Each (lr, N) cell's config, ``cfg`` with that peak lr and batch
+    size, in ascending (lr, N) order; a cell that is no valid config
+    raises ``ConfigError`` here, before any cell trains."""
+    if not lrs or not batch_sizes:
+        raise ConfigError("empty hyperparameter grid")
+    pairs = itertools.product(sorted(lrs), sorted(batch_sizes))
+    return [replace(cfg, peak_lr=lr, batch_size=n) for lr, n in pairs]
 
 
 def grid_search(
@@ -662,38 +675,34 @@ def grid_search(
     y1: np.ndarray,
     H2: np.ndarray,
     y2: np.ndarray,
-    base_cfg: TrainConfig,
+    cells: Sequence[TrainConfig],
     selector: Callable[[AlignmentModel], float],
     vocab_sizes: tuple[int, int],
-    lrs: Sequence[float] = LR_GRID,
-    batch_sizes: Sequence[int] = BATCH_GRID,
     on_cell: Callable[[GridCell], None] | None = None,
     stop: Callable[[], bool] | None = None,
 ) -> GridResult:
-    """Train every (lr, N) cell; pick the best unsupervised-criterion score.
+    """Train each config of ``cells``, at least one, as ``grid_cells``
+    builds them, in order; pick the best unsupervised-criterion score.
 
-    Cells iterate in ascending (lr, N) order and the argmax keeps only
-    strictly larger scores, so ties resolve to smaller lr, then smaller N.
+    The argmax keeps only strictly larger scores, so ties resolve to the
+    earlier cell: in ``grid_cells`` order, smaller lr, then smaller N.
     ``stop`` goes to each cell's ``train`` and is polled after each cell,
     so a stopped grid holds the cells that ran, the last one possibly
     cut short, and at least one.
     """
-    if not lrs or not batch_sizes:
-        raise ConfigError("empty hyperparameter grid")
-    cells: list[GridCell] = []
+    records: list[GridCell] = []
     best: TrainResult | None = None
-    for lr, n in itertools.product(sorted(lrs), sorted(batch_sizes)):
-        cfg = replace(base_cfg, peak_lr=lr, batch_size=n)
+    for cfg in cells:
         result = train(H1, y1, H2, y2, cfg, vocab_sizes, selector=selector, stop=stop)
-        cell = GridCell(peak_lr=lr, batch_size=n, avg_cos_sim=result.best_score)
-        cells.append(cell)
+        cell = GridCell(cfg.peak_lr, cfg.batch_size, result.best_score)
+        records.append(cell)
         if on_cell:
             on_cell(cell)
         if best is None or result.best_score > best.best_score:
-            best = result
+            best, best_cell = result, cell
         if stop is not None and stop():
             break
-    return GridResult(best, cells)
+    return GridResult(best, best_cell, records)
 
 
 def save_checkpoint(path: str | Path, state: TrainState) -> None:

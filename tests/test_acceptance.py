@@ -59,8 +59,11 @@ from frameport.skeleton import (
     validate_placeholders,
 )
 from frameport.train import (
+    BATCH_GRID,
+    LR_GRID,
     TrainConfig,
     avg_cosine_similarity,
+    grid_cells,
     grid_search,
     gradients,
     load_checkpoint,
@@ -259,12 +262,13 @@ def test_alignment_recovers_synthetic_keyword_pairing():
         )
         return avg_cosine_similarity(model, induced, vocab1, vocab2)
 
+    base = TrainConfig(total_samples=_SAMPLE_BUDGET, seed=10)
     grid = grid_search(
         h1,
         y1,
         h2,
         y2,
-        TrainConfig(total_samples=_SAMPLE_BUDGET, seed=10),
+        grid_cells(base, LR_GRID, BATCH_GRID),
         selector,
         vocab_sizes=(m, m),
     )

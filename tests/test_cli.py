@@ -711,6 +711,48 @@ def test_train_resume_below_the_trained_samples_fails_before_any_work(
     assert {name: (out / name).read_bytes() for name in names} == before
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            ("--resume", "{ckpt}", "--total-samples", "128",
+             "--peak-lr", "0.5", "--d", "7", "--batch-size", "3", "--seed", "99"),
+            "--d 7 conflicts with d 8 of {ckpt}",
+        ),
+        (
+            ("--lrs", "0.5", "--batch-sizes", "3", "--total-samples", "16"),
+            "--lrs and --batch-sizes need --grid",
+        ),
+        (
+            ("--batch-sizes", "8", "--total-samples", "16"),
+            "--lrs and --batch-sizes need --grid",
+        ),
+        (
+            ("--grid", "--peak-lr", "0.5", "--batch-size", "7", "--total-samples", "16"),
+            "--peak-lr 0.5 conflicts with peak_lr 0.0002 of a --grid cell",
+        ),
+    ],
+    ids=["resume", "lrs-without-grid", "batch-sizes-without-grid", "grid"],
+)
+def test_train_flag_the_run_would_ignore_fails_before_any_work(
+    extra, message, corpus, run_dir, tmp_path, capsys
+):
+    # a resumed run keeps its checkpoint's config, a single run has no
+    # grid, and a grid takes each cell's lr and batch size from --lrs and
+    # --batch-sizes: a flag that would go unused exits 2 and writes nothing
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    names = ("metrics.jsonl", "checkpoint.json", "checkpoint_best.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    ckpt = str(out / "checkpoint.json")
+    argv = _train_argv(corpus, out, *(arg.format(ckpt=ckpt) for arg in extra))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(ckpt=ckpt)}\n")
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
 def _drop_last_joint_m(doc: dict) -> str:
     doc["optimizers"]["joint"]["m"].pop()
     return "optimizer joint m does not match the model's parameter shapes"
@@ -992,14 +1034,16 @@ def test_snapshot_checkpoints_hold_fresh_optimizers_at_the_final_step(
     run_dir, corpus, tmp_path
 ):
     _assert_snapshot(run_dir / "checkpoint_best.json", 8)
-    rc = main(
-        _train_argv(
-            corpus, tmp_path,
-            "--grid", "--lrs", "0.0005,0.001", "--batch-sizes", "8,16",
-            "--total-samples", "32",
-        )
+    argv = _train_argv(
+        corpus, tmp_path,
+        "--grid", "--lrs", "0.0005,0.001", "--batch-sizes", "8,16",
+        "--total-samples", "32",
     )
-    assert rc == 0
+    # --batch-sizes sets each cell's batch size; SMALL's --batch-size 8
+    # would conflict with the 16 cells
+    at = argv.index("--batch-size")
+    del argv[at : at + 2]
+    assert main(argv) == 0
     best = json.loads((tmp_path / "grid.json").read_text())["best"]
     _assert_snapshot(tmp_path / "checkpoint.json", 32 // best["batch_size"])
 

@@ -310,8 +310,8 @@ def test_grid_search_tie_breaks_to_smaller_lr_then_batch():
     rng = np.random.default_rng(13)
     H1, y1, H2, y2 = _toy_data(rng)
     base = ft.TrainConfig(d=8, batch_size=16, total_samples=32, seed=6)
-    result = ft.grid_search(H1, y1, H2, y2, base, selector=lambda m: 1.0,
-                            lrs=[1e-3, 2e-4], batch_sizes=[32, 16],
+    cells = ft.grid_cells(base, [1e-3, 2e-4], [32, 16])
+    result = ft.grid_search(H1, y1, H2, y2, cells, selector=lambda m: 1.0,
                             vocab_sizes=(5, 6))
     assert result.best.state.cfg.peak_lr == 2e-4
     assert result.best.state.cfg.batch_size == 16
@@ -320,9 +320,28 @@ def test_grid_search_tie_breaks_to_smaller_lr_then_batch():
     assert [(c.peak_lr, c.batch_size) for c in result.cells] == [
         (2e-4, 16), (2e-4, 32), (1e-3, 16), (1e-3, 32)
     ]
+    assert result.best_cell is result.cells[0]
     with pytest.raises(ConfigError):
-        ft.grid_search(H1, y1, H2, y2, base, selector=lambda m: 0.0, lrs=[],
-                       vocab_sizes=(5, 6))
+        ft.grid_cells(base, [], [16])
+
+
+def test_grid_cells_orders_the_grid_and_checks_every_cell():
+    base = ft.TrainConfig(d=8, seed=6, checkpoint_every=3)
+    cells = ft.grid_cells(base, [1e-3, 2e-4, 5e-4], [256, 64])
+    assert [(c.peak_lr, c.batch_size) for c in cells] == [
+        (2e-4, 64), (2e-4, 256), (5e-4, 64), (5e-4, 256), (1e-3, 64), (1e-3, 256)
+    ]
+    # every other field is the base config's
+    assert {replace(c, peak_lr=base.peak_lr, batch_size=base.batch_size)
+            for c in cells} == {base}
+    for lrs, sizes in (([], [64]), ([1e-3], []), ([], [])):
+        with pytest.raises(ConfigError, match="empty hyperparameter grid"):
+            ft.grid_cells(base, lrs, sizes)
+    # an invalid cell fails when the grid is built, before any cell trains
+    with pytest.raises(ConfigError, match="need a finite peak_lr > 0, got 0.0"):
+        ft.grid_cells(base, [1e-3, 0.0], [64])
+    with pytest.raises(ConfigError, match="batch_size >= 1"):
+        ft.grid_cells(base, [1e-3], [64, 0])
 
 
 def test_checkpoint_file_round_trip(tmp_path):
